@@ -36,10 +36,8 @@ from .masks import (
     GUIDED_ROLES,
     RoleMask,
     apply_fallback,
-    combine,
     dep_syntax_mask,
     major_relations_mask,
-    padding_mask,
     rare_words_mask,
     relative_position_mask,
     separator_mask,
@@ -54,10 +52,9 @@ __all__ = [
     "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "HeadConfig",
     "HeadWeights", "ModelConfig", "RoleMask", "Sentence", "ShapeMismatchError",
     "Tensor", "Token", "TrainingDivergedError", "Vocabulary", "apply_fallback",
-    "backward", "build_vocab", "combine", "dep_syntax_mask", "emit_metrics",
-    "evaluate", "load_checkpoint", "load_corpus", "major_relations_mask",
-    "make_batches", "masked_attention", "multi_head", "padding_mask",
-    "parse_conllu", "rare_token_indices", "rare_words_mask",
-    "relative_position_mask", "run_ablation", "run_grid", "save_checkpoint",
-    "scaled_dot_attention", "separator_mask", "train",
+    "backward", "build_vocab", "dep_syntax_mask", "emit_metrics", "evaluate",
+    "load_checkpoint", "load_corpus", "major_relations_mask", "make_batches",
+    "masked_attention", "multi_head", "parse_conllu", "rare_token_indices",
+    "rare_words_mask", "relative_position_mask", "run_ablation", "run_grid",
+    "save_checkpoint", "scaled_dot_attention", "separator_mask", "train",
 ]

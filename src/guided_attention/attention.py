@@ -85,7 +85,7 @@ def masked_attention(q, k, v, mask, dropout_rate: float = 0.0, rng=None) -> tupl
     """
     q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
     _check_attention_shapes(q, k, v)
-    mask_values = mask.values if hasattr(mask, "values") else np.asarray(mask, dtype=np.float64)
+    mask_values = np.asarray(mask, dtype=np.float64)
     n = q.shape[-2]
     if mask_values.shape[-2:] != (n, k.shape[-2]):
         raise ShapeMismatchError(
@@ -110,10 +110,10 @@ def multi_head(
 ) -> tuple[Tensor, list[Tensor]]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
-    Heads ``0..N-1`` use their assigned role mask (already combined with the
-    padding mask); heads ``N..H-1`` use the padding mask. Head outputs are
-    concatenated and projected by ``wo``. Returns the layer output and the
-    per-head attention weights.
+    Heads ``0..N-1`` use their assigned role mask (placed into the padding
+    grid, see ``corpus.Batch``); heads ``N..H-1`` use the padding mask.
+    Head outputs are concatenated and projected by ``wo``. Returns the layer
+    output and the per-head attention weights.
     """
     x = ad.as_tensor(x)
     if len(weights.wq) != cfg.heads:

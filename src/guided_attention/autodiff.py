@@ -47,9 +47,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
@@ -63,17 +60,11 @@ class Tensor:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(value) -> Tensor:
@@ -85,6 +76,8 @@ def parameter(data, name: str) -> Tensor:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    # backward_fn gets out's gradient as its argument and holds no reference to
+    # out, so a graph has no reference cycle and is freed without the cyclic GC.
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -124,8 +117,7 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
@@ -142,8 +134,7 @@ def add(a, b) -> Tensor:
         raise ShapeMismatchError(f"add cannot broadcast {a.shape} + {b.shape}") from exc
     out = Tensor(data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         _accumulate(a, g)
         _accumulate(b, g)
 
@@ -158,10 +149,9 @@ def mul(a, b) -> Tensor:
         raise ShapeMismatchError(f"mul cannot broadcast {a.shape} * {b.shape}") from exc
     out = Tensor(data)
 
-    def backward():
+    def backward(g):
         # The requires_grad guards also avoid 0 * -inf = NaN against constant
         # mask operands, whose gradient is never needed.
-        g = out.grad
         if a.requires_grad:
             _accumulate(a, g * b.data)
         if b.requires_grad:
@@ -174,8 +164,8 @@ def relu(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.maximum(x.data, 0.0))
 
-    def backward():
-        _accumulate(x, out.grad * (x.data > 0.0))
+    def backward(g):
+        _accumulate(x, g * (x.data > 0.0))
 
     return _record(out, (x,), backward)
 
@@ -185,8 +175,8 @@ def transpose_last(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.swapaxes(x.data, -1, -2))
 
-    def backward():
-        _accumulate(x, np.swapaxes(out.grad, -1, -2))
+    def backward(g):
+        _accumulate(x, np.swapaxes(g, -1, -2))
 
     return _record(out, (x,), backward)
 
@@ -207,11 +197,10 @@ def softmax_rows(x) -> Tensor:
         bad = np.argwhere(~np.isfinite(row_max[..., 0]))
         raise DegenerateRowError(f"softmax row(s) with all entries masked at index {tuple(bad[0])}")
     exps = np.exp(data - row_max)
-    out = Tensor(exps / exps.sum(axis=-1, keepdims=True))
+    y = exps / exps.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
 
-    def backward():
-        g = out.grad
-        y = out.data
+    def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
         _accumulate(x, y * (g - inner))
 
@@ -232,8 +221,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     x_hat = (x.data - mean) * inv_std
     out = Tensor(x_hat * gain.data + bias.data)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         gy = g * gain.data
         if x.requires_grad:
             m1 = gy.mean(axis=-1, keepdims=True)
@@ -254,9 +242,9 @@ def concat_last(tensors: list[Tensor]) -> Tensor:
     widths = [t.shape[-1] for t in tensors]
     splits = np.cumsum(widths)[:-1]
 
-    def backward():
-        for t, g in zip(tensors, np.split(out.grad, splits, axis=-1)):
-            _accumulate(t, g)
+    def backward(g):
+        for t, part in zip(tensors, np.split(g, splits, axis=-1)):
+            _accumulate(t, part)
 
     return _record(out, tuple(tensors), backward)
 
@@ -271,10 +259,10 @@ def embedding(table, ids: np.ndarray) -> Tensor:
         )
     out = Tensor(table.data[ids])
 
-    def backward():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids.reshape(-1), out.grad.reshape(-1, table.shape[-1]))
-        _accumulate(table, g)
+    def backward(g):
+        rows = np.zeros_like(table.data)
+        np.add.at(rows, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
+        _accumulate(table, rows)
 
     return _record(out, (table,), backward)
 
@@ -293,9 +281,8 @@ def masked_mean(x, valid: np.ndarray) -> Tensor:
         raise ShapeMismatchError("masked_mean: an example has no valid positions")
     out = Tensor((x.data * valid[..., None]).sum(axis=-2) / counts)
 
-    def backward():
-        g = out.grad[..., None, :] * valid[..., None] / counts[..., None]
-        _accumulate(x, g)
+    def backward(g):
+        _accumulate(x, g[..., None, :] * valid[..., None] / counts[..., None])
 
     return _record(out, (x,), backward)
 
@@ -314,10 +301,10 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
     lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
     out = Tensor((lse[:, 0] - z[np.arange(n), labels]).mean())
 
-    def backward():
+    def backward(g):
         p = np.exp(z - lse)
         p[np.arange(n), labels] -= 1.0
-        _accumulate(logits, p * (out.grad / n))
+        _accumulate(logits, p * (g / n))
 
     return _record(out, (logits,), backward)
 
@@ -334,8 +321,8 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep)
 
-    def backward():
-        _accumulate(x, out.grad * keep)
+    def backward(g):
+        _accumulate(x, g * keep)
 
     return _record(out, (x,), backward)
 
@@ -345,8 +332,8 @@ def tensor_sum(x) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.sum())
 
-    def backward():
-        _accumulate(x, np.broadcast_to(out.grad, x.shape))
+    def backward(g):
+        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _record(out, (x,), backward)
 
@@ -384,7 +371,7 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
     if params is not None:
         for p in params.values():

@@ -69,33 +69,36 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     offset += header_len
 
-    vocab = Vocabulary(header["vocab"]["doc_freq"], header["vocab"]["total_docs"])
-    recorded = header["metadata"].get("vocab_hash")
-    if recorded is not None and vocabulary_hash(vocab) != recorded:
-        raise CheckpointError(
-            "vocabulary hash mismatch; embedded vocabulary differs from the one used at training"
-        )
+    try:
+        vocab = Vocabulary(header["vocab"]["doc_freq"], header["vocab"]["total_docs"])
+        recorded = header["metadata"].get("vocab_hash")
+        if recorded is not None and vocabulary_hash(vocab) != recorded:
+            raise CheckpointError(
+                "vocabulary hash mismatch; embedded vocabulary differs from the one used at training"
+            )
 
-    params: dict[str, np.ndarray] = {}
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(body):
-            raise CheckpointError(f"parameter block {entry['name']!r} truncated")
-        params[entry["name"]] = (
-            np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += nbytes
-    if offset != len(body):
-        raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
+        params: dict[str, np.ndarray] = {}
+        for entry in header["params"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 8
+            if offset + nbytes > len(body):
+                raise CheckpointError(f"parameter block {entry['name']!r} truncated")
+            params[entry["name"]] = (
+                np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+                .astype(np.float64)
+                .reshape(shape)
+            )
+            offset += nbytes
+        if offset != len(body):
+            raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
 
-    return Checkpoint(
-        config=ModelConfig.from_dict(header["config"]),
-        params=params,
-        vocab=vocab,
-        class_names=list(header["class_names"]),
-        metadata=header["metadata"],
-    )
+        return Checkpoint(
+            config=ModelConfig.from_dict(header["config"]),
+            params=params,
+            vocab=vocab,
+            class_names=list(header["class_names"]),
+            metadata=header["metadata"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"header lacks key {exc.args[0]!r}") from None

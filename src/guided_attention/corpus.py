@@ -300,7 +300,11 @@ def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
 
 @dataclass
 class Batch:
-    """Padded model input with per-role masks already combined with padding."""
+    """Padded model input with per-role masks placed into padding grids.
+
+    ``pad_mask`` opens exactly the valid key columns; each role mask is that
+    grid with the role's sentence-length mask in its top-left ``n x n`` block.
+    """
 
     token_ids: np.ndarray  # (B, max_len) int64
     lengths: np.ndarray  # (B,) int64
@@ -342,7 +346,7 @@ def make_batches(
     shuffle: bool = True,
     labels: dict[str, int] | None = None,
 ) -> list[Batch]:
-    """Assemble padded batches with precomputed, padding-combined role masks."""
+    """Assemble padded batches with each role's mask placed into the padding grid."""
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(sentences))
@@ -355,14 +359,14 @@ def make_batches(
         chunk = kept[start : start + batch_size]
         b = len(chunk)
         ids = np.full((b, max_len), PAD_ID, dtype=np.int64)
-        lengths = np.zeros(b, dtype=np.int64)
+        lengths = np.array([len(sentence) for sentence in chunk], dtype=np.int64)
         label_arr = np.full(b, -1, dtype=np.int64)
-        role_values = {role: np.empty((b, max_len, max_len)) for role in roles}
-        pad_values = np.empty((b, max_len, max_len))
+        open_columns = np.where(np.arange(max_len) < lengths[:, None], 0.0, masks_mod.NEG_INF)
+        pad_values = np.repeat(open_columns[:, None, :], max_len, axis=1)
+        role_values = {role: pad_values.copy() for role in roles}
         sent_ids = []
         for row, sentence in enumerate(chunk):
             n = len(sentence)
-            lengths[row] = n
             ids[row, :n] = [vocab.id(f) for f in sentence.forms]
             if labels is not None and sentence.label is not None:
                 if sentence.label not in labels:
@@ -371,12 +375,8 @@ def make_batches(
                     )
                 label_arr[row] = labels[sentence.label]
             sent_ids.append(sentence.sent_id or str(start + row))
-            pad = masks_mod.padding_mask(n, max_len)
-            pad_values[row] = pad.values
             for role in roles:
-                role_mask = masks_mod.build_role_mask(role, sentence, vocab)
-                combined = masks_mod.combine(masks_mod.expand(role_mask, max_len), pad)
-                role_values[role][row] = combined.values
+                role_values[role][row, :n, :n] = masks_mod.build_role_mask(role, sentence, vocab).values
         batches.append(
             Batch(
                 token_ids=ids,

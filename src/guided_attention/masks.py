@@ -9,11 +9,12 @@ starts from an all ``-inf`` grid and opens positions according to the role:
 * ``depsyn`` - undirected dependency-parse adjacency,
 * ``majrel`` - dependency adjacency restricted to nsubj/dobj/amod/advmod,
 * ``relpos`` - a centered window of size 3 (self and both neighbours),
-* ``padding`` - no restriction (opens everything; the padding mask itself
-  is a separate grid hiding key columns beyond the true length).
+* ``padding`` - no restriction (opens everything).
 
 A query row that ends up fully masked would make softmax undefined, so a
-diagonal self-attention fallback is applied to infeasible valid rows.
+diagonal self-attention fallback is applied to infeasible rows. Masks are
+built at the sentence's own length; batching places each one into the
+top-left block of its padded grid (see ``corpus.make_batches``).
 """
 
 from __future__ import annotations
@@ -119,15 +120,6 @@ def relative_position_mask(n: int) -> RoleMask:
     return RoleMask(ROLE_RELATIVE_POSITION, values)
 
 
-def padding_mask(n_valid: int, n: int) -> RoleMask:
-    """Hide key columns beyond the true sentence length."""
-    if n_valid > n:
-        raise ShapeMismatchError(f"n_valid {n_valid} exceeds buffer length {n}")
-    values = np.full((n, n), NEG_INF)
-    values[:, :n_valid] = 0.0
-    return RoleMask(ROLE_PADDING, values)
-
-
 def apply_fallback(mask: RoleMask, n_valid: int) -> RoleMask:
     """Give every fully-masked valid query row a diagonal self-attention zero."""
     values = mask.values.copy()
@@ -137,39 +129,12 @@ def apply_fallback(mask: RoleMask, n_valid: int) -> RoleMask:
     return RoleMask(mask.role, values)
 
 
-def combine(role: RoleMask, pad: RoleMask) -> RoleMask:
-    """Elementwise minimum of a role mask and a padding mask (``-inf`` wins).
-
-    The fallback is re-applied afterwards so that no valid query row is left
-    fully masked (e.g. when a role only allowed padded columns).
-    """
-    if role.values.shape != pad.values.shape:
-        raise ShapeMismatchError(f"combine shape mismatch: {role.values.shape} vs {pad.values.shape}")
-    n_valid = int(np.count_nonzero(pad.values[0] == 0.0))
-    merged = RoleMask(role.role, np.minimum(role.values, pad.values))
-    return apply_fallback(merged, n_valid)
-
-
-def expand(mask: RoleMask, n: int) -> RoleMask:
-    """Embed an n_valid-sized mask into an n-sized buffer, opening the rest.
-
-    The extra area is left unrestricted; combining with the padding mask
-    closes the padded key columns and keeps padded query rows feasible.
-    """
-    n_valid = mask.n
-    if n_valid > n:
-        raise ShapeMismatchError(f"cannot expand mask of size {n_valid} into buffer {n}")
-    values = np.zeros((n, n))
-    values[:n_valid, :n_valid] = mask.values
-    return RoleMask(mask.role, values)
-
-
 def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
     """Construct one role's mask for a sentence (at the sentence's length).
 
-    The ``padding`` pseudo-role places no restriction of its own; combined
-    with the padding mask it reproduces it exactly, which is how an ablated
-    head is given "just the padding mask".
+    The ``padding`` pseudo-role places no restriction of its own; placed
+    into a padded grid it leaves that grid's padding mask as it is, which is
+    how an ablated head is given "just the padding mask".
     """
     n = len(sentence)
     if role == ROLE_RARE_WORDS:

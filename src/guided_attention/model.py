@@ -11,6 +11,7 @@ is deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -209,15 +210,28 @@ def embed(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     return ad.add(scaled, Tensor(sinusoidal_encoding(batch.token_ids.shape[1], cfg.d_model)))
 
 
-def encoder_forward(
-    x: Tensor,
+def classify(encoded: Tensor, lengths: np.ndarray, params: dict[str, Tensor]) -> Tensor:
+    """Masked mean over valid positions, then affine map to class scores."""
+    n = encoded.shape[-2]
+    valid = (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+    pooled = ad.masked_mean(encoded, valid)
+    return ad.add(ad.matmul(pooled, params["classifier.w"]), params["classifier.b"])
+
+
+def forward_stages(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
     rng: np.random.Generator | None = None,
     training: bool = False,
-) -> Tensor:
-    """Apply the full encoder stack; ``layers = 0`` passes the input through."""
+) -> Iterator[tuple[str, Tensor]]:
+    """Run the forward pass, yielding ``(stage, output)`` as each stage finishes.
+
+    Stages: ``embed.output``; per layer ``i``, ``layer{i}.attention.output``,
+    ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
+    """
+    x = embed(batch, params, cfg)
+    yield "embed.output", x
     head_cfg = cfg.head_config()
     rate = cfg.dropout if training else 0.0
     for i in range(cfg.layers):
@@ -230,25 +244,21 @@ def encoder_forward(
             dropout_rate=rate,
             rng=rng,
         )
+        yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
             ad.add(x, attn_out), params[f"layer{i}.norm1.gain"], params[f"layer{i}.norm1.bias"]
         )
+        yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
         if rate > 0.0:
             hidden = ad.dropout(hidden, rate, rng)
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
+        yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(
             ad.add(x, ff_out), params[f"layer{i}.norm2.gain"], params[f"layer{i}.norm2.bias"]
         )
-    return x
-
-
-def classify(encoded: Tensor, lengths: np.ndarray, params: dict[str, Tensor]) -> Tensor:
-    """Masked mean over valid positions, then affine map to class scores."""
-    n = encoded.shape[-2]
-    valid = (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-    pooled = ad.masked_mean(encoded, valid)
-    return ad.add(ad.matmul(pooled, params["classifier.w"]), params["classifier.b"])
+        yield f"layer{i}.norm2.output", x
+    yield "classifier.logits", classify(x, batch.lengths, params)
 
 
 def forward_batch(
@@ -258,9 +268,10 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    x = embed(batch, params, cfg)
-    encoded = encoder_forward(x, batch, params, cfg, rng=rng, training=training)
-    return classify(encoded, batch.lengths, params)
+    """Class scores of a batch: the last output of :func:`forward_stages`."""
+    for _, logits in forward_stages(batch, params, cfg, rng=rng, training=training):
+        pass
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +332,11 @@ class EvalMetrics:
 
 
 def diagnose_nonfinite(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig) -> str:
-    """Name the first non-finite tensor: parameters, then a staged forward re-run.
+    """Name the first non-finite tensor: parameters, then the forward stages.
 
-    The re-run is dropout-free, so a divergence that only materializes under
-    a particular dropout draw falls through to the generic ``loss`` answer.
+    The forward pass is re-run dropout-free, so a divergence that only
+    materializes under a particular dropout draw falls through to the
+    generic ``loss`` answer.
     """
     for name, p in params.items():
         if not np.all(np.isfinite(p.data)):
@@ -332,47 +344,15 @@ def diagnose_nonfinite(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             return f"grad({name})"
 
-    def bad(t: Tensor) -> bool:
-        return not np.all(np.isfinite(t.data))
-
-    stage = "embed.output"
+    attentions = 0
     try:
-        x = embed(batch, params, cfg)
-        if bad(x):
-            return stage
-        head_cfg = cfg.head_config()
-        for i in range(cfg.layers):
-            stage = f"layer{i}.attention.output"
-            attn_out, _ = multi_head(
-                x, layer_weights(params, i, cfg.heads), head_cfg, batch.role_masks, batch.pad_mask
-            )
-            if bad(attn_out):
+        for stage, output in forward_stages(batch, params, cfg):
+            if not np.all(np.isfinite(output.data)):
                 return stage
-            stage = f"layer{i}.norm1.output"
-            x = ad.layer_norm(
-                ad.add(x, attn_out), params[f"layer{i}.norm1.gain"], params[f"layer{i}.norm1.bias"]
-            )
-            if bad(x):
-                return stage
-            stage = f"layer{i}.ff.output"
-            hidden = ad.relu(
-                ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"])
-            )
-            ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
-            if bad(ff_out):
-                return stage
-            stage = f"layer{i}.norm2.output"
-            x = ad.layer_norm(
-                ad.add(x, ff_out), params[f"layer{i}.norm2.gain"], params[f"layer{i}.norm2.bias"]
-            )
-            if bad(x):
-                return stage
-        stage = "classifier.logits"
-        logits = classify(x, batch.lengths, params)
-        if bad(logits):
-            return stage
+            attentions += stage.endswith(".attention.output")
     except DegenerateRowError:
-        return stage
+        # Only the attention softmax raises this, in the layer after the last finished one.
+        return f"layer{attentions}.attention.output"
     return "loss"
 
 

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -284,3 +285,33 @@ class TestBackward:
         assert l1 == l2
         npt.assert_array_equal(ga1, ga2)
         npt.assert_array_equal(gb1, gb2)
+
+    def test_dropped_graph_leaves_no_reference_cycle(self):
+        """A graph is freed by reference counting alone once backward has run and it is dropped."""
+        rng = np.random.default_rng(7)
+        table = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        gain = Tensor(np.ones(4), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        ids = np.array([[0, 3, 1], [2, 4, 0]])
+        mask = np.where(np.eye(3, dtype=bool), NEG_INF, 0.0)
+        valid = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        proj = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+
+        def build_and_backward():
+            x = ad.embedding(table, ids)
+            scores = ad.add(ad.matmul(x, ad.transpose_last(x)), Tensor(mask))
+            attended = ad.matmul(ad.softmax_rows(ad.mul(scores, 0.5)), x)
+            joined = ad.matmul(ad.concat_last([attended, ad.relu(x)]), proj)
+            h = ad.layer_norm(joined, gain, bias)
+            h = ad.dropout(h, 0.25, np.random.default_rng(0))
+            logits = ad.masked_mean(h, valid)
+            loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), ad.tensor_sum(x))
+            ad.backward(loss)
+
+        gc.collect()
+        gc.disable()
+        try:
+            build_and_backward()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -66,6 +70,21 @@ class TestCheckpointFile:
         save_checkpoint(ckpt, path)
         path.write_bytes(path.read_bytes()[:-40])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_missing_header_key_rejected(self, trained, tmp_path):
+        ckpt, _ = trained
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        body = path.read_bytes()[:-32]
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", body, len(MAGIC))
+        header = json.loads(body[start : start + header_len])
+        del header["class_names"]
+        header_bytes = json.dumps(header).encode("utf-8")
+        body = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
+        path.write_bytes(body + hashlib.sha256(body).digest())  # re-signed: the checksum holds
+        with pytest.raises(CheckpointError, match="class_names"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -23,7 +23,7 @@ from guided_attention.corpus import (
     PAD_ID,
 )
 from guided_attention.errors import ConlluError, ShapeMismatchError
-from guided_attention.masks import GUIDED_ROLES
+from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask
 from oracles import rare_columns_bruteforce
 
 
@@ -250,3 +250,32 @@ class TestBatches:
         batches = make_batches(twenty, twenty_vocab, 32, 16, (), shuffle=False, labels=classes)
         labels = np.concatenate([b.labels for b in batches])
         assert set(labels.tolist()) == {0, 1}
+
+
+class TestBatchMaskLayout:
+    """Exact float layout of a batch's masks on the fixture, untruncated (16) and truncated (4)."""
+
+    def _rows(self, twenty, vocab):
+        for max_len in (16, 4):
+            batches = make_batches(twenty, vocab, 8, max_len, ALL_ROLES, shuffle=False)
+            rows = [(batch, row) for batch in batches for row in range(batch.size)]
+            assert len(rows) == len(twenty)
+            for (batch, row), sentence in zip(rows, twenty):
+                yield max_len, batch, row, truncate(sentence, max_len)
+
+    def test_pad_mask_opens_exactly_valid_columns(self, twenty, twenty_vocab):
+        for max_len, batch, row, cut in self._rows(twenty, twenty_vocab):
+            n = len(cut)
+            assert batch.lengths[row] == n
+            grid = batch.pad_mask[row]
+            assert grid.shape == (max_len, max_len)
+            npt.assert_array_equal(grid[:, :n], 0.0)
+            npt.assert_array_equal(grid[:, n:], -np.inf)
+
+    def test_role_masks_are_pad_grid_with_sentence_block(self, twenty, twenty_vocab):
+        for _, batch, row, cut in self._rows(twenty, twenty_vocab):
+            n = len(cut)
+            for role in ALL_ROLES:
+                expected = batch.pad_mask[row].copy()
+                expected[:n, :n] = build_role_mask(role, cut, twenty_vocab).values
+                npt.assert_array_equal(batch.role_masks[role][row], expected)

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from guided_attention.corpus import Sentence, Token, build_vocab
+from guided_attention.corpus import Sentence, Token, build_vocab, make_batches
 from guided_attention.errors import ShapeMismatchError
 from guided_attention.masks import (
     GUIDED_ROLES,
@@ -10,12 +10,9 @@ from guided_attention.masks import (
     RoleMask,
     apply_fallback,
     build_role_mask,
-    combine,
     dep_syntax_mask,
     dump_record,
-    expand,
     major_relations_mask,
-    padding_mask,
     parse_dump,
     rare_words_mask,
     relative_position_mask,
@@ -40,6 +37,13 @@ def sent(forms, heads=None, deprels=None, label=None):
         for i, (f, h, d) in enumerate(zip(forms, heads, deprels))
     ]
     return Sentence(tokens, label=label)
+
+
+def batch_of(sentences, max_len, roles):
+    """One unshuffled batch holding ``sentences`` padded to ``max_len``."""
+    vocab = build_vocab(sentences)
+    (batch,) = make_batches(sentences, vocab, len(sentences), max_len, roles, shuffle=False)
+    return batch, vocab
 
 
 def assert_binary(mask: RoleMask):
@@ -199,17 +203,16 @@ class TestRelativePositionMask:
 
 
 class TestPaddingMask:
+    """The padding grid that ``make_batches`` builds for each row."""
+
     def test_columns_beyond_valid_closed(self):
-        mask = padding_mask(3, 5)
-        assert np.all(mask.values[:, 3:] == NEG_INF)
-        assert np.all(mask.values[:, :3] == 0.0)
+        batch, _ = batch_of([sent(["a", "b", "c"])], 5, ("padding",))
+        assert np.all(batch.pad_mask[0][:, 3:] == NEG_INF)
+        assert np.all(batch.pad_mask[0][:, :3] == 0.0)
 
     def test_no_padding_all_zero(self):
-        npt.assert_array_equal(padding_mask(4, 4).values, np.zeros((4, 4)))
-
-    def test_invalid_length_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            padding_mask(6, 5)
+        batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("padding",))
+        npt.assert_array_equal(batch.pad_mask[0], np.zeros((4, 4)))
 
 
 class TestFallbackAndCombine:
@@ -230,46 +233,37 @@ class TestFallbackAndCombine:
         out = apply_fallback(RoleMask("depsyn", values), 4)
         assert mask_zero_pairs(out.values) == {(0, 2), (3, 1), (1, 1), (2, 2)}
 
-    def test_role_allowing_only_pad_column_falls_back(self):
-        role = RoleMask("rarew", np.full((4, 4), NEG_INF))
-        role.values[:, 3] = 0.0  # only column 4 open, which padding closes
-        combined = combine(role, padding_mask(3, 4))
-        for i in range(3):
-            assert combined.values[i, i] == 0.0
-            assert combined.values[i, 3] == NEG_INF
-
     def test_all_zero_pad_is_identity(self):
-        role = relative_position_mask(4)
-        combined = combine(role, padding_mask(4, 4))
-        npt.assert_array_equal(combined.values, role.values)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            combine(relative_position_mask(3), padding_mask(3, 4))
+        batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
+        npt.assert_array_equal(batch.role_masks["relpos"][0], relative_position_mask(4).values)
 
     def test_random_combine_matches_set_intersection(self):
         rng = np.random.default_rng(0)
+        alphabet = ["a", "b", "c", ",", "."]
+        roles = ("rarew", "seprat", "relpos")
+        n = 6
         for _ in range(50):
-            n, n_valid = 6, int(rng.integers(1, 7))
-            role_vals = np.where(rng.random((n, n)) < 0.4, 0.0, NEG_INF)
-            role = RoleMask("seprat", role_vals)
-            pad = padding_mask(n_valid, n)
-            combined = combine(role, pad)
-            intersection = mask_zero_pairs(role.values) & mask_zero_pairs(pad.values)
-            fallback_rows = {
-                i for i in range(n_valid)
-                if not any(p[0] == i for p in intersection)
-            }
-            expected = intersection | {(i, i) for i in fallback_rows}
-            assert mask_zero_pairs(combined.values) == expected
-            # row feasibility for valid rows
-            assert np.all((combined.values[:n_valid] == 0.0).any(axis=1))
+            sentences = [
+                sent([str(f) for f in rng.choice(alphabet, size=int(rng.integers(1, n + 1)))])
+                for _ in range(3)
+            ]
+            batch, vocab = batch_of(sentences, n, roles)
+            for row, sentence in enumerate(sentences):
+                n_valid = len(sentence)
+                pad_pairs = mask_zero_pairs(batch.pad_mask[row])
+                assert pad_pairs == {(i, j) for i in range(n) for j in range(n_valid)}
+                for role in roles:
+                    role_pairs = mask_zero_pairs(build_role_mask(role, sentence, vocab).values)
+                    padded_rows = {(i, j) for i in range(n_valid, n) for j in range(n_valid)}
+                    placed = batch.role_masks[role][row]
+                    assert mask_zero_pairs(placed) == (role_pairs | padded_rows) & pad_pairs
+                    assert np.all((placed == 0.0).any(axis=1))
 
     def test_expand_then_combine_keeps_pad_rows_feasible(self):
-        role = separator_mask(sent(["a", "b"]))
-        combined = combine(expand(role, 5), padding_mask(2, 5))
-        assert np.all((combined.values == 0.0).any(axis=1))
-        assert np.all(combined.values[:, 2:] == NEG_INF)
+        batch, _ = batch_of([sent(["a", "b"])], 5, ("seprat",))
+        placed = batch.role_masks["seprat"][0]
+        assert np.all((placed == 0.0).any(axis=1))
+        assert np.all(placed[:, 2:] == NEG_INF)
 
 
 class TestPurityAndStructure:

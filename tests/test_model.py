@@ -13,10 +13,11 @@ from guided_attention.model import (
     Checkpoint,
     ModelConfig,
     classify,
+    diagnose_nonfinite,
     embed,
-    encoder_forward,
     evaluate,
     forward_batch,
+    forward_stages,
     format_config,
     init_params,
     parse_config,
@@ -138,9 +139,22 @@ class TestEncoderAndClassifier:
     def test_zero_layers_is_identity(self):
         cfg = ModelConfig(**{**TINY.__dict__, "layers": 0})
         batch, params = self._batch_and_params(cfg, toy_separable(8))
+        stages = list(forward_stages(batch, params, cfg))
+        assert [stage for stage, _ in stages] == ["embed.output", "classifier.logits"]
         x = embed(batch, params, cfg)
-        out = encoder_forward(x, batch, params, cfg)
-        npt.assert_array_equal(out.data, x.data)
+        npt.assert_array_equal(stages[0][1].data, x.data)
+        npt.assert_array_equal(stages[1][1].data, classify(x, batch.lengths, params).data)
+
+    def test_stage_names_in_order(self):
+        cfg = ModelConfig(**{**TINY.__dict__, "layers": 2})
+        batch, params = self._batch_and_params(cfg, toy_separable(8))
+        stages = [stage for stage, _ in forward_stages(batch, params, cfg)]
+        per_layer = ["attention", "norm1", "ff", "norm2"]
+        assert stages == [
+            "embed.output",
+            *[f"layer{i}.{part}.output" for i in range(2) for part in per_layer],
+            "classifier.logits",
+        ]
 
     def test_forward_hash_stable(self):
         cfg = ModelConfig(**{**TINY.__dict__, "layers": 2})
@@ -349,3 +363,32 @@ class TestAdam:
             ad.backward(loss)
             opt.step()
         assert np.all(np.abs(p.data) < 1e-2)
+
+
+class TestDivergenceDiagnosis:
+    """``diagnose_nonfinite`` names the parameter or forward stage that first goes non-finite."""
+
+    CFG = ModelConfig(**{**TINY.__dict__, "layers": 2})
+
+    def _diagnose(self, name, value):
+        sentences = toy_separable(8)
+        vocab = build_vocab(sentences)
+        batch = make_batches(sentences, vocab, 8, self.CFG.max_len, self.CFG.mask_roles(),
+                             shuffle=False, labels=label_index(sentences))[0]
+        params = init_params(self.CFG, len(vocab), np.random.default_rng(0))
+        params[name].data[...] = value
+        return diagnose_nonfinite(batch, params, self.CFG)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+    def test_huge_embeddings_blow_up_first_attention(self):
+        assert self._diagnose("embed.token", 1e200) == "layer0.attention.output"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_norm_gain_blows_up_next_attention(self):
+        assert self._diagnose("layer0.norm2.gain", 1e200) == "layer1.attention.output"
+
+    def test_nan_parameter_names_itself(self):
+        assert self._diagnose("layer1.ff.w1", np.nan) == "layer1.ff.w1"
+
+    def test_finite_forward_falls_through_to_loss(self):
+        assert self._diagnose("classifier.b", 0.0) == "loss"
