@@ -77,11 +77,15 @@ def scaled_dot_attention(q, k, v) -> tuple[Tensor, Tensor]:
     return ad.matmul(weights, v), weights
 
 
-def masked_attention(q, k, v, mask, dropout_rate: float = 0.0, rng=None) -> tuple[Tensor, Tensor]:
+def masked_attention(
+    q, k, v, mask, dropout_rate: float = 0.0, rng=None, draw_shape: tuple[int, ...] | None = None
+) -> tuple[Tensor, Tensor]:
     """Attention with an additive {0, -inf} mask on the pre-softmax scores.
 
     The mask must be row-feasible (the fallback already applied); a fully
     masked row surfaces as a degenerate-row error from the softmax.
+    ``draw_shape`` is the shape of the weights' dropout draw (see
+    ``autodiff.dropout``).
     """
     q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
     _check_attention_shapes(q, k, v)
@@ -95,7 +99,7 @@ def masked_attention(q, k, v, mask, dropout_rate: float = 0.0, rng=None) -> tupl
     scores = ad.add(ad.matmul(q, ad.transpose_last(k)), Tensor(mask_values))
     weights = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(d_k)))
     if dropout_rate > 0.0:
-        weights = ad.dropout(weights, dropout_rate, rng)
+        weights = ad.dropout(weights, dropout_rate, rng, draw_shape)
     return ad.matmul(weights, v), weights
 
 
@@ -107,13 +111,15 @@ def multi_head(
     pad_mask: np.ndarray,
     dropout_rate: float = 0.0,
     rng=None,
+    draw_shape: tuple[int, ...] | None = None,
 ) -> tuple[Tensor, list[Tensor]]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
     Heads ``0..N-1`` use their assigned role mask (placed into the padding
     grid, see ``corpus.Batch``); heads ``N..H-1`` use the padding mask.
-    Head outputs are concatenated and projected by ``wo``. Returns the layer
-    output and the per-head attention weights.
+    Head outputs are concatenated and projected by ``wo``. Each head draws
+    its attention dropout in ``draw_shape``. Returns the layer output and the
+    per-head attention weights.
     """
     x = ad.as_tensor(x)
     if len(weights.wq) != cfg.heads:
@@ -132,7 +138,9 @@ def multi_head(
             mask = role_masks[cfg.role_assignment[h]]
         else:
             mask = pad_mask
-        out, w = masked_attention(q, k, v, mask, dropout_rate=dropout_rate, rng=rng)
+        out, w = masked_attention(
+            q, k, v, mask, dropout_rate=dropout_rate, rng=rng, draw_shape=draw_shape
+        )
         outputs.append(out)
         attn_weights.append(w)
     return ad.matmul(ad.concat_last(outputs), weights.wo), attn_weights

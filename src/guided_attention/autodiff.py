@@ -309,8 +309,15 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity (no RNG draw) when rate == 0."""
+def dropout(
+    x, rate: float, rng: np.random.Generator | None, draw_shape: tuple[int, ...] | None = None
+) -> Tensor:
+    """Inverted dropout; identity (no RNG draw) when rate == 0.
+
+    The uniforms are drawn in ``draw_shape`` (default ``x.shape``) and cut to
+    its leading ``x.shape`` block, so a tensor cropped from a larger buffer
+    keeps the noise, and the RNG stream, of the uncropped one.
+    """
     if rate == 0.0:
         return as_tensor(x)
     if not 0.0 <= rate < 1.0:
@@ -318,7 +325,11 @@ def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
     if rng is None:
         raise ShapeMismatchError("dropout with rate > 0 needs a random generator")
     x = as_tensor(x)
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    shape = x.shape if draw_shape is None else tuple(draw_shape)
+    if len(shape) != x.ndim or any(d < s for d, s in zip(shape, x.shape)):
+        raise ShapeMismatchError(f"dropout draw shape {shape} does not cover {x.shape}")
+    draws = rng.random(shape)[tuple(slice(0, s) for s in x.shape)]
+    keep = (draws >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep)
 
     def backward(g):

@@ -69,36 +69,52 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unreadable header: {exc}") from exc
     offset += header_len
 
-    try:
-        vocab = Vocabulary(header["vocab"]["doc_freq"], header["vocab"]["total_docs"])
-        recorded = header["metadata"].get("vocab_hash")
-        if recorded is not None and vocabulary_hash(vocab) != recorded:
-            raise CheckpointError(
-                "vocabulary hash mismatch; embedded vocabulary differs from the one used at training"
-            )
-
-        params: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 8
-            if offset + nbytes > len(body):
-                raise CheckpointError(f"parameter block {entry['name']!r} truncated")
-            params[entry["name"]] = (
-                np.frombuffer(body, dtype="<f8", count=count, offset=offset)
-                .astype(np.float64)
-                .reshape(shape)
-            )
-            offset += nbytes
-        if offset != len(body):
-            raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
-
-        return Checkpoint(
-            config=ModelConfig.from_dict(header["config"]),
-            params=params,
-            vocab=vocab,
-            class_names=list(header["class_names"]),
-            metadata=header["metadata"],
+    vocab_fields = _field(header, "vocab", dict)
+    vocab = Vocabulary(
+        _field(vocab_fields, "doc_freq", dict, "header 'vocab'"),
+        _field(vocab_fields, "total_docs", int, "header 'vocab'"),
+    )
+    metadata = _field(header, "metadata", dict)
+    recorded = metadata.get("vocab_hash")
+    if recorded is not None and vocabulary_hash(vocab) != recorded:
+        raise CheckpointError(
+            "vocabulary hash mismatch; embedded vocabulary differs from the one used at training"
         )
-    except KeyError as exc:
-        raise CheckpointError(f"header lacks key {exc.args[0]!r}") from None
+
+    params: dict[str, np.ndarray] = {}
+    for entry in _field(header, "params", list):
+        name = _field(entry, "name", str, "parameter entry")
+        shape = tuple(_field(entry, "shape", list, f"parameter {name!r}"))
+        if not all(isinstance(d, int) and d >= 0 for d in shape):
+            raise CheckpointError(f"parameter {name!r} has shape {list(shape)}, not a list of sizes")
+        count = int(np.prod(shape)) if shape else 1
+        nbytes = count * 8
+        if offset + nbytes > len(body):
+            raise CheckpointError(f"parameter block {name!r} truncated")
+        params[name] = (
+            np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+            .astype(np.float64)
+            .reshape(shape)
+        )
+        offset += nbytes
+    if offset != len(body):
+        raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
+
+    return Checkpoint(
+        config=ModelConfig.from_dict(_field(header, "config", dict)),
+        params=params,
+        vocab=vocab,
+        class_names=list(_field(header, "class_names", list)),
+        metadata=metadata,
+    )
+
+
+def _field(obj, key: str, kind: type, where: str = "header"):
+    """``obj[key]`` of JSON type ``kind``; a missing or mistyped field is a CheckpointError."""
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{where} is {type(obj).__name__}, expected dict")
+    if key not in obj:
+        raise CheckpointError(f"{where} lacks key {key!r}")
+    if not isinstance(obj[key], kind):
+        raise CheckpointError(f"{where} field {key!r} is {type(obj[key]).__name__}, expected {kind.__name__}")
+    return obj[key]

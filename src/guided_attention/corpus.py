@@ -304,6 +304,10 @@ class Batch:
 
     ``pad_mask`` opens exactly the valid key columns; each role mask is that
     grid with the role's sentence-length mask in its top-left ``n x n`` block.
+    Arrays are padded to ``max_len``; ``model.forward_stages`` computes on
+    :meth:`cropped`, which cuts them to the batch's longest sentence. Its
+    dropout still draws at ``max_len`` and keeps the cropped block, so a
+    sentence's noise does not depend on how long its batch-mates are.
     """
 
     token_ids: np.ndarray  # (B, max_len) int64
@@ -316,6 +320,20 @@ class Batch:
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
+
+    def cropped(self) -> "Batch":
+        """This batch cut to its longest sentence; the arrays are views, not copies.
+
+        Only padded positions are dropped, and no valid position reads them:
+        their key columns carry -inf in every mask.
+        """
+        n = int(self.lengths.max())
+        return replace(
+            self,
+            token_ids=self.token_ids[:, :n],
+            role_masks={role: m[:, :n, :n] for role, m in self.role_masks.items()},
+            pad_mask=self.pad_mask[:, :n, :n],
+        )
 
 
 def truncate(sentence: Sentence, max_len: int) -> Sentence:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -145,7 +146,13 @@ def run_single(
     out_dir: Path | None = None,
     save_ckpt: bool = False,
 ) -> RunResult:
-    """Train one configuration and score it on the test split."""
+    """Train one configuration and score it on the test split.
+
+    Any exception ends only this run: it is returned as a failed result whose
+    ``error`` is ``"<ExceptionType>: <message>"``, so a grid or ablation
+    keeps its other runs. An exception that is not a ``GuidedAttentionError``
+    also prints its traceback to stderr.
+    """
     manifest = run_manifest(run_id, splits.name, config, config.seed)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -155,11 +162,13 @@ def run_single(
         ckpt = train(config, splits.train, splits.dev)
         dev_acc = max(row["dev_acc"] for row in ckpt.metadata["history"])
         test_acc = evaluate(ckpt, splits.test).accuracy
-    except GuidedAttentionError as exc:
+    except Exception as exc:
+        if not isinstance(exc, GuidedAttentionError):
+            traceback.print_exc()  # a program fault, not bad input: show where it happened
         return RunResult(
             run_id, splits.name, config, config.seed,
             dev_acc=None, test_acc=None,
-            wall_seconds=time.perf_counter() - started, error=str(exc),
+            wall_seconds=time.perf_counter() - started, error=f"{type(exc).__name__}: {exc}",
         )
     wall = time.perf_counter() - started
     if save_ckpt and out_dir is not None:

@@ -229,7 +229,17 @@ def forward_stages(
 
     Stages: ``embed.output``; per layer ``i``, ``layer{i}.attention.output``,
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
+
+    The pass runs on ``batch.cropped()``, the batch cut to its longest
+    sentence, so outputs have that length, not ``max_len``. Dropout still
+    draws at the padded size (``(B, max_len, max_len)`` per head,
+    ``(B, max_len, ff_width)`` in the feed-forward) and keeps the cropped
+    block: a sentence's noise, and the RNG stream, do not depend on the
+    lengths of its batch-mates.
     """
+    attn_draw = batch.pad_mask.shape
+    ff_draw = (*batch.token_ids.shape, cfg.ff_width)
+    batch = batch.cropped()
     x = embed(batch, params, cfg)
     yield "embed.output", x
     head_cfg = cfg.head_config()
@@ -243,6 +253,7 @@ def forward_stages(
             batch.pad_mask,
             dropout_rate=rate,
             rng=rng,
+            draw_shape=attn_draw,
         )
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
@@ -251,7 +262,7 @@ def forward_stages(
         yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
         if rate > 0.0:
-            hidden = ad.dropout(hidden, rate, rng)
+            hidden = ad.dropout(hidden, rate, rng, ff_draw)
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
         yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(

@@ -72,19 +72,38 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _resign(path, edit):
+        """Rewrite the checkpoint's header as ``edit(header)`` and re-sign it, so the checksum holds."""
+        body = path.read_bytes()[:-32]
+        start = len(MAGIC) + 8
+        (header_len,) = struct.unpack_from("<Q", body, len(MAGIC))
+        header_bytes = json.dumps(edit(json.loads(body[start : start + header_len]))).encode("utf-8")
+        body = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+
     def test_missing_header_key_rejected(self, trained, tmp_path):
         ckpt, _ = trained
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        body = path.read_bytes()[:-32]
-        start = len(MAGIC) + 8
-        (header_len,) = struct.unpack_from("<Q", body, len(MAGIC))
-        header = json.loads(body[start : start + header_len])
-        del header["class_names"]
-        header_bytes = json.dumps(header).encode("utf-8")
-        body = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
-        path.write_bytes(body + hashlib.sha256(body).digest())  # re-signed: the checksum holds
+        self._resign(path, lambda header: {k: v for k, v in header.items() if k != "class_names"})
         with pytest.raises(CheckpointError, match="class_names"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda header: [], "header is list"),
+            (lambda header: {**header, "vocab": []}, "'vocab' is list"),
+        ],
+        ids=["header-list", "vocab-list"],
+    )
+    def test_wrongly_shaped_header_rejected(self, trained, tmp_path, edit, field):
+        ckpt, _ = trained
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        self._resign(path, edit)
+        with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import guided_attention.harness as harness
 from guided_attention.errors import ConfigError
 from guided_attention.harness import (
     ABLATION_COLUMNS,
@@ -62,6 +63,22 @@ class TestRunGrid:
         report = run_grid(tiny_spec(splits, seeds=(0, 1, 2)))
         best = max((r for r in report.rows if r.ok), key=lambda r: r.dev_acc)
         assert report.selected["toy"].dev_acc == best.dev_acc
+
+    def test_crashed_run_recorded_as_failed_row(self, splits, monkeypatch, capsys):
+        real_train = harness.train
+
+        def train(config, *args, **kwargs):
+            if config.seed == 1:
+                raise RuntimeError("simulated crash")
+            return real_train(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train)
+        report = run_grid(tiny_spec(splits, seeds=(0, 1, 2)))
+        assert [r.run_id for r in report.rows] == ["toy-L1-E1-s0", "toy-L1-E1-s1", "toy-L1-E1-s2"]
+        assert [r.ok for r in report.rows] == [True, False, True]
+        assert report.rows[1].error == "RuntimeError: simulated crash"
+        assert report.selected["toy"].ok
+        assert "Traceback" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, splits):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
 from guided_attention.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
+from guided_attention.masks import GUIDED_ROLES
 from guided_attention.model import (
     Adam,
     Checkpoint,
@@ -141,7 +142,9 @@ class TestEncoderAndClassifier:
         batch, params = self._batch_and_params(cfg, toy_separable(8))
         stages = list(forward_stages(batch, params, cfg))
         assert [stage for stage, _ in stages] == ["embed.output", "classifier.logits"]
-        x = embed(batch, params, cfg)
+        # The pass runs on the batch cut to its longest sentence (4 of max_len 6 tokens).
+        x = embed(batch.cropped(), params, cfg)
+        assert x.shape[1] == 4 < cfg.max_len
         npt.assert_array_equal(stages[0][1].data, x.data)
         npt.assert_array_equal(stages[1][1].data, classify(x, batch.lengths, params).data)
 
@@ -190,6 +193,55 @@ class TestEncoderAndClassifier:
         scores = classify(Tensor(data), lengths, params)
         for b, n in enumerate(lengths):
             npt.assert_allclose(scores.data[b], data[b, :n].mean(axis=0), atol=1e-12)
+
+
+class TestBatchCrop:
+    """The forward pass runs on each batch cut to its longest sentence."""
+
+    # Two layers and all five roles; twenty.conllu's s15 (11 tokens) fills max_len.
+    CFG = ModelConfig(
+        layers=2, guided_roles=GUIDED_ROLES, extra_regular_heads=1, d_model=12, ff_width=16,
+        dropout=0.2, seed=3, max_len=11, num_classes=2, batch_size=4,
+    )
+
+    def _forward(self, twenty, vocab, sent_ids, rng=None):
+        by_id = {s.sent_id: s for s in twenty}
+        cfg = self.CFG
+        batch = make_batches([by_id[i] for i in sent_ids], vocab, cfg.batch_size, cfg.max_len,
+                             cfg.mask_roles(), shuffle=False)[0]
+        params = init_params(cfg, len(vocab), np.random.default_rng(cfg.seed))
+        logits = forward_batch(batch, params, cfg, rng=rng, training=rng is not None)
+        return batch, logits.data
+
+    def test_logits_do_not_depend_on_batch_mates(self, twenty, twenty_vocab):
+        # s03 (5 tokens) alone, beside the 10-token s19, and beside s15 (no crop).
+        widths, logits = [], []
+        for sent_ids in (["s03"], ["s03", "s19"], ["s03", "s15"]):
+            batch, out = self._forward(twenty, twenty_vocab, sent_ids)
+            widths.append(int(batch.lengths.max()))
+            logits.append(out[0])
+        assert widths == [5, 10, 11]
+        for other in logits[1:]:
+            npt.assert_allclose(other, logits[0], rtol=0, atol=1e-12)
+
+    def test_dropout_noise_does_not_depend_on_batch_mates(self, twenty, twenty_vocab):
+        logits = []
+        for mate in ("s05", "s19", "s15"):  # 2, 10 and 11 tokens
+            _, out = self._forward(twenty, twenty_vocab, ["s03", mate], rng=np.random.default_rng(7))
+            logits.append(out[0])
+        for other in logits[1:]:
+            npt.assert_allclose(other, logits[0], rtol=0, atol=1e-12)
+
+    def test_training_forward_draws_dropout_at_max_len(self, twenty, twenty_vocab):
+        cfg = self.CFG
+        for sent_ids in (["s03", "s08"], ["s15", "s03", "s05"]):  # longest 5 and 11 tokens
+            rng = np.random.default_rng(11)
+            batch, _ = self._forward(twenty, twenty_vocab, sent_ids, rng=rng)
+            b = batch.size
+            count = cfg.layers * (cfg.heads * b * cfg.max_len**2 + b * cfg.max_len * cfg.ff_width)
+            reference = np.random.default_rng(11)
+            reference.random(count)
+            assert rng.bit_generator.state == reference.bit_generator.state, sent_ids
 
 
 class TestEndToEndGradients:
