@@ -3,13 +3,13 @@
 A guided head adds its role mask to the raw attention scores before the
 softmax, ``softmax((Q Kᵀ + M) / sqrt(d_k)) V``; because mask entries are 0 or
 ``-inf`` this is numerically identical to masking after the scaling. Regular
-heads receive the padding mask only. Per-head attention weights are returned
+heads receive the padding mask only. All heads of a layer are computed by one
+``autodiff.attention`` node. Per-head attention weights are returned
 alongside outputs so mask support can be checked directly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,38 +69,21 @@ class HeadWeights:
 
 def scaled_dot_attention(q, k, v) -> tuple[Tensor, Tensor]:
     """``softmax(Q Kᵀ / sqrt(d_k)) V``; returns (output, attention weights)."""
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    _check_attention_shapes(q, k, v)
-    d_k = q.shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.transpose_last(k)), 1.0 / math.sqrt(d_k))
-    weights = ad.softmax_rows(scores)
-    return ad.matmul(weights, v), weights
+    q, k = ad.as_tensor(q), ad.as_tensor(k)
+    if q.ndim < 2 or k.ndim < 2:
+        raise ShapeMismatchError("attention operands must be at least 2-D")
+    return masked_attention(q, k, v, np.zeros((q.shape[-2], k.shape[-2])))
 
 
-def masked_attention(
-    q, k, v, mask, dropout_rate: float = 0.0, rng=None, draw_shape: tuple[int, ...] | None = None
-) -> tuple[Tensor, Tensor]:
+def masked_attention(q, k, v, mask) -> tuple[Tensor, Tensor]:
     """Attention with an additive {0, -inf} mask on the pre-softmax scores.
 
-    The mask must be row-feasible (the fallback already applied); a fully
-    masked row surfaces as a degenerate-row error from the softmax.
-    ``draw_shape`` is the shape of the weights' dropout draw (see
-    ``autodiff.dropout``).
+    This is :func:`autodiff.attention` with one head. The mask must be
+    row-feasible (the fallback already applied); a fully masked row surfaces
+    as a degenerate-row error from the softmax.
     """
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    _check_attention_shapes(q, k, v)
-    mask_values = np.asarray(mask, dtype=np.float64)
-    n = q.shape[-2]
-    if mask_values.shape[-2:] != (n, k.shape[-2]):
-        raise ShapeMismatchError(
-            f"mask shape {mask_values.shape} does not match scores ({n}, {k.shape[-2]})"
-        )
-    d_k = q.shape[-1]
-    scores = ad.add(ad.matmul(q, ad.transpose_last(k)), Tensor(mask_values))
-    weights = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(d_k)))
-    if dropout_rate > 0.0:
-        weights = ad.dropout(weights, dropout_rate, rng, draw_shape)
-    return ad.matmul(weights, v), weights
+    out, weights = ad.attention(q, k, v, [mask])
+    return out, Tensor(weights[0])
 
 
 def multi_head(
@@ -116,10 +99,12 @@ def multi_head(
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
     Heads ``0..N-1`` use their assigned role mask (placed into the padding
-    grid, see ``corpus.Batch``); heads ``N..H-1`` use the padding mask.
-    Head outputs are concatenated and projected by ``wo``. Each head draws
-    its attention dropout in ``draw_shape``. Returns the layer output and the
-    per-head attention weights.
+    grid, see ``corpus.Batch``); heads ``N..H-1`` use the padding mask. The
+    per-head projections are applied as one matmul each for Q, K and V, all
+    heads attend in one :func:`autodiff.attention` node, and their
+    concatenated outputs are projected by ``wo``. Each head's attention
+    dropout is drawn in ``draw_shape``, head after head. Returns the layer
+    output and the per-head attention weights before dropout, off the tape.
     """
     x = ad.as_tensor(x)
     if len(weights.wq) != cfg.heads:
@@ -127,29 +112,17 @@ def multi_head(
     for role in cfg.role_assignment:
         if role not in role_masks:
             raise ConfigError(f"no mask provided for assigned role {role!r}")
+    masks = [role_masks[role] for role in cfg.role_assignment]
+    masks += [pad_mask] * (cfg.heads - cfg.guided)
 
-    outputs = []
-    attn_weights = []
-    for h in range(cfg.heads):
-        q = ad.matmul(x, weights.wq[h])
-        k = ad.matmul(x, weights.wk[h])
-        v = ad.matmul(x, weights.wv[h])
-        if h < cfg.guided:
-            mask = role_masks[cfg.role_assignment[h]]
-        else:
-            mask = pad_mask
-        out, w = masked_attention(
-            q, k, v, mask, dropout_rate=dropout_rate, rng=rng, draw_shape=draw_shape
-        )
-        outputs.append(out)
-        attn_weights.append(w)
-    return ad.matmul(ad.concat_last(outputs), weights.wo), attn_weights
-
-
-def _check_attention_shapes(q: Tensor, k: Tensor, v: Tensor) -> None:
-    if q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
-        raise ShapeMismatchError("attention operands must be at least 2-D")
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeMismatchError(f"query/key width mismatch: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatchError(f"key/value length mismatch: {k.shape} vs {v.shape}")
+    q = ad.matmul(x, ad.concat_last(weights.wq))
+    k = ad.matmul(x, ad.concat_last(weights.wk))
+    v = ad.matmul(x, ad.concat_last(weights.wv))
+    keep = ad.dropout_keep(
+        (cfg.heads, *x.shape[:-1], x.shape[-2]),
+        dropout_rate,
+        rng,
+        None if draw_shape is None else (cfg.heads, *draw_shape),
+    )
+    out, head_weights = ad.attention(q, k, v, masks, keep)
+    return ad.matmul(out, weights.wo), [Tensor(w) for w in head_weights]

@@ -7,11 +7,13 @@ into every reachable tensor that has ``requires_grad`` set.
 
 The only non-finite value that may legally appear in a forward pass is
 ``-inf``, introduced by additive attention masks. :func:`softmax_rows`
-maps ``-inf`` entries to exactly 0, which in turn makes the gradient
-through masked positions exactly 0.
+and :func:`attention` map ``-inf`` entries to exactly 0, which in turn
+makes the gradient through masked positions exactly 0.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -207,6 +209,92 @@ def softmax_rows(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
+def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Masked scaled dot-product attention of H heads, as one tape node.
+
+    ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
+    with the heads packed along the last axis, and ``masks`` holds one
+    additive {0, -inf} mask per head, each broadcastable to (..., n, m).
+    Head ``h`` computes ``softmax_rows((Q_h K_hᵀ + masks[h]) / sqrt(d_k)) V_h``;
+    ``keep``, an (H, ..., n, m) multiplier from :func:`dropout_keep`, scales
+    the weights before they meet ``V_h``.
+
+    Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
+    and the (H, ..., n, m) weights before dropout, which are not on the tape.
+
+    Masked entries never reach ``exp``: it is taken of the unmasked scores
+    minus the row maximum, clipped at 0, and the result is multiplied by the
+    open mask, which gives the weights of :func:`softmax_rows` bit for bit.
+    A row whose maximum is not finite (every key masked, or a NaN or +inf
+    score) is left to :func:`softmax_rows` itself, which raises
+    :class:`DegenerateRowError` or propagates the value.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    heads = len(masks)
+    if heads < 1 or q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+        raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
+    if q.shape[-1] != k.shape[-1] or q.shape[-1] % heads or v.shape[-1] % heads:
+        raise ShapeMismatchError(
+            f"attention cannot split query/key/value {q.shape}, {k.shape}, {v.shape} into {heads} heads"
+        )
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatchError(f"key/value length mismatch: {k.shape} vs {v.shape}")
+    try:
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError as exc:
+        raise ShapeMismatchError(f"attention cannot broadcast {q.shape}, {k.shape}, {v.shape}") from exc
+    d_k, d_v = q.shape[-1] // heads, v.shape[-1] // heads
+    n, m = q.shape[-2], k.shape[-2]
+    if keep is not None and keep.shape != (heads, *lead, n, m):
+        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
+    scale = 1.0 / math.sqrt(d_k)
+    weights = np.empty((heads, *lead, n, m))
+    out = np.empty((*lead, n, heads * d_v))
+    for h in range(heads):
+        mask = np.asarray(masks[h], dtype=np.float64)
+        if mask.shape[-2:] != (n, m):
+            raise ShapeMismatchError(f"mask shape {mask.shape} does not match scores ({n}, {m})")
+        qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
+        scores = q.data[..., qk] @ np.swapaxes(k.data[..., qk], -1, -2)
+        scores *= scale  # for a {0, -inf} mask, scores + mask now equals (QKᵀ + M) * scale
+        p = weights[h]
+        try:
+            np.add(scores, mask, out=p)
+        except ValueError as exc:
+            raise ShapeMismatchError(f"mask shape {mask.shape} does not broadcast to {p.shape}") from exc
+        row_max = p.max(axis=-1, keepdims=True)
+        if np.all(np.isfinite(row_max)):
+            np.subtract(scores, row_max, out=p)
+            np.minimum(p, 0.0, out=p)
+            np.exp(p, out=p)
+            p *= mask == 0.0
+            p /= p.sum(axis=-1, keepdims=True)
+        else:
+            p[...] = softmax_rows(p).data
+        np.matmul(p if keep is None else p * keep[h], v.data[..., vh], out=out[..., vh])
+
+    def backward(g):
+        dq = np.empty((*lead, n, q.shape[-1]))
+        dk = np.empty((*lead, m, k.shape[-1]))
+        dv = np.empty((*lead, m, v.shape[-1]))
+        for h in range(heads):
+            qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
+            p, g_h = weights[h], g[..., vh]
+            np.matmul(np.swapaxes(p if keep is None else p * keep[h], -1, -2), g_h, out=dv[..., vh])
+            dp = g_h @ np.swapaxes(v.data[..., vh], -1, -2)
+            if keep is not None:
+                dp *= keep[h]
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            np.matmul(ds, k.data[..., qk], out=dq[..., qk])
+            np.matmul(np.swapaxes(ds, -1, -2), q.data[..., qk], out=dk[..., qk])
+        _accumulate(q, dq)
+        _accumulate(k, dk)
+        _accumulate(v, dv)
+
+    return _record(Tensor(out), (q, k, v), backward), weights
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
@@ -309,27 +397,41 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
     return _record(out, (logits,), backward)
 
 
-def dropout(
-    x, rate: float, rng: np.random.Generator | None, draw_shape: tuple[int, ...] | None = None
-) -> Tensor:
-    """Inverted dropout; identity (no RNG draw) when rate == 0.
+def dropout_keep(
+    shape: tuple[int, ...],
+    rate: float,
+    rng: np.random.Generator | None,
+    draw_shape: tuple[int, ...] | None = None,
+) -> np.ndarray | None:
+    """Inverted-dropout multiplier (0 or ``1 / (1 - rate)``) for a tensor of ``shape``.
 
-    The uniforms are drawn in ``draw_shape`` (default ``x.shape``) and cut to
-    its leading ``x.shape`` block, so a tensor cropped from a larger buffer
-    keeps the noise, and the RNG stream, of the uncropped one.
+    Returns None, and draws nothing, when rate == 0. The uniforms are drawn
+    in ``draw_shape`` (default ``shape``) and cut to their leading ``shape``
+    block, so a tensor cropped from a larger buffer keeps the noise, and the
+    RNG stream, of the uncropped one.
     """
     if rate == 0.0:
-        return as_tensor(x)
+        return None
     if not 0.0 <= rate < 1.0:
         raise ShapeMismatchError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise ShapeMismatchError("dropout with rate > 0 needs a random generator")
+    shape = tuple(shape)
+    draw = shape if draw_shape is None else tuple(draw_shape)
+    if len(draw) != len(shape) or any(d < s for d, s in zip(draw, shape)):
+        raise ShapeMismatchError(f"dropout draw shape {draw} does not cover {shape}")
+    draws = rng.random(draw)[tuple(slice(0, s) for s in shape)]
+    return (draws >= rate) / (1.0 - rate)
+
+
+def dropout(
+    x, rate: float, rng: np.random.Generator | None, draw_shape: tuple[int, ...] | None = None
+) -> Tensor:
+    """Inverted dropout with the multiplier of :func:`dropout_keep`; identity when rate == 0."""
     x = as_tensor(x)
-    shape = x.shape if draw_shape is None else tuple(draw_shape)
-    if len(shape) != x.ndim or any(d < s for d, s in zip(shape, x.shape)):
-        raise ShapeMismatchError(f"dropout draw shape {shape} does not cover {x.shape}")
-    draws = rng.random(shape)[tuple(slice(0, s) for s in x.shape)]
-    keep = (draws >= rate) / (1.0 - rate)
+    keep = dropout_keep(x.shape, rate, rng, draw_shape)
+    if keep is None:
+        return x
     out = Tensor(x.data * keep)
 
     def backward(g):

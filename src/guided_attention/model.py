@@ -427,7 +427,8 @@ def train(
             optimizer.step()
             total_loss += loss.item() * batch.size
             total_examples += batch.size
-        dev = _evaluate_batches(dev_batches, params, cfg)
+        # Views of the live parameters without requires_grad: the dev pass records no tape.
+        dev = _evaluate_batches(dev_batches, {name: Tensor(p.data) for name, p in params.items()}, cfg)
         history.append(
             {
                 "epoch": epoch,

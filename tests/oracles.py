@@ -1,12 +1,16 @@
 """Independent brute-force reference implementations used by the tests.
 
-Everything here is deliberately naive (loops, sorting, set scans) and kept
-separate from the library code paths it checks.
+Everything here is deliberately naive (loops, sorting, set scans, one
+autodiff op at a time) and kept separate from the library code paths it
+checks.
 """
 
 import math
 
 import numpy as np
+
+import guided_attention.autodiff as ad
+from guided_attention.autodiff import Tensor
 
 NEG_INF = float("-inf")
 
@@ -71,6 +75,28 @@ def attention_naive(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarra
         for j in allowed:
             out[i] += weights[i, j] * v[j]
     return out, weights
+
+
+def multi_head_per_head(x, weights, cfg, role_masks, pad_mask, dropout_rate=0.0, rng=None, draw_shape=None):
+    """The guided multi-head layer composed head by head from autodiff primitives.
+
+    Each head projects ``x`` with its own matrices and runs matmul, transpose,
+    add mask, scale, ``softmax_rows``, dropout drawn in ``draw_shape`` and a
+    matmul with V, on the tape one op at a time; the concatenated heads are
+    projected by ``wo``.
+    """
+    outputs = []
+    for h in range(cfg.heads):
+        q = ad.matmul(x, weights.wq[h])
+        k = ad.matmul(x, weights.wk[h])
+        v = ad.matmul(x, weights.wv[h])
+        mask = role_masks[cfg.role_assignment[h]] if h < cfg.guided else pad_mask
+        scores = ad.add(ad.matmul(q, ad.transpose_last(k)), Tensor(mask))
+        attn = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
+        if dropout_rate > 0.0:
+            attn = ad.dropout(attn, dropout_rate, rng, draw_shape)
+        outputs.append(ad.matmul(attn, v))
+    return ad.matmul(ad.concat_last(outputs), weights.wo)
 
 
 def finite_difference_grad(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:

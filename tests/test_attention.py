@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
 from guided_attention.attention import (
@@ -13,7 +17,7 @@ from guided_attention.attention import (
 from guided_attention.autodiff import Tensor
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, relative_position_mask
-from oracles import attention_naive
+from oracles import attention_naive, multi_head_per_head
 
 NEG_INF = float("-inf")
 
@@ -236,3 +240,77 @@ class TestMultiHead:
         for w in head_weights:
             for row, length in enumerate(batch.lengths):
                 assert np.all(w.data[row, :, length:] == 0.0)
+
+    def test_matches_per_head_reference_with_dropout(self, twenty, twenty_vocab):
+        """The fused layer equals the head-by-head composition in outputs, gradients and RNG use."""
+        from guided_attention.corpus import make_batches
+
+        batch = make_batches(twenty[:4], twenty_vocab, 4, 12, GUIDED_ROLES, shuffle=False)[0]
+        cropped = batch.cropped()
+        n = cropped.token_ids.shape[1]
+        assert n < 12  # the dropout draw is larger than the computed block
+        cfg = HeadConfig(12, 6, role_assignment=GUIDED_ROLES)
+        rng = np.random.default_rng(15)
+        base = random_head_weights(rng, 12, 6)
+        x_data = rng.normal(size=(4, n, 12))
+        upstream = rng.normal(size=(4, n, 12))
+
+        def fused_layer(*args, **kwargs):
+            return multi_head(*args, **kwargs)[0]
+
+        results = []
+        for layer in (fused_layer, multi_head_per_head):
+            x = Tensor(x_data, requires_grad=True)
+            w = HeadWeights(
+                wq=[Tensor(t.data, requires_grad=True) for t in base.wq],
+                wk=[Tensor(t.data, requires_grad=True) for t in base.wk],
+                wv=[Tensor(t.data, requires_grad=True) for t in base.wv],
+                wo=Tensor(base.wo.data, requires_grad=True),
+            )
+            gen = np.random.default_rng(99)
+            out = layer(x, w, cfg, cropped.role_masks, cropped.pad_mask,
+                        dropout_rate=0.3, rng=gen, draw_shape=batch.pad_mask.shape)
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(upstream))))
+            grads = [x.grad, *(t.grad for t in [*w.wq, *w.wk, *w.wv, w.wo])]
+            results.append((out.data, grads, gen.bit_generator.state))
+
+        (fused, fused_grads, fused_state), (ref, ref_grads, ref_state) = results
+        npt.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        for a, b in zip(fused_grads, ref_grads):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert fused_state == ref_state
+        # Dropout was on: the same layer without it gives other outputs.
+        plain, _ = multi_head(Tensor(x_data), base, cfg, cropped.role_masks, cropped.pad_mask)
+        assert not np.allclose(plain.data, fused)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    heads=st.integers(1, 4),
+    d_k=st.integers(1, 5),
+    magnitude=st.sampled_from([1e-3, 1.0, 10.0, 300.0]),
+    open_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attention_weights_are_softmax_rows(lead, n, m, heads, d_k, magnitude, open_share, seed):
+    """Kernel weights equal softmax_rows bit for bit, are 0 where masked, and rows sum to 1."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(*lead, n, heads * d_k)) * magnitude
+    k = rng.normal(size=(*lead, m, heads * d_k))
+    v = rng.normal(size=(*lead, m, heads * 2))
+    is_open = rng.random((heads, *lead, n, m)) < open_share
+    keys = rng.integers(0, m, size=(heads, *lead, n))
+    np.put_along_axis(is_open, keys[..., None], True, axis=-1)  # one open key per row at least
+    masks = np.where(is_open, 0.0, NEG_INF)
+
+    _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), list(masks))
+    for h in range(heads):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)
+        expected = ad.softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
+        npt.assert_array_equal(weights[h], expected)
+    assert np.all(weights[~is_open] == 0.0)
+    npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)

@@ -262,6 +262,97 @@ class TestElementwiseOps:
                 ad.dropout(x, 0.5, np.random.default_rng(0), draw_shape=shape)
 
 
+class TestAttention:
+    """``ad.attention``: all heads of a layer as one tape node."""
+
+    @staticmethod
+    def packed_inputs(rng, lead=(2,), n=3, m=4, heads=2, d_k=3, d_v=2):
+        q = rng.normal(size=(*lead, n, heads * d_k))
+        k = rng.normal(size=(*lead, m, heads * d_k))
+        v = rng.normal(size=(*lead, m, heads * d_v))
+        masks = np.where(rng.random((heads, *lead, n, m)) < 0.4, NEG_INF, 0.0)
+        masks[..., 0] = 0.0  # keep every row feasible
+        return q, k, v, list(masks)
+
+    @staticmethod
+    def reference_weights(q, k, masks, h, d_k):
+        cols = slice(h * d_k, (h + 1) * d_k)
+        scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)
+        return ad.softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
+
+    def test_grad_with_masks_and_dropout(self):
+        rng = np.random.default_rng(30)
+        q, k, v, masks = self.packed_inputs(rng)
+        assert any(np.any(mk == NEG_INF) for mk in masks)
+        keep = ad.dropout_keep((2, 2, 3, 4), 0.3, np.random.default_rng(31))
+        assert np.any(keep == 0.0)
+        check_grads(
+            lambda q, k, v: random_weighted_sum(
+                ad.attention(q, k, v, masks, keep)[0], np.random.default_rng(32)
+            ),
+            [q, k, v],
+        )
+
+    def test_outputs_match_per_head_softmax_and_dropout(self):
+        rng = np.random.default_rng(33)
+        q, k, v, masks = self.packed_inputs(rng)
+        keep = ad.dropout_keep((2, 2, 3, 4), 0.5, np.random.default_rng(34))
+        out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, keep)
+        assert out.shape == (2, 3, 4) and weights.shape == (2, 2, 3, 4)
+        for h in range(2):
+            cols = slice(2 * h, 2 * h + 2)
+            npt.assert_allclose(out.data[..., cols], (weights[h] * keep[h]) @ v[..., cols], rtol=0, atol=1e-14)
+
+    def test_weights_equal_softmax_rows_bitwise(self):
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            q, k, v, masks = self.packed_inputs(rng, heads=3, d_k=4)
+            q *= rng.choice([1e-3, 1.0, 30.0])
+            _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+            for h in range(3):
+                npt.assert_array_equal(weights[h], self.reference_weights(q, k, masks, h, 4))
+
+    @pytest.mark.parametrize("case", ["nan_key", "inf_key", "nan_query", "all_masked"])
+    def test_nonfinite_rows_behave_as_softmax_rows(self, case):
+        rng = np.random.default_rng(36)
+        q, k, v, masks = self.packed_inputs(rng, lead=(), n=3, m=3, heads=1, d_k=2, d_v=2)
+        q = np.abs(q) + 0.5
+        if case == "nan_key":
+            k[1, 0] = np.nan  # one NaN score in every row
+        elif case == "inf_key":
+            k[1] = [np.inf, 0.0]  # one +inf score in every row
+            masks[0][:, 1] = 0.0
+        elif case == "nan_query":
+            q[2, 1] = np.nan  # a whole row of NaN scores
+        else:
+            masks[0][1] = NEG_INF
+
+        def outcome(compute):
+            try:
+                with np.errstate(invalid="ignore"):
+                    return compute()
+            except DegenerateRowError:
+                return DegenerateRowError
+
+        fused = outcome(lambda: ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)[1][0])
+        expected = outcome(lambda: self.reference_weights(q, k, masks, 0, 2))
+        if case in ("nan_query", "all_masked"):
+            assert fused is expected is DegenerateRowError
+        else:
+            assert not np.all(np.isfinite(expected))
+            npt.assert_array_equal(fused, expected)
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(37)
+        q, k, v, masks = self.packed_inputs(rng)
+        with pytest.raises(ShapeMismatchError, match="into 3 heads"):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks + masks[:1])
+        with pytest.raises(ShapeMismatchError, match="mask shape"):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), [mk[..., :3] for mk in masks])
+        with pytest.raises(ShapeMismatchError, match="keep shape"):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, np.ones((2, 3, 4)))
+
+
 class TestBackward:
     def test_linear_case_outer_product(self):
         rng = np.random.default_rng(26)
@@ -317,7 +408,9 @@ class TestBackward:
             x = ad.embedding(table, ids)
             scores = ad.add(ad.matmul(x, ad.transpose_last(x)), Tensor(mask))
             attended = ad.matmul(ad.softmax_rows(ad.mul(scores, 0.5)), x)
-            joined = ad.matmul(ad.concat_last([attended, ad.relu(x)]), proj)
+            keep = ad.dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
+            fused, _ = ad.attention(x, x, x, [mask, mask], keep)
+            joined = ad.matmul(ad.concat_last([attended, ad.relu(fused)]), proj)
             h = ad.layer_norm(joined, gain, bias)
             h = ad.dropout(h, 0.25, np.random.default_rng(0))
             logits = ad.masked_mean(h, valid)

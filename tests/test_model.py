@@ -327,6 +327,24 @@ class TestTraining:
         assert np.all(np.diff(best_so_far) <= 0)
         assert losses[-1] < losses[0]
 
+    def test_dev_evaluation_records_no_tape(self, monkeypatch):
+        import guided_attention.model as model_module
+
+        calls = []
+        original = model_module.forward_batch
+
+        def spy(*args, training=False, **kwargs):
+            logits = original(*args, training=training, **kwargs)
+            calls.append((training, logits.requires_grad))
+            return logits
+
+        monkeypatch.setattr(model_module, "forward_batch", spy)
+        train(TINY, toy_separable(20), toy_separable(10, seed=1))
+        dev = [requires_grad for training, requires_grad in calls if not training]
+        assert len(dev) == TINY.epochs * 2  # 10 dev sentences in batches of 8
+        assert not any(dev)
+        assert all(requires_grad for training, requires_grad in calls if training)
+
     def test_unlabeled_training_data_rejected(self):
         data = toy_separable(8)
         data[3] = sent(["no", "label"])
