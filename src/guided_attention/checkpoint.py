@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .corpus import Vocabulary, vocabulary_hash
-from .errors import CheckpointError
+from .errors import CheckpointError, ShapeMismatchError
 from .model import Checkpoint, ModelConfig
 
 MAGIC = b"GDATTN01"
@@ -70,10 +70,13 @@ def load_checkpoint(path) -> Checkpoint:
     offset += header_len
 
     vocab_fields = _field(header, "vocab", dict)
-    vocab = Vocabulary(
-        _field(vocab_fields, "doc_freq", dict, "header 'vocab'"),
-        _field(vocab_fields, "total_docs", int, "header 'vocab'"),
-    )
+    doc_freq = _field(vocab_fields, "doc_freq", dict, "header 'vocab'")
+    for form in doc_freq:
+        _field(doc_freq, form, int, "header 'vocab.doc_freq'")
+    try:
+        vocab = Vocabulary(doc_freq, _field(vocab_fields, "total_docs", int, "header 'vocab'"))
+    except ShapeMismatchError as exc:
+        raise CheckpointError(f"header 'vocab' is invalid: {exc}") from exc
     metadata = _field(header, "metadata", dict)
     recorded = metadata.get("vocab_hash")
     if recorded is not None and vocabulary_hash(vocab) != recorded:

@@ -278,8 +278,16 @@ def _splits(args, roles) -> DatasetSplits:
     )
 
 
-def _seed_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in raw.split(",") if s.strip())
+def _int_list(flag: str, raw: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers given to ``flag``."""
+    values = []
+    for item in (s.strip() for s in raw.split(",")):
+        if item:
+            try:
+                values.append(int(item))
+            except ValueError:
+                raise ConfigError(f"{flag} expects comma-separated integers, got {item!r} in {raw!r}") from None
+    return tuple(values)
 
 
 def cmd_grid(args) -> int:
@@ -288,10 +296,10 @@ def cmd_grid(args) -> int:
     spec = ExperimentSpec(
         datasets=[_splits(args, cfg.guided_roles)],
         base_config=cfg,
-        layers_grid=tuple(int(v) for v in args.layers.split(",") if v.strip()),
-        extra_heads_grid=tuple(int(v) for v in args.extra_heads.split(",") if v.strip()),
+        layers_grid=_int_list("--layers", args.layers),
+        extra_heads_grid=_int_list("--extra-heads", args.extra_heads),
         roles=cfg.guided_roles,
-        seeds=_seed_list(args.seeds),
+        seeds=_int_list("--seeds", args.seeds),
         out_dir=out,
         jobs=args.jobs,
     )
@@ -326,7 +334,7 @@ def cmd_ablate(args) -> int:
         layers_grid=(cfg.layers,),
         extra_heads_grid=(cfg.extra_regular_heads,),
         roles=cfg.guided_roles,
-        seeds=_seed_list(args.seeds),
+        seeds=_int_list("--seeds", args.seeds),
         ablate_roles=ablate_roles,
         include_baseline=not args.no_baseline,
         out_dir=out,

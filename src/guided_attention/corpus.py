@@ -278,8 +278,9 @@ def build_vocab(sentences: list[Sentence]) -> Vocabulary:
     return Vocabulary(doc_freq, total_docs=len(sentences))
 
 
-def rare_token_count(n: int) -> int:
-    return max(1, math.ceil(0.10 * n))
+def rare_token_count(n):
+    """How many of ``n`` tokens count as rare: 10%, rounded up, at least one; elementwise on arrays."""
+    return np.maximum(1, np.ceil(0.10 * np.asarray(n))).astype(np.int64)
 
 
 def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
@@ -304,6 +305,8 @@ class Batch:
 
     ``pad_mask`` opens exactly the valid key columns; each role mask is that
     grid with the role's sentence-length mask in its top-left ``n x n`` block.
+    Each grid is built for the whole batch in one vectorised pass by
+    ``masks.build_batch_mask``; ``pad_mask`` is the ``padding`` role's.
     Arrays are padded to ``max_len``; ``model.forward_stages`` computes on
     :meth:`cropped`, which cuts them to the batch's longest sentence. Its
     dropout still draws at ``max_len`` and keeps the cropped block, so a
@@ -364,7 +367,11 @@ def make_batches(
     shuffle: bool = True,
     labels: dict[str, int] | None = None,
 ) -> list[Batch]:
-    """Assemble padded batches with each role's mask placed into the padding grid."""
+    """Assemble padded batches with each role's mask placed into the padding grid.
+
+    Per batch, the token loop only gathers ids and labels; each role's masks
+    come from one ``masks.build_batch_mask`` call on the whole chunk.
+    """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
     order = np.arange(len(sentences))
@@ -377,15 +384,10 @@ def make_batches(
         chunk = kept[start : start + batch_size]
         b = len(chunk)
         ids = np.full((b, max_len), PAD_ID, dtype=np.int64)
-        lengths = np.array([len(sentence) for sentence in chunk], dtype=np.int64)
         label_arr = np.full(b, -1, dtype=np.int64)
-        open_columns = np.where(np.arange(max_len) < lengths[:, None], 0.0, masks_mod.NEG_INF)
-        pad_values = np.repeat(open_columns[:, None, :], max_len, axis=1)
-        role_values = {role: pad_values.copy() for role in roles}
         sent_ids = []
         for row, sentence in enumerate(chunk):
-            n = len(sentence)
-            ids[row, :n] = [vocab.id(f) for f in sentence.forms]
+            ids[row, : len(sentence)] = [vocab.id(f) for f in sentence.forms]
             if labels is not None and sentence.label is not None:
                 if sentence.label not in labels:
                     raise ShapeMismatchError(
@@ -393,14 +395,12 @@ def make_batches(
                     )
                 label_arr[row] = labels[sentence.label]
             sent_ids.append(sentence.sent_id or str(start + row))
-            for role in roles:
-                role_values[role][row, :n, :n] = masks_mod.build_role_mask(role, sentence, vocab).values
         batches.append(
             Batch(
                 token_ids=ids,
-                lengths=lengths,
-                role_masks=role_values,
-                pad_mask=pad_values,
+                lengths=np.array([len(sentence) for sentence in chunk], dtype=np.int64),
+                role_masks={role: masks_mod.build_batch_mask(role, chunk, vocab, max_len) for role in roles},
+                pad_mask=masks_mod.build_batch_mask(masks_mod.ROLE_PADDING, chunk, vocab, max_len),
                 labels=label_arr,
                 sent_ids=sent_ids,
             )

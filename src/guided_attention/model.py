@@ -138,12 +138,19 @@ def config_from_strings(raw: dict[str, str]) -> ModelConfig:
         if key == "guided_roles":
             typed[key] = tuple(r.strip() for r in value.split(",") if r.strip()) if value else ()
         elif by_name[key].type in ("int", int):
-            typed[key] = int(value)
+            typed[key] = _number(int, key, value)
         elif by_name[key].type in ("float", float):
-            typed[key] = float(value)
+            typed[key] = _number(float, key, value)
         else:
             typed[key] = value
     return ModelConfig(**typed)
+
+
+def _number(kind: type, key: str, value: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"config key {key!r} expects {kind.__name__}, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

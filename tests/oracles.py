@@ -179,3 +179,67 @@ def pairs_with_fallback(pairs: set[tuple[int, int]], n: int) -> set[tuple[int, i
 
 def mask_zero_pairs(values: np.ndarray) -> set[tuple[int, int]]:
     return {(int(i), int(j)) for i, j in zip(*np.nonzero(values == 0.0))}
+
+
+# ---------------------------------------------------------------------------
+# Batches with masks built one sentence at a time
+# ---------------------------------------------------------------------------
+
+
+def role_mask_per_sentence(role: str, sentence, vocab) -> np.ndarray:
+    """One role's (n, n) {0, -inf} mask at the sentence's length, pair by pair.
+
+    Every valid row left with no open key then gets its diagonal, as the
+    diagonal fallback does.
+    """
+    n = len(sentence)
+    if role == "rarew":
+        pairs = columns_to_pairs(rare_columns_bruteforce(sentence, vocab), n, fallback_diagonal=False)
+    elif role == "seprat":
+        pairs = columns_to_pairs(separator_columns_bruteforce(sentence), n, fallback_diagonal=False)
+    elif role == "depsyn":
+        pairs = edge_pairs_bruteforce(sentence)
+    elif role == "majrel":
+        pairs = edge_pairs_bruteforce(sentence, {"nsubj", "dobj", "obj", "amod", "advmod"})
+    elif role == "relpos":
+        pairs = tridiagonal_pairs(n)
+    else:
+        assert role == "padding", role
+        pairs = {(i, j) for i in range(n) for j in range(n)}
+    values = np.full((n, n), NEG_INF)
+    for i, j in pairs_with_fallback(pairs, n):
+        values[i, j] = 0.0
+    return values
+
+
+def make_batches_per_sentence(sentences, vocab, batch_size, max_len, roles, seed=0, shuffle=True, labels=None):
+    """``make_batches`` with each sentence's masks built on their own.
+
+    Each batch's padding grid opens the valid key columns on every row, and
+    each role grid is a copy of it with the sentence's
+    :func:`role_mask_per_sentence` written into its top-left block.
+    """
+    from guided_attention.corpus import Batch, truncate
+
+    order = np.random.default_rng(seed).permutation(len(sentences)) if shuffle else range(len(sentences))
+    kept = [truncate(sentences[i], max_len) for i in order]
+    batches = []
+    for start in range(0, len(kept), batch_size):
+        chunk = kept[start : start + batch_size]
+        lengths = np.array([len(s) for s in chunk], dtype=np.int64)
+        ids = np.zeros((len(chunk), max_len), dtype=np.int64)
+        label_arr = np.full(len(chunk), -1, dtype=np.int64)
+        pad = np.full((len(chunk), max_len, max_len), NEG_INF)
+        for row, n in enumerate(lengths):
+            pad[row, :, :n] = 0.0
+        role_masks = {role: pad.copy() for role in roles}
+        for row, sentence in enumerate(chunk):
+            n = len(sentence)
+            ids[row, :n] = [vocab.id(t.form) for t in sentence.tokens]
+            if labels is not None and sentence.label is not None:
+                label_arr[row] = labels[sentence.label]
+            for role in roles:
+                role_masks[role][row, :n, :n] = role_mask_per_sentence(role, sentence, vocab)
+        sent_ids = [s.sent_id or str(start + row) for row, s in enumerate(chunk)]
+        batches.append(Batch(ids, lengths, role_masks, pad, label_arr, sent_ids))
+    return batches

@@ -95,8 +95,10 @@ class TestCheckpointFile:
         [
             (lambda header: [], "header is list"),
             (lambda header: {**header, "vocab": []}, "'vocab' is list"),
+            (lambda header: {**header, "vocab": {**header["vocab"], "doc_freq": {"a": "1"}}}, "'a' is str"),
+            (lambda header: {**header, "vocab": {**header["vocab"], "total_docs": 0}}, "at least one document"),
         ],
-        ids=["header-list", "vocab-list"],
+        ids=["header-list", "vocab-list", "doc-freq-str", "total-docs-zero"],
     )
     def test_wrongly_shaped_header_rejected(self, trained, tmp_path, edit, field):
         ckpt, _ = trained

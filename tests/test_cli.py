@@ -263,6 +263,45 @@ class TestGridAblate:
         assert lines[1].startswith("relpos,")
 
 
+class TestNonNumericValues:
+    @staticmethod
+    def _last_error_line(capsys, toy_files, tmp_path, command, config, extra):
+        splits = ["--dev", toy_files["dev"][0], "--dev-labels", toy_files["dev"][1]]
+        if command != "train":
+            splits += ["--test", toy_files["test"][0], "--test-labels", toy_files["test"][1]]
+        code = main([
+            command, "--config", config, *extra, "--data", toy_files["train"][0],
+            "--labels", toy_files["train"][1], *splits, "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        return err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("train", ["--set", "epochs=ten"], ["'epochs'", "'ten'"]),
+            ("grid", ["--set", "max_len=3.5"], ["'max_len'", "'3.5'"]),
+            ("grid", ["--seeds", "1,x"], ["--seeds", "'x'"]),
+            ("grid", ["--layers", "2,x"], ["--layers", "'x'"]),
+            ("grid", ["--extra-heads", "1,x"], ["--extra-heads", "'x'"]),
+            ("ablate", ["--set", "dropout=none"], ["'dropout'", "'none'"]),
+            ("ablate", ["--seeds", "1,x"], ["--seeds", "'x'"]),
+        ],
+        ids=["train-set", "grid-set", "grid-seeds", "grid-layers", "grid-extra-heads", "ablate-set", "ablate-seeds"],
+    )
+    def test_flag_rejected_without_traceback(self, toy_files, tmp_path, capsys, command, extra, named):
+        last = self._last_error_line(capsys, toy_files, tmp_path, command, toy_files["config"], extra)
+        assert last.startswith("error: ") and all(part in last for part in named)
+
+    def test_config_file_value_rejected_without_traceback(self, toy_files, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = ten"))
+        last = self._last_error_line(capsys, toy_files, tmp_path, "train", str(bad), [])
+        assert last == "error: config key 'epochs' expects int, got 'ten'"
+
+
 class TestEntryPoint:
     def test_console_script_or_module(self, tmp_path):
         exe = shutil.which("guided-attn")

@@ -23,6 +23,7 @@ from guided_attention.corpus import (
     PAD_ID,
 )
 from guided_attention.errors import ConlluError, ShapeMismatchError
+from guided_attention import masks as masks_mod
 from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask
 from oracles import rare_columns_bruteforce
 
@@ -279,3 +280,10 @@ class TestBatchMaskLayout:
                 expected = batch.pad_mask[row].copy()
                 expected[:n, :n] = build_role_mask(role, cut, twenty_vocab).values
                 npt.assert_array_equal(batch.role_masks[role][row], expected)
+
+    def test_masks_built_per_batch_not_per_sentence(self, twenty, twenty_vocab, monkeypatch):
+        def per_sentence(*args, **kwargs):
+            raise AssertionError("make_batches built a mask for one sentence")
+
+        monkeypatch.setattr(masks_mod, "build_role_mask", per_sentence)
+        assert len(make_batches(twenty, twenty_vocab, 8, 16, ALL_ROLES)) == 3

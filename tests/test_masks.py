@@ -1,10 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from guided_attention.corpus import Sentence, Token, build_vocab, make_batches
+from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
 from guided_attention.errors import ShapeMismatchError
 from guided_attention.masks import (
+    ALL_ROLES,
     GUIDED_ROLES,
     NEG_INF,
     RoleMask,
@@ -21,6 +24,7 @@ from guided_attention.masks import (
 from oracles import (
     columns_to_pairs,
     edge_pairs_bruteforce,
+    make_batches_per_sentence,
     mask_zero_pairs,
     pairs_with_fallback,
     rare_columns_bruteforce,
@@ -233,6 +237,13 @@ class TestFallbackAndCombine:
         out = apply_fallback(RoleMask("depsyn", values), 4)
         assert mask_zero_pairs(out.values) == {(0, 2), (3, 1), (1, 1), (2, 2)}
 
+    def test_batched_rows_use_their_own_valid_count(self):
+        values = np.full((2, 3, 3), NEG_INF)
+        values[0, 0, 1] = 0.0
+        out = apply_fallback(RoleMask("depsyn", values), np.array([3, 1]))
+        assert mask_zero_pairs(out.values[0]) == {(0, 1), (1, 1), (2, 2)}
+        assert mask_zero_pairs(out.values[1]) == {(0, 0)}
+
     def test_all_zero_pad_is_identity(self):
         batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
         npt.assert_array_equal(batch.role_masks["relpos"][0], relative_position_mask(4).values)
@@ -304,3 +315,75 @@ class TestDumpFormat:
     def test_coordinates_sorted_one_based(self):
         mask = relative_position_mask(3)
         assert mask.zero_coordinates() == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+# Forms the vocabulary sees, and forms it never sees (scored as maximally rare).
+KNOWN_FORMS = ["the", "cat", "dog", "runs", "fast", ",", ".", "?", "[SEP]"]
+UNKNOWN_FORMS = ["zebra", "!", ";"]
+DEPRELS = ["nsubj", "obj", "dobj", "amod", "advmod", "det", "case", "root", None]
+
+
+@st.composite
+def sentences(draw, forms, max_tokens):
+    """A sentence of random forms: unparsed, or a random tree with random relations."""
+    n = draw(st.integers(1, max_tokens))
+    words = draw(st.lists(st.sampled_from(forms), min_size=n, max_size=n))
+    heads = [None] * n
+    deprels = [None] * n
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        heads[order[0] - 1] = 0
+        for k in range(1, n):
+            heads[order[k] - 1] = order[draw(st.integers(0, k - 1))]
+        deprels = draw(st.lists(st.sampled_from(DEPRELS), min_size=n, max_size=n))
+    label = draw(st.sampled_from(["pos", "neg", None]))
+    return Sentence(
+        [Token(f, i + 1, h, d) for i, (f, h, d) in enumerate(zip(words, heads, deprels))],
+        label=label,
+        sent_id=draw(st.sampled_from([None, "x", "y"])),
+    )
+
+
+@st.composite
+def batching_inputs(draw):
+    max_len = draw(st.integers(1, 24))
+    corpus = draw(st.lists(sentences(KNOWN_FORMS + UNKNOWN_FORMS, max_len + 4), min_size=1, max_size=12))
+    vocab = build_vocab(draw(st.lists(sentences(KNOWN_FORMS, 6), min_size=1, max_size=6)))
+    roles = tuple(draw(st.lists(st.sampled_from(ALL_ROLES), unique=True, max_size=len(ALL_ROLES))))
+    kwargs = dict(
+        batch_size=draw(st.integers(1, 8)), max_len=max_len, roles=roles,
+        seed=draw(st.integers(0, 3)), shuffle=draw(st.booleans()), labels=label_index(corpus) or None,
+    )
+    return corpus, vocab, kwargs
+
+
+def _arrays(batch):
+    arrays = {"token_ids": batch.token_ids, "lengths": batch.lengths, "labels": batch.labels, "pad_mask": batch.pad_mask}
+    return {**arrays, **{f"role_masks[{r}]": m for r, m in batch.role_masks.items()}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(batching_inputs())
+def test_batch_masks_equal_the_per_sentence_reference(inputs):
+    corpus, vocab, kwargs = inputs
+    got = make_batches(corpus, vocab, **kwargs)
+    want = make_batches_per_sentence(corpus, vocab, **kwargs)
+    assert len(got) == len(want)
+    for batch, reference in zip(got, want):
+        assert batch.sent_ids == reference.sent_ids
+        arrays, expected = _arrays(batch), _arrays(reference)
+        assert arrays.keys() == expected.keys()
+        for name, array in arrays.items():
+            assert (array.dtype, array.shape) == (expected[name].dtype, expected[name].shape), name
+            assert array.tobytes() == expected[name].tobytes(), name
+
+        width = kwargs["max_len"]
+        valid = np.arange(width) < batch.lengths[:, None]
+        pair_valid = valid[:, :, None] & valid[:, None, :]
+        for role, values in [*batch.role_masks.items(), ("pad", batch.pad_mask)]:
+            allowed = values == 0.0
+            assert np.all(allowed | (values == NEG_INF)), role
+            assert not np.any(allowed & ~valid[:, None, :]), f"{role}: padded key column open"
+            assert np.all(np.any(allowed & pair_valid, axis=-1)[valid]), f"{role}: valid row with no open key"
+            if role in ("depsyn", "majrel"):
+                assert not np.any(pair_valid & (allowed != allowed.swapaxes(1, 2))), f"{role}: not symmetric"
