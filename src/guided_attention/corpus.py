@@ -284,14 +284,12 @@ def rare_token_count(n):
 
 
 def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
-    """0-based positions of the top-10%-IDF tokens; ties go to earlier positions."""
-    n = len(sentence)
-    if n == 0:
-        return set()
-    scored = sorted(
-        range(n), key=lambda i: (-vocab.idf(sentence.tokens[i].form), i)
-    )
-    return set(scored[: rare_token_count(n)])
+    """0-based positions of the top-10%-IDF tokens; ties go to earlier positions.
+
+    :func:`masks.rare_columns` on a batch of this one sentence.
+    """
+    valid = np.ones((1, len(sentence)), dtype=bool)
+    return set(np.flatnonzero(masks_mod.rare_columns([sentence], vocab, valid)[0]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -95,14 +95,14 @@ def apply_fallback(mask: RoleMask, n_valid) -> RoleMask:
     """Give every fully-masked valid query row a diagonal self-attention zero.
 
     ``mask.values`` is ``(..., n, n)``; ``n_valid`` counts the valid rows of
-    each grid, as one int or an array over the leading axes. The zeros are
-    written into ``mask.values`` in place, and ``mask`` is returned.
+    each grid, as one int or an array over the leading axes. Returns a new
+    mask; ``mask`` is left as it is.
     """
-    values = mask.values
+    values = mask.values.copy()
     valid_rows = np.arange(values.shape[-1]) < np.asarray(n_valid)[..., None]
     *grid, rows = np.nonzero(valid_rows & ~(values == 0.0).any(axis=-1))
     values[(*grid, rows, rows)] = 0.0
-    return mask
+    return RoleMask(mask.role, values)
 
 
 def build_batch_mask(role: str, sentences, vocab, width: int) -> np.ndarray:
@@ -121,7 +121,10 @@ def build_batch_mask(role: str, sentences, vocab, width: int) -> np.ndarray:
     allow = _pattern(role, sentences, vocab, valid[:, :n])
     grid = np.repeat(valid[:, None, :], width, axis=1)
     grid[:, :n, :n] &= allow | ~valid[:, :n, None]
-    return apply_fallback(RoleMask(role, np.where(grid, 0.0, NEG_INF)), lengths).values
+    out = np.where(grid, 0.0, NEG_INF)
+    # Only the (n, n) block holds valid rows, so only it can need the fallback.
+    out[:, :n, :n] = apply_fallback(RoleMask(role, out[:, :n, :n]), lengths).values
+    return out
 
 
 def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
@@ -144,7 +147,7 @@ def _pattern(role: str, sentences, vocab, valid: np.ndarray) -> np.ndarray:
     if role == ROLE_RARE_WORDS:
         if vocab is None:
             raise ShapeMismatchError("rare-words mask needs a vocabulary")
-        return _rare_columns(sentences, vocab, valid)[:, None, :]
+        return rare_columns(sentences, vocab, valid)[:, None, :]
     if role == ROLE_SEPARATOR:
         return _per_token(sentences, valid, lambda t: t.form in SEPARATOR_FORMS, False)[:, None, :]
     if role == ROLE_DEP_SYNTAX:
@@ -165,8 +168,12 @@ def _per_token(sentences, valid: np.ndarray, value, fill) -> np.ndarray:
     return out
 
 
-def _rare_columns(sentences, vocab, valid: np.ndarray) -> np.ndarray:
+def rare_columns(sentences, vocab, valid: np.ndarray) -> np.ndarray:
     """Each row's top-10%-IDF positions; a stable sort sends ties to the earlier position.
+
+    ``valid`` is the ``(B, n)`` grid of token positions; the result is a
+    boolean grid of the same shape. This is the one home of the rare-token
+    rule: ``corpus.rare_token_indices`` is it on one sentence.
 
     IDF = log(total_docs / df) falls strictly as df rises, so ranking by df
     ascending ranks by IDF descending, ties included, with no log per token.

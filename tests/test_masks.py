@@ -244,6 +244,14 @@ class TestFallbackAndCombine:
         assert mask_zero_pairs(out.values[0]) == {(0, 1), (1, 1), (2, 2)}
         assert mask_zero_pairs(out.values[1]) == {(0, 0)}
 
+    def test_input_mask_left_unchanged(self):
+        values = np.full((2, 3, 3), NEG_INF)
+        mask = RoleMask("seprat", values)
+        out = apply_fallback(mask, np.array([3, 2]))
+        assert out is not mask and out.values is not values
+        assert np.all(values == NEG_INF)
+        assert mask_zero_pairs(out.values[1]) == {(0, 0), (1, 1)}
+
     def test_all_zero_pad_is_identity(self):
         batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
         npt.assert_array_equal(batch.role_masks["relpos"][0], relative_position_mask(4).values)
