@@ -3,12 +3,13 @@
 Attention heads are constrained by additive {0, -inf} masks derived from
 five linguistic roles (rare words, separators, dependency syntax, major
 syntactic relations, relative position); the remaining heads stay regular.
-The package bundles the mask-construction pipeline, a small float64
-autodiff engine, a training harness with a drop-one-role ablation runner,
-and a CLI (``guided-attn``).
+The heads of a layer differ only in their masks: each of Q, K and V is one
+packed projection that holds every head. The package bundles the
+mask-construction pipeline, a small float64 autodiff engine, a training
+harness with a drop-one-role ablation runner, and a CLI (``guided-attn``).
 """
 
-from .attention import HeadConfig, HeadWeights, masked_attention, multi_head, scaled_dot_attention
+from .attention import multi_head
 from .autodiff import Tensor, backward
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (
@@ -49,12 +50,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationReport", "Batch", "Checkpoint", "CheckpointError", "ConfigError",
     "ConlluError", "DatasetSplits", "DegenerateRowError", "EvalMetrics",
-    "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "HeadConfig",
-    "HeadWeights", "ModelConfig", "RoleMask", "Sentence", "ShapeMismatchError",
-    "Tensor", "Token", "TrainingDivergedError", "Vocabulary", "apply_fallback",
-    "backward", "build_vocab", "dep_syntax_mask", "emit_metrics", "evaluate",
+    "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "ModelConfig",
+    "RoleMask", "Sentence", "ShapeMismatchError", "Tensor", "Token",
+    "TrainingDivergedError", "Vocabulary", "apply_fallback", "backward",
+    "build_vocab", "dep_syntax_mask", "emit_metrics", "evaluate",
     "load_checkpoint", "load_corpus", "major_relations_mask", "make_batches",
-    "masked_attention", "multi_head", "parse_conllu", "rare_token_indices",
-    "rare_words_mask", "relative_position_mask", "run_ablation", "run_grid",
-    "save_checkpoint", "scaled_dot_attention", "separator_mask", "train",
+    "multi_head", "parse_conllu", "rare_token_indices", "rare_words_mask",
+    "relative_position_mask", "run_ablation", "run_grid", "save_checkpoint",
+    "separator_mask", "train",
 ]

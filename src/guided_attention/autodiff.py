@@ -53,21 +53,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
@@ -168,17 +153,6 @@ def relu(x) -> Tensor:
 
     def backward(g):
         _accumulate(x, g * (x.data > 0.0))
-
-    return _record(out, (x,), backward)
-
-
-def transpose_last(x) -> Tensor:
-    """Swap the last two axes."""
-    x = as_tensor(x)
-    out = Tensor(np.swapaxes(x.data, -1, -2))
-
-    def backward(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
 
     return _record(out, (x,), backward)
 
@@ -323,20 +297,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record(out, (x, gain, bias), backward)
 
 
-def concat_last(tensors: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1))
-    widths = [t.shape[-1] for t in tensors]
-    splits = np.cumsum(widths)[:-1]
-
-    def backward(g):
-        for t, part in zip(tensors, np.split(g, splits, axis=-1)):
-            _accumulate(t, part)
-
-    return _record(out, tuple(tensors), backward)
-
-
 def embedding(table, ids: np.ndarray) -> Tensor:
     """Row lookup: ``out[..., :] = table[ids[...], :]``."""
     table = as_tensor(table)
@@ -436,17 +396,6 @@ def dropout(
 
     def backward(g):
         _accumulate(x, g * keep)
-
-    return _record(out, (x,), backward)
-
-
-def tensor_sum(x) -> Tensor:
-    """Sum of all entries, as a scalar tensor."""
-    x = as_tensor(x)
-    out = Tensor(x.data.sum())
-
-    def backward(g):
-        _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _record(out, (x,), backward)
 

@@ -5,6 +5,10 @@ vocabulary, class names, metadata, parameter manifest, vocabulary hash),
 then one little-endian float64 block per parameter in manifest order, and a
 trailing SHA-256 checksum over everything before it. Files are byte-stable:
 saving the same checkpoint twice produces identical bytes.
+
+Version ``GDATTN02`` stores each layer's attention projections packed, as
+``layer{i}.attn.w{q,k,v}``. Files of the older ``GDATTN01``, which stored them
+head by head, are still read: :func:`_pack_v1_heads` converts them on load.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import struct
 import numpy as np
 
 from .corpus import Vocabulary, vocabulary_hash
-from .errors import CheckpointError, ShapeMismatchError
+from .errors import CheckpointError, ConfigError, ShapeMismatchError
 from .model import Checkpoint, ModelConfig
 
-MAGIC = b"GDATTN01"
+MAGIC = b"GDATTN02"
+MAGIC_V1 = b"GDATTN01"
 _LEN = struct.Struct("<Q")
 
 
@@ -54,8 +59,9 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     if len(blob) < len(MAGIC) + _LEN.size + 32:
         raise CheckpointError("file too short to be a checkpoint")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"bad magic {blob[:len(MAGIC)]!r}; expected {MAGIC!r}")
+    magic = blob[: len(MAGIC)]
+    if magic not in (MAGIC, MAGIC_V1):
+        raise CheckpointError(f"bad magic {magic!r}; expected {MAGIC!r} or the older {MAGIC_V1!r}")
     body, stored_digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != stored_digest:
         raise CheckpointError("integrity checksum mismatch; file corrupt or truncated")
@@ -103,13 +109,52 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(body):
         raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
 
+    config = ModelConfig.from_dict(_field(header, "config", dict))
+    if magic == MAGIC_V1:
+        params = _pack_v1_heads(params, config)
     return Checkpoint(
-        config=ModelConfig.from_dict(_field(header, "config", dict)),
+        config=config,
         params=params,
         vocab=vocab,
         class_names=list(_field(header, "class_names", list)),
         metadata=metadata,
     )
+
+
+def _pack_v1_heads(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str, np.ndarray]:
+    """Convert ``GDATTN01`` parameters to the packed layout of ``GDATTN02``.
+
+    ``GDATTN01`` stored head ``h``'s projections as ``layer{i}.head{h}.w{q,k,v}``,
+    each (d_model, d_k). They are concatenated in head order along the last
+    axis into ``layer{i}.attn.w{q,k,v}``, which take the place of the first
+    head's entries; every other parameter is kept as it is.
+    """
+    try:
+        cfg.validate()
+    except ConfigError as exc:
+        raise CheckpointError(f"header 'config' is invalid: {exc}") from exc
+    shape = (cfg.d_model, cfg.d_model // cfg.heads)
+    projections = ("wq", "wk", "wv")
+    per_head = [
+        f"layer{i}.head{h}.{w}" for i in range(cfg.layers) for h in range(cfg.heads) for w in projections
+    ]
+    for name in per_head:
+        if name not in params:
+            raise CheckpointError(f"GDATTN01 checkpoint lacks parameter {name!r}")
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"GDATTN01 parameter {name!r} has shape {list(params[name].shape)}, expected {list(shape)}"
+            )
+    packed = {}
+    for name, value in params.items():
+        if name not in per_head:
+            packed[name] = value
+        elif name.endswith(".head0.wq"):
+            layer = name.partition(".")[0]
+            for w in projections:
+                heads = [params[f"{layer}.head{h}.{w}"] for h in range(cfg.heads)]
+                packed[f"{layer}.attn.{w}"] = np.concatenate(heads, axis=-1)
+    return packed
 
 
 def _field(obj, key: str, kind: type, where: str = "header"):

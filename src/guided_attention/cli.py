@@ -23,7 +23,9 @@ from .errors import ConfigError, GuidedAttentionError
 from .harness import (
     DatasetSplits,
     ExperimentSpec,
+    ablation_rows_csv,
     emit_metrics,
+    result_rows_csv,
     run_ablation,
     run_grid,
     run_manifest,
@@ -105,12 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _roles(args) -> tuple[str, ...] | None:
     """Parse --roles; None when the flag was not given."""
-    if args.roles is None:
-        return None
-    roles = tuple(r.strip() for r in args.roles.split(",") if r.strip())
+    return None if args.roles is None else _role_list("--roles", args.roles)
+
+
+def _role_list(flag: str, raw: str) -> tuple[str, ...]:
+    """Parse a comma-separated list of role names given to ``flag``."""
+    roles = tuple(r.strip() for r in raw.split(",") if r.strip())
     for role in roles:
         if role not in GUIDED_ROLES:
-            raise ConfigError(f"unknown role {role!r}; expected subset of {GUIDED_ROLES}")
+            raise ConfigError(f"{flag}: unknown role {role!r}; expected subset of {GUIDED_ROLES}")
     return roles
 
 
@@ -249,23 +254,19 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     sentences = _load(args.data, args.labels, ckpt.config.guided_roles)
     metrics = evaluate(ckpt, sentences)
+    csv_text = (
+        "accuracy,loss,correct,total\n"
+        f"{metrics.accuracy:.6f},{metrics.loss:.6f},{metrics.correct},{metrics.total}\n"
+    )
     if args.format == "csv":
-        text = "accuracy,loss,correct,total\n" + (
-            f"{metrics.accuracy:.6f},{metrics.loss:.6f},{metrics.correct},{metrics.total}\n"
-        )
+        sys.stdout.write(csv_text)
     else:
-        text = (
+        sys.stdout.write(
             f"accuracy {metrics.accuracy:.2f}% ({metrics.correct}/{metrics.total}), "
             f"loss {metrics.loss:.4f}\n"
         )
-    sys.stdout.write(text)
     if args.out:
-        out = _out_dir(args)
-        (out / "eval.csv").write_text(
-            "accuracy,loss,correct,total\n"
-            f"{metrics.accuracy:.6f},{metrics.loss:.6f},{metrics.correct},{metrics.total}\n",
-            encoding="utf-8",
-        )
+        (_out_dir(args) / "eval.csv").write_text(csv_text, encoding="utf-8")
     return 0
 
 
@@ -292,14 +293,17 @@ def _int_list(flag: str, raw: str) -> tuple[int, ...]:
 
 def cmd_grid(args) -> int:
     cfg = _resolve_config(args, _roles(args))
+    layers_grid = _int_list("--layers", args.layers)
+    extra_heads_grid = _int_list("--extra-heads", args.extra_heads)
+    seeds = _int_list("--seeds", args.seeds)
     out = _out_dir(args)
     spec = ExperimentSpec(
         datasets=[_splits(args, cfg.guided_roles)],
         base_config=cfg,
-        layers_grid=_int_list("--layers", args.layers),
-        extra_heads_grid=_int_list("--extra-heads", args.extra_heads),
+        layers_grid=layers_grid,
+        extra_heads_grid=extra_heads_grid,
         roles=cfg.guided_roles,
-        seeds=_int_list("--seeds", args.seeds),
+        seeds=seeds,
         out_dir=out,
         jobs=args.jobs,
     )
@@ -311,8 +315,6 @@ def cmd_grid(args) -> int:
 
 def _print_grid(report, fmt: str) -> None:
     if fmt == "csv":
-        from .harness import result_rows_csv
-
         sys.stdout.write(result_rows_csv(report.rows))
         return
     for row in report.rows:
@@ -324,17 +326,16 @@ def _print_grid(report, fmt: str) -> None:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args, _roles(args))
+    seeds = _int_list("--seeds", args.seeds)
+    ablate_roles = _role_list("--ablate", args.ablate) if args.ablate else None
     out = _out_dir(args)
-    ablate_roles = None
-    if args.ablate:
-        ablate_roles = tuple(r.strip() for r in args.ablate.split(",") if r.strip())
     spec = ExperimentSpec(
         datasets=[_splits(args, cfg.guided_roles)],
         base_config=cfg,
         layers_grid=(cfg.layers,),
         extra_heads_grid=(cfg.extra_regular_heads,),
         roles=cfg.guided_roles,
-        seeds=_int_list("--seeds", args.seeds),
+        seeds=seeds,
         ablate_roles=ablate_roles,
         include_baseline=not args.no_baseline,
         out_dir=out,
@@ -343,8 +344,6 @@ def cmd_ablate(args) -> int:
     report = run_ablation(spec)
     emit_metrics(out, grid_rows=report.runs, ablation=report)
     if args.format == "csv":
-        from .harness import ablation_rows_csv
-
         sys.stdout.write(ablation_rows_csv(report.rows))
     else:
         for role, mean_drop, std_drop in report.per_role():

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .attention import HeadConfig, HeadWeights, multi_head
+from .attention import multi_head
 from .autodiff import Tensor
 from .corpus import (
     Batch,
@@ -29,7 +29,7 @@ from .corpus import (
     vocabulary_hash,
 )
 from .errors import ConfigError, DegenerateRowError, TrainingDivergedError
-from .masks import GUIDED_ROLES
+from .masks import GUIDED_ROLES, ROLE_PADDING
 
 DEFAULT_LAYER_GRID = (2, 4, 6, 8)
 DEFAULT_EXTRA_HEAD_GRID = (1, 3)
@@ -67,8 +67,16 @@ class ModelConfig:
             raise ConfigError(f"extra_regular_heads must be >= 0, got {self.extra_regular_heads}")
         if self.heads < 1:
             raise ConfigError("model needs at least one attention head")
+        if self.d_model < 1:
+            raise ConfigError(f"d_model must be >= 1, got {self.d_model}")
         if self.d_model % self.heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by {self.heads} heads")
+        guided = [r for r in self.guided_roles if r != ROLE_PADDING]
+        if len(set(guided)) != len(guided):
+            raise ConfigError(f"duplicate roles in guided_roles {self.guided_roles}")
+        for role in guided:
+            if role not in GUIDED_ROLES:
+                raise ConfigError(f"unknown role {role!r}; expected one of {GUIDED_ROLES}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.learning_rate < 0.0:
@@ -77,10 +85,6 @@ class ModelConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_len < 1 or self.num_classes < 2 or self.batch_size < 1:
             raise ConfigError("max_len, num_classes and batch_size must be positive (classes >= 2)")
-        HeadConfig(self.d_model, self.heads, self.guided_roles)  # role/shape validation
-
-    def head_config(self) -> HeadConfig:
-        return HeadConfig(self.d_model, self.heads, self.guided_roles)
 
     def mask_roles(self) -> tuple[str, ...]:
         """Distinct roles whose masks a batch must carry."""
@@ -163,7 +167,12 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Named parameter tensors in a fixed order (fixed RNG consumption)."""
+    """Named parameter tensors in a fixed order (fixed RNG consumption).
+
+    A layer's (d_model, d_k) head projections are drawn head after head, each
+    head's q, k, v in turn, and packed side by side into ``attn.wq``,
+    ``attn.wk`` and ``attn.wv``.
+    """
     d, dk, h = cfg.d_model, cfg.d_model // cfg.heads, cfg.heads
     params: dict[str, Tensor] = {}
 
@@ -172,10 +181,9 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
 
     add("embed.token", rng.normal(0.0, 1.0 / math.sqrt(d), size=(vocab_size, d)))
     for i in range(cfg.layers):
-        for head in range(h):
-            add(f"layer{i}.head{head}.wq", _xavier(rng, d, dk))
-            add(f"layer{i}.head{head}.wk", _xavier(rng, d, dk))
-            add(f"layer{i}.head{head}.wv", _xavier(rng, d, dk))
+        per_head = [[_xavier(rng, d, dk) for _ in range(3)] for _ in range(h)]
+        for j, w in enumerate(("wq", "wk", "wv")):
+            add(f"layer{i}.attn.{w}", np.concatenate([qkv[j] for qkv in per_head], axis=-1))
         add(f"layer{i}.attn.wo", _xavier(rng, h * dk, d))
         add(f"layer{i}.norm1.gain", np.ones(d))
         add(f"layer{i}.norm1.bias", np.zeros(d))
@@ -188,15 +196,6 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
     add("classifier.w", _xavier(rng, d, cfg.num_classes))
     add("classifier.b", np.zeros(cfg.num_classes))
     return params
-
-
-def layer_weights(params: dict[str, Tensor], layer: int, heads: int) -> HeadWeights:
-    return HeadWeights(
-        wq=[params[f"layer{layer}.head{h}.wq"] for h in range(heads)],
-        wk=[params[f"layer{layer}.head{h}.wk"] for h in range(heads)],
-        wv=[params[f"layer{layer}.head{h}.wv"] for h in range(heads)],
-        wo=params[f"layer{layer}.attn.wo"],
-    )
 
 
 def sinusoidal_encoding(n: int, d_model: int) -> np.ndarray:
@@ -247,17 +246,22 @@ def forward_stages(
     attn_draw = batch.pad_mask.shape
     ff_draw = (*batch.token_ids.shape, cfg.ff_width)
     batch = batch.cropped()
+    for role in cfg.guided_roles:
+        if role not in batch.role_masks:
+            raise ConfigError(f"batch carries no mask for guided role {role!r}")
+    masks = [batch.role_masks[role] for role in cfg.guided_roles]
+    masks += [batch.pad_mask] * cfg.extra_regular_heads
     x = embed(batch, params, cfg)
     yield "embed.output", x
-    head_cfg = cfg.head_config()
     rate = cfg.dropout if training else 0.0
     for i in range(cfg.layers):
         attn_out, _ = multi_head(
             x,
-            layer_weights(params, i, cfg.heads),
-            head_cfg,
-            batch.role_masks,
-            batch.pad_mask,
+            params[f"layer{i}.attn.wq"],
+            params[f"layer{i}.attn.wk"],
+            params[f"layer{i}.attn.wv"],
+            params[f"layer{i}.attn.wo"],
+            masks,
             dropout_rate=rate,
             rng=rng,
             draw_shape=attn_draw,

@@ -77,26 +77,62 @@ def attention_naive(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarra
     return out, weights
 
 
-def multi_head_per_head(x, weights, cfg, role_masks, pad_mask, dropout_rate=0.0, rng=None, draw_shape=None):
+# ---------------------------------------------------------------------------
+# Autodiff ops that only the tests use
+# ---------------------------------------------------------------------------
+
+
+def tensor_sum(x) -> Tensor:
+    """Sum of all entries, as a scalar tensor."""
+    x = ad.as_tensor(x)
+
+    def backward(g):
+        ad._accumulate(x, np.broadcast_to(g, x.shape))
+
+    return ad._record(Tensor(x.data.sum()), (x,), backward)
+
+
+def transpose_last(x) -> Tensor:
+    """Swap the last two axes."""
+    x = ad.as_tensor(x)
+
+    def backward(g):
+        ad._accumulate(x, np.swapaxes(g, -1, -2))
+
+    return ad._record(Tensor(np.swapaxes(x.data, -1, -2)), (x,), backward)
+
+
+def concat_last(tensors) -> Tensor:
+    """Concatenate along the last axis."""
+    tensors = [ad.as_tensor(t) for t in tensors]
+    splits = np.cumsum([t.shape[-1] for t in tensors])[:-1]
+
+    def backward(g):
+        for t, part in zip(tensors, np.split(g, splits, axis=-1)):
+            ad._accumulate(t, part)
+
+    return ad._record(Tensor(np.concatenate([t.data for t in tensors], axis=-1)), tuple(tensors), backward)
+
+
+def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None, draw_shape=None):
     """The guided multi-head layer composed head by head from autodiff primitives.
 
-    Each head projects ``x`` with its own matrices and runs matmul, transpose,
-    add mask, scale, ``softmax_rows``, dropout drawn in ``draw_shape`` and a
-    matmul with V, on the tape one op at a time; the concatenated heads are
-    projected by ``wo``.
+    Head ``h`` projects ``x`` with its own matrices ``wq[h]``, ``wk[h]`` and
+    ``wv[h]`` and runs matmul, transpose, add ``masks[h]``, scale,
+    ``softmax_rows``, dropout drawn in ``draw_shape`` and a matmul with V, on
+    the tape one op at a time; the concatenated heads are projected by ``wo``.
     """
     outputs = []
-    for h in range(cfg.heads):
-        q = ad.matmul(x, weights.wq[h])
-        k = ad.matmul(x, weights.wk[h])
-        v = ad.matmul(x, weights.wv[h])
-        mask = role_masks[cfg.role_assignment[h]] if h < cfg.guided else pad_mask
-        scores = ad.add(ad.matmul(q, ad.transpose_last(k)), Tensor(mask))
+    for h, mask in enumerate(masks):
+        q = ad.matmul(x, wq[h])
+        k = ad.matmul(x, wk[h])
+        v = ad.matmul(x, wv[h])
+        scores = ad.add(ad.matmul(q, transpose_last(k)), Tensor(mask))
         attn = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
         if dropout_rate > 0.0:
             attn = ad.dropout(attn, dropout_rate, rng, draw_shape)
         outputs.append(ad.matmul(attn, v))
-    return ad.matmul(ad.concat_last(outputs), weights.wo)
+    return ad.matmul(concat_last(outputs), wo)
 
 
 def finite_difference_grad(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:

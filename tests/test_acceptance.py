@@ -15,7 +15,6 @@ import pytest
 
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
-from guided_attention.attention import masked_attention
 from guided_attention.cli import main
 from guided_attention.corpus import build_vocab, label_index, make_batches
 from guided_attention.harness import DatasetSplits, ExperimentSpec, run_ablation
@@ -35,6 +34,7 @@ from oracles import (
     rare_columns_bruteforce,
     relative_error,
     separator_columns_bruteforce,
+    tensor_sum,
     tridiagonal_pairs,
 )
 from test_model import TINY, sent, toy_separable
@@ -122,12 +122,12 @@ def test_criterion_2_masked_attention_oracle():
             for i in range(n):  # guarantee feasibility
                 if not np.any(mask[i] == 0.0):
                     mask[i, i] = 0.0
-            out, weights = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+            out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
             exp_out, exp_w = attention_naive(q, k, v, mask)
             npt.assert_allclose(out.data, exp_out, atol=1e-12)
-            npt.assert_allclose(weights.data, exp_w, atol=1e-12)
-            assert np.all(weights.data[mask == NEG_INF] == 0.0)
-            npt.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
+            npt.assert_allclose(weights, exp_w, atol=1e-12)
+            assert np.all(weights[mask == NEG_INF] == 0.0)
+            npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"oracle suite took {elapsed:.3f}s"
 
@@ -188,23 +188,23 @@ def test_criterion_5_zero_influence_zero_gradient():
         mask[:, masked_key] = NEG_INF
 
         q0, k0, v0 = (rng.normal(size=(n, d_k)) for _ in range(3))
-        out0, _ = masked_attention(Tensor(q0), Tensor(k0), Tensor(v0), mask)
+        out0, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v0), [mask])
 
         v1 = v0.copy()
         v1[masked_key] += rng.normal(size=d_k) * 1e3
-        out_v, _ = masked_attention(Tensor(q0), Tensor(k0), Tensor(v1), mask)
+        out_v, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v1), [mask])
         npt.assert_array_equal(out0.data, out_v.data)  # exact, not approximate
 
         k1 = k0.copy()
         k1[masked_key] -= 7.5
-        out_k, _ = masked_attention(Tensor(q0), Tensor(k1), Tensor(v0), mask)
+        out_k, _ = ad.attention(Tensor(q0), Tensor(k1), Tensor(v0), [mask])
         npt.assert_array_equal(out0.data, out_k.data)
 
         q = Tensor(q0, requires_grad=True)
         k = Tensor(k0, requires_grad=True)
         v = Tensor(v0, requires_grad=True)
-        out, _ = masked_attention(q, k, v, mask)
-        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
+        out, _ = ad.attention(q, k, v, [mask])
+        ad.backward(tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
         npt.assert_array_equal(k.grad[masked_key], np.zeros(d_k))
         npt.assert_array_equal(v.grad[masked_key], np.zeros(d_k))
         assert np.any(k.grad[np.arange(n) != masked_key] != 0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,112 +8,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import (
-    HeadConfig,
-    HeadWeights,
-    masked_attention,
-    multi_head,
-    scaled_dot_attention,
-)
+from guided_attention.attention import multi_head
 from guided_attention.autodiff import Tensor
+from guided_attention.corpus import make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, relative_position_mask
-from oracles import attention_naive, multi_head_per_head
+from guided_attention.model import ModelConfig, forward_batch, init_params
+from oracles import attention_naive, multi_head_per_head, tensor_sum
 
 NEG_INF = float("-inf")
 
 
-def random_head_weights(rng, d_model, heads):
-    d_k = d_model // heads
-    return HeadWeights(
-        wq=[Tensor(rng.normal(size=(d_model, d_k))) for _ in range(heads)],
-        wk=[Tensor(rng.normal(size=(d_model, d_k))) for _ in range(heads)],
-        wv=[Tensor(rng.normal(size=(d_model, d_k))) for _ in range(heads)],
-        wo=Tensor(rng.normal(size=(d_model, d_model))),
-    )
+def random_projections(rng, d_model):
+    """Random packed ``wq``, ``wk`` and ``wv``, and ``wo``, all (d_model, d_model)."""
+    return [Tensor(rng.normal(size=(d_model, d_model))) for _ in range(4)]
 
 
 class TestHeadConfig:
+    """The head layout of a layer, as ``ModelConfig`` fixes it."""
+
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(d_model=10, heads=4)
-
-    def test_duplicate_roles_rejected(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(d_model=8, heads=4, role_assignment=("relpos", "relpos"))
-
-    def test_padding_pseudo_role_may_repeat(self):
-        cfg = HeadConfig(d_model=8, heads=4, role_assignment=("padding", "padding"))
-        assert cfg.guided == 2
-
-    def test_more_roles_than_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            HeadConfig(d_model=8, heads=2, role_assignment=("rarew", "seprat", "relpos"))
+        with pytest.raises(ConfigError, match="not divisible"):
+            ModelConfig(guided_roles=(), extra_regular_heads=4, d_model=10).validate()
 
     def test_five_guided_of_six_heads(self):
-        cfg = HeadConfig(d_model=48, heads=6, role_assignment=GUIDED_ROLES)
-        assert cfg.guided == 5 and cfg.d_k == 8
+        cfg = ModelConfig(guided_roles=GUIDED_ROLES, extra_regular_heads=1, d_model=48)
+        cfg.validate()
+        assert cfg.heads == 6 and cfg.guided_heads == 5 and cfg.d_model // cfg.heads == 8
 
 
 class TestScaledDotAttention:
+    """One head with an all-open mask: plain scaled dot-product attention."""
+
     def test_orthogonal_keys_peak_on_match(self):
         q = np.eye(3) * 8.0
         v = np.arange(9.0).reshape(3, 3)
-        out, weights = scaled_dot_attention(Tensor(q), Tensor(q), Tensor(v))
-        assert np.all(weights.data.argmax(axis=1) == np.arange(3))
+        _, (weights,) = ad.attention(Tensor(q), Tensor(q), Tensor(v), [np.zeros((3, 3))])
+        assert np.all(weights.argmax(axis=1) == np.arange(3))
 
     def test_single_position(self):
         v = np.array([[3.0, 1.0]])
-        out, weights = scaled_dot_attention(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), Tensor(v))
-        npt.assert_array_equal(weights.data, [[1.0]])
+        out, (weights,) = ad.attention(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), Tensor(v), [np.zeros((1, 1))])
+        npt.assert_array_equal(weights, [[1.0]])
         npt.assert_array_equal(out.data, v)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out, weights = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((3, 3))])
         exp_out, exp_w = attention_naive(q, k, v)
         npt.assert_allclose(out.data, exp_out, atol=1e-12)
-        npt.assert_allclose(weights.data, exp_w, atol=1e-12)
+        npt.assert_allclose(weights, exp_w, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
-            scaled_dot_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), [np.zeros((2, 2))])
 
 
 class TestMaskedAttention:
     def test_zero_mask_bitwise_equals_unmasked(self):
         rng = np.random.default_rng(1)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        base_out, base_w = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
-        masked_out, masked_w = masked_attention(Tensor(q), Tensor(k), Tensor(v), np.zeros((4, 4)))
-        npt.assert_array_equal(masked_out.data, base_out.data)
-        npt.assert_array_equal(masked_w.data, base_w.data)
+        base_w = ad.softmax_rows(Tensor((q @ k.T) * (1.0 / math.sqrt(3)))).data
+        masked_out, (masked_w,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((4, 4))])
+        npt.assert_array_equal(masked_w, base_w)
+        npt.assert_array_equal(masked_out.data, base_w @ v)
 
     def test_single_allowed_column_collapses_to_that_value(self):
         rng = np.random.default_rng(2)
         q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
         mask = np.full((3, 3), NEG_INF)
         mask[:, 1] = 0.0
-        out, weights = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
         for i in range(3):
             npt.assert_allclose(out.data[i], v[1], atol=1e-12)
-        npt.assert_array_equal(weights.data[:, 1], 1.0)
+        npt.assert_array_equal(weights[:, 1], 1.0)
 
     def test_tridiagonal_matches_restricted_softmax_oracle(self):
         rng = np.random.default_rng(3)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = relative_position_mask(4).values
-        out, weights = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
         exp_out, exp_w = attention_naive(q, k, v, mask)
         npt.assert_allclose(out.data, exp_out, atol=1e-12)
-        npt.assert_allclose(weights.data, exp_w, atol=1e-12)
+        npt.assert_allclose(weights, exp_w, atol=1e-12)
 
     def test_infeasible_row_raises_degenerate_error(self):
         rng = np.random.default_rng(4)
         q, k, v = (rng.normal(size=(2, 2)) for _ in range(3))
         with pytest.raises(DegenerateRowError):
-            masked_attention(Tensor(q), Tensor(k), Tensor(v), np.full((2, 2), NEG_INF))
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.full((2, 2), NEG_INF)])
 
     def test_rows_stochastic_and_support_respected(self):
         rng = np.random.default_rng(5)
@@ -122,9 +107,9 @@ class TestMaskedAttention:
             q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
             mask = np.where(rng.random((n, n)) < 0.5, 0.0, NEG_INF)
             mask[np.arange(n), np.arange(n)] = 0.0  # feasibility
-            out, weights = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-            npt.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(weights.data[mask == NEG_INF] == 0.0)
+            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+            npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(weights[mask == NEG_INF] == 0.0)
 
     def test_zero_influence_of_masked_value_rows(self):
         # Perturbing V at a key position masked for every query changes nothing.
@@ -132,10 +117,10 @@ class TestMaskedAttention:
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = np.zeros((4, 4))
         mask[:, 2] = NEG_INF
-        out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
         v2 = v.copy()
         v2[2] += rng.normal(size=3) * 100
-        out2, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v2), mask)
+        out2, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v2), [mask])
         npt.assert_array_equal(out.data, out2.data)
 
     def test_zero_influence_of_masked_key_rows(self):
@@ -143,10 +128,10 @@ class TestMaskedAttention:
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = np.zeros((4, 4))
         mask[:, 1] = NEG_INF
-        out, _ = masked_attention(Tensor(q), Tensor(k), Tensor(v), mask)
+        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
         k2 = k.copy()
         k2[1] += 42.0
-        out2, _ = masked_attention(Tensor(q), Tensor(k2), Tensor(v), mask)
+        out2, _ = ad.attention(Tensor(q), Tensor(k2), Tensor(v), [mask])
         npt.assert_array_equal(out.data, out2.data)
 
     def test_zero_gradient_to_masked_rows(self):
@@ -156,39 +141,34 @@ class TestMaskedAttention:
         v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         mask = np.zeros((4, 4))
         mask[:, 3] = NEG_INF
-        out, _ = masked_attention(q, k, v, mask)
-        ad.backward(ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
+        out, _ = ad.attention(q, k, v, [mask])
+        ad.backward(tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
         npt.assert_array_equal(k.grad[3], np.zeros(3))
         npt.assert_array_equal(v.grad[3], np.zeros(3))
         assert np.any(k.grad[:3] != 0.0)
 
 
 class TestMultiHead:
-    def test_no_guided_heads_equals_baseline_bitwise(self):
-        rng = np.random.default_rng(9)
-        d_model, n = 8, 5
-        x = Tensor(rng.normal(size=(n, d_model)))
-        w = random_head_weights(rng, d_model, 2)
-        pad = np.zeros((n, n))
-        baseline_cfg = HeadConfig(d_model, 2)
-        guided_cfg = HeadConfig(d_model, 2, role_assignment=("padding", "padding"))
-        base_out, _ = multi_head(x, w, baseline_cfg, {}, pad)
-        guided_out, _ = multi_head(x, w, guided_cfg, {"padding": pad}, pad)
-        npt.assert_array_equal(base_out.data, guided_out.data)
+    def test_no_guided_heads_equals_baseline_bitwise(self, twenty, twenty_vocab):
+        """Heads guided by the all-open ``padding`` role give the logits of regular heads."""
+        unguided = ModelConfig(layers=1, guided_roles=(), extra_regular_heads=2, d_model=8, ff_width=8, max_len=10)
+        guided = replace(unguided, guided_roles=("padding", "padding"), extra_regular_heads=0)
+        batch = make_batches(twenty[:3], twenty_vocab, 3, 10, guided.mask_roles(), shuffle=False)[0]
+        base_out, guided_out = (
+            forward_batch(batch, init_params(cfg, len(twenty_vocab), np.random.default_rng(9)), cfg).data
+            for cfg in (unguided, guided)
+        )
+        npt.assert_array_equal(base_out, guided_out)
 
     def test_single_head_composition_identity(self):
         rng = np.random.default_rng(10)
         d_model, n = 4, 3
         x = Tensor(rng.normal(size=(n, d_model)))
-        w = random_head_weights(rng, d_model, 1)
-        cfg = HeadConfig(d_model, 1, role_assignment=("relpos",))
-        mask = np.zeros((n, n))
-        out, _ = multi_head(x, w, cfg, {"relpos": mask}, np.zeros((n, n)))
-        q = ad.matmul(x, w.wq[0])
-        k = ad.matmul(x, w.wk[0])
-        v = ad.matmul(x, w.wv[0])
-        direct, _ = scaled_dot_attention(q, k, v)
-        npt.assert_array_equal(out.data, ad.matmul(direct, w.wo).data)
+        wq, wk, wv, wo = random_projections(rng, d_model)
+        mask = relative_position_mask(n).values
+        out, _ = multi_head(x, wq, wk, wv, wo, [mask])
+        direct, _ = attention_naive(x.data @ wq.data, x.data @ wk.data, x.data @ wv.data, mask)
+        npt.assert_allclose(out.data, direct @ wo.data, rtol=0, atol=1e-12)
 
     def test_full_role_assignment_head_supports(self, twenty, twenty_vocab):
         from guided_attention.masks import build_role_mask
@@ -196,91 +176,76 @@ class TestMultiHead:
         rng = np.random.default_rng(11)
         s = next(x for x in twenty if x.sent_id == "s10")
         n, d_model = len(s), 12
-        cfg = HeadConfig(d_model, 6, role_assignment=GUIDED_ROLES)
-        weights = random_head_weights(rng, d_model, 6)
-        role_masks = {r: build_role_mask(r, s, twenty_vocab).values for r in GUIDED_ROLES}
-        pad = np.zeros((n, n))
+        role_masks = [build_role_mask(r, s, twenty_vocab).values for r in GUIDED_ROLES]
         x = Tensor(rng.normal(size=(n, d_model)))
-        _, head_weights = multi_head(x, weights, cfg, role_masks, pad)
-        assert len(head_weights) == 6
-        for h, role in enumerate(GUIDED_ROLES):
-            support = head_weights[h].data > 0.0
-            assert np.all(role_masks[role][support] == 0.0)
-        assert np.all(head_weights[5].data > 0.0)
+        _, head_weights = multi_head(x, *random_projections(rng, d_model), [*role_masks, np.zeros((n, n))])
+        assert head_weights.shape == (6, n, n)
+        for h, mask in enumerate(role_masks):
+            assert np.all(mask[head_weights[h] > 0.0] == 0.0)
+        assert np.all(head_weights[5] > 0.0)
 
     def test_batched_input(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 4, 6)))
-        w = random_head_weights(rng, 6, 3)
-        cfg = HeadConfig(6, 3, role_assignment=("relpos",))
-        masks = {"relpos": np.stack([relative_position_mask(4).values] * 2)}
+        relpos = np.stack([relative_position_mask(4).values] * 2)
         pad = np.zeros((2, 4, 4))
-        out, head_w = multi_head(x, w, cfg, masks, pad)
+        out, head_w = multi_head(x, *random_projections(rng, 6), [relpos, pad, pad])
         assert out.shape == (2, 4, 6)
         for b in range(2):
-            assert np.all(head_w[0].data[b][masks["relpos"][b] == NEG_INF] == 0.0)
+            assert np.all(head_w[0][b][relpos[b] == NEG_INF] == 0.0)
 
-    def test_missing_role_mask_rejected(self):
-        rng = np.random.default_rng(13)
-        x = Tensor(rng.normal(size=(3, 4)))
-        w = random_head_weights(rng, 4, 2)
-        cfg = HeadConfig(4, 2, role_assignment=("seprat",))
-        with pytest.raises(ConfigError):
-            multi_head(x, w, cfg, {}, np.zeros((3, 3)))
+    def test_missing_role_mask_rejected(self, twenty, twenty_vocab):
+        cfg = ModelConfig(layers=1, guided_roles=("relpos", "seprat"), extra_regular_heads=0, d_model=4, ff_width=4, max_len=10)
+        batch = make_batches(twenty[:2], twenty_vocab, 2, 10, ("relpos",), shuffle=False)[0]
+        params = init_params(cfg, len(twenty_vocab), np.random.default_rng(13))
+        with pytest.raises(ConfigError, match="'seprat'"):
+            forward_batch(batch, params, cfg)
 
     def test_pad_columns_get_exactly_zero_weight(self, twenty, twenty_vocab):
-        from guided_attention.corpus import make_batches
-
         rng = np.random.default_rng(14)
         batch = make_batches(twenty[:3], twenty_vocab, 3, 10, GUIDED_ROLES, shuffle=False)[0]
-        cfg = HeadConfig(12, 6, role_assignment=GUIDED_ROLES)
-        weights = random_head_weights(rng, 12, 6)
+        masks = [batch.role_masks[r] for r in GUIDED_ROLES] + [batch.pad_mask]
         x = Tensor(rng.normal(size=(3, 10, 12)))
-        _, head_weights = multi_head(x, weights, cfg, batch.role_masks, batch.pad_mask)
+        _, head_weights = multi_head(x, *random_projections(rng, 12), masks)
         for w in head_weights:
             for row, length in enumerate(batch.lengths):
-                assert np.all(w.data[row, :, length:] == 0.0)
+                assert np.all(w[row, :, length:] == 0.0)
 
     def test_matches_per_head_reference_with_dropout(self, twenty, twenty_vocab):
-        """The fused layer equals the head-by-head composition in outputs, gradients and RNG use."""
-        from guided_attention.corpus import make_batches
-
+        """The packed layer equals the head-by-head composition in outputs, gradients and RNG use."""
         batch = make_batches(twenty[:4], twenty_vocab, 4, 12, GUIDED_ROLES, shuffle=False)[0]
         cropped = batch.cropped()
         n = cropped.token_ids.shape[1]
         assert n < 12  # the dropout draw is larger than the computed block
-        cfg = HeadConfig(12, 6, role_assignment=GUIDED_ROLES)
+        masks = [cropped.role_masks[r] for r in GUIDED_ROLES] + [cropped.pad_mask]
         rng = np.random.default_rng(15)
-        base = random_head_weights(rng, 12, 6)
+        per_head = [[rng.normal(size=(12, 2)) for _ in range(6)] for _ in "qkv"]
+        wo = rng.normal(size=(12, 12))
         x_data = rng.normal(size=(4, n, 12))
         upstream = rng.normal(size=(4, n, 12))
 
-        def fused_layer(*args, **kwargs):
-            return multi_head(*args, **kwargs)[0]
-
-        results = []
-        for layer in (fused_layer, multi_head_per_head):
+        def run(layer, projections):
+            """Outputs, gradients of x, the packed q/k/v and wo, and the RNG state after the layer."""
             x = Tensor(x_data, requires_grad=True)
-            w = HeadWeights(
-                wq=[Tensor(t.data, requires_grad=True) for t in base.wq],
-                wk=[Tensor(t.data, requires_grad=True) for t in base.wk],
-                wv=[Tensor(t.data, requires_grad=True) for t in base.wv],
-                wo=Tensor(base.wo.data, requires_grad=True),
-            )
+            wo_t = Tensor(wo, requires_grad=True)
             gen = np.random.default_rng(99)
-            out = layer(x, w, cfg, cropped.role_masks, cropped.pad_mask,
-                        dropout_rate=0.3, rng=gen, draw_shape=batch.pad_mask.shape)
-            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(upstream))))
-            grads = [x.grad, *(t.grad for t in [*w.wq, *w.wk, *w.wv, w.wo])]
-            results.append((out.data, grads, gen.bit_generator.state))
+            out = layer(x, *projections, wo_t, masks, dropout_rate=0.3, rng=gen, draw_shape=batch.pad_mask.shape)
+            ad.backward(tensor_sum(ad.mul(out, Tensor(upstream))))
+            return out.data, [x.grad, wo_t.grad], gen.bit_generator.state
 
-        (fused, fused_grads, fused_state), (ref, ref_grads, ref_state) = results
+        packed = [Tensor(np.concatenate(heads, axis=-1), requires_grad=True) for heads in per_head]
+        fused, fused_grads, fused_state = run(lambda *a, **kw: multi_head(*a, **kw)[0], packed)
+        fused_grads += [t.grad for t in packed]
+        split = [[Tensor(w, requires_grad=True) for w in heads] for heads in per_head]
+        ref, ref_grads, ref_state = run(multi_head_per_head, split)
+        ref_grads += [np.concatenate([t.grad for t in heads], axis=-1) for heads in split]
+
         npt.assert_allclose(fused, ref, rtol=0, atol=1e-12)
         for a, b in zip(fused_grads, ref_grads):
             npt.assert_allclose(a, b, rtol=0, atol=1e-12)
         assert fused_state == ref_state
         # Dropout was on: the same layer without it gives other outputs.
-        plain, _ = multi_head(Tensor(x_data), base, cfg, cropped.role_masks, cropped.pad_mask)
+        plain, _ = multi_head(Tensor(x_data), *(Tensor(t.data) for t in packed), Tensor(wo), masks)
         assert not np.allclose(plain.data, fused)
 
 

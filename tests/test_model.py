@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import guided_attention
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
@@ -26,7 +27,7 @@ from guided_attention.model import (
     train,
 )
 from guided_attention.synthetic import generate_local_pattern_task
-from oracles import finite_difference_grad, relative_error
+from oracles import finite_difference_grad, relative_error, tensor_sum
 
 
 def sent(forms, label=None):
@@ -71,6 +72,21 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             ModelConfig(d_model=50).validate()
+        with pytest.raises(ConfigError):
+            ModelConfig(d_model=0).validate()
+
+    def test_duplicate_roles_rejected(self):
+        with pytest.raises(ConfigError, match="duplicate"):
+            ModelConfig(guided_roles=("relpos", "relpos"), extra_regular_heads=2, d_model=8).validate()
+
+    def test_padding_pseudo_role_may_repeat(self):
+        cfg = ModelConfig(guided_roles=("padding", "padding"), extra_regular_heads=2, d_model=8)
+        cfg.validate()
+        assert cfg.guided_heads == 2
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ConfigError, match="'relpoz'"):
+            ModelConfig(guided_roles=("rarew", "relpoz"), extra_regular_heads=2, d_model=8).validate()
 
     def test_rate_bounds(self):
         with pytest.raises(ConfigError):
@@ -94,6 +110,27 @@ class TestConfig:
     def test_empty_roles_round_trip(self):
         cfg = ModelConfig(guided_roles=(), extra_regular_heads=6)
         assert parse_config(format_config(cfg)).guided_roles == ()
+
+
+def test_every_export_resolves():
+    assert [name for name in guided_attention.__all__ if not hasattr(guided_attention, name)] == []
+
+
+class TestParams:
+    def test_packed_projections_are_per_head_draws_side_by_side(self):
+        """Each layer draws head after head, q, k and v, then packs each kind along the last axis."""
+        cfg = ModelConfig(layers=1)  # 6 heads of d_k 8
+        params = init_params(cfg, 10, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        rng.normal(0.0, 1.0 / math.sqrt(48), size=(10, 48))  # embed.token
+        draws = [rng.normal(0.0, math.sqrt(2.0 / (48 + 8)), size=(48, 8)) for _ in range(6 * 3)]
+        for j, name in enumerate(("wq", "wk", "wv")):
+            npt.assert_array_equal(params[f"layer0.attn.{name}"].data, np.concatenate(draws[j::3], axis=-1))
+        npt.assert_array_equal(params["layer0.attn.wo"].data, rng.normal(0.0, math.sqrt(2.0 / 96), size=(48, 48)))
+
+    def test_default_model_tensor_count(self):
+        # embed.token; per layer wq, wk, wv, wo, two norms, four feed-forward; classifier w and b
+        assert len(init_params(ModelConfig(), 10, np.random.default_rng(0))) == 1 + 2 * 12 + 2
 
 
 class TestEmbedding:
@@ -429,7 +466,7 @@ class TestAdam:
         opt = Adam({"p": p}, lr=0.1)
         for _ in range(200):
             ad.zero_grads({"p": p})
-            loss = ad.tensor_sum(ad.mul(p, p))
+            loss = tensor_sum(ad.mul(p, p))
             ad.backward(loss)
             opt.step()
         assert np.all(np.abs(p.data) < 1e-2)
