@@ -4,7 +4,9 @@ Layout: an 8-byte magic/version tag, a length-prefixed JSON header (config,
 vocabulary, class names, metadata, parameter manifest, vocabulary hash),
 then one little-endian float64 block per parameter in manifest order, and a
 trailing SHA-256 checksum over everything before it. Files are byte-stable:
-saving the same checkpoint twice produces identical bytes.
+saving the same checkpoint twice produces identical bytes. A file loads only
+if its config is valid and its parameters are exactly the names and shapes
+that config and its vocabulary imply (:func:`model.param_shapes`).
 
 Version ``GDATTN02`` stores each layer's attention projections packed, as
 ``layer{i}.attn.w{q,k,v}``. Files of the older ``GDATTN01``, which stored them
@@ -21,7 +23,7 @@ import numpy as np
 
 from .corpus import Vocabulary, vocabulary_hash
 from .errors import CheckpointError, ConfigError, ShapeMismatchError
-from .model import Checkpoint, ModelConfig
+from .model import Checkpoint, ModelConfig, param_shapes
 
 MAGIC = b"GDATTN02"
 MAGIC_V1 = b"GDATTN01"
@@ -109,9 +111,14 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(body):
         raise CheckpointError(f"{len(body) - offset} trailing bytes after parameter blocks")
 
-    config = ModelConfig.from_dict(_field(header, "config", dict))
+    try:
+        config = ModelConfig.from_dict(_field(header, "config", dict))
+        config.validate()
+    except (ConfigError, TypeError) as exc:
+        raise CheckpointError(f"header 'config' is invalid: {exc}") from exc
     if magic == MAGIC_V1:
         params = _pack_v1_heads(params, config)
+    _check_manifest(params, param_shapes(config, len(vocab)))
     return Checkpoint(
         config=config,
         params=params,
@@ -129,10 +136,6 @@ def _pack_v1_heads(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str,
     axis into ``layer{i}.attn.w{q,k,v}``, which take the place of the first
     head's entries; every other parameter is kept as it is.
     """
-    try:
-        cfg.validate()
-    except ConfigError as exc:
-        raise CheckpointError(f"header 'config' is invalid: {exc}") from exc
     shape = (cfg.d_model, cfg.d_model // cfg.heads)
     projections = ("wq", "wk", "wv")
     per_head = [
@@ -155,6 +158,20 @@ def _pack_v1_heads(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str,
                 heads = [params[f"{layer}.head{h}.{w}"] for h in range(cfg.heads)]
                 packed[f"{layer}.attn.{w}"] = np.concatenate(heads, axis=-1)
     return packed
+
+
+def _check_manifest(params: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+    """The parameters must be exactly those the config and vocabulary imply, with their shapes."""
+    for name, shape in expected.items():
+        if name not in params:
+            raise CheckpointError(f"checkpoint lacks parameter {name!r}")
+        if params[name].shape != shape:
+            raise CheckpointError(
+                f"parameter {name!r} has shape {list(params[name].shape)}, expected {list(shape)}"
+            )
+    for name in params:
+        if name not in expected:
+            raise CheckpointError(f"unexpected parameter {name!r}")
 
 
 def _field(obj, key: str, kind: type, where: str = "header"):

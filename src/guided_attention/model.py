@@ -11,7 +11,7 @@ is deterministic under a fixed seed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -101,6 +101,11 @@ class ModelConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in fields(cls):
+            value = d.get(f.name)
+            kinds = {"int": (int,), "float": (int, float)}.get(f.type)
+            if f.name in d and kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"config key {f.name!r} expects {f.type}, got {value!r}")
         kwargs = dict(d)
         if "guided_roles" in kwargs:
             kwargs["guided_roles"] = tuple(kwargs["guided_roles"])
@@ -166,35 +171,55 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), size=(fan_in, fan_out))
 
 
-def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Named parameter tensors in a fixed order (fixed RNG consumption).
+def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter, in the order :func:`init_params` creates them.
 
-    A layer's (d_model, d_k) head projections are drawn head after head, each
-    head's q, k, v in turn, and packed side by side into ``attn.wq``,
-    ``attn.wk`` and ``attn.wv``.
+    A layer's ``attn.wq``, ``attn.wk`` and ``attn.wv`` are (d_model, H·d_k),
+    head h in columns ``h·d_k:(h+1)·d_k``.
     """
-    d, dk, h = cfg.d_model, cfg.d_model // cfg.heads, cfg.heads
-    params: dict[str, Tensor] = {}
-
-    def add(name, data):
-        params[name] = ad.parameter(data, name)
-
-    add("embed.token", rng.normal(0.0, 1.0 / math.sqrt(d), size=(vocab_size, d)))
+    d, f = cfg.d_model, cfg.ff_width
+    hd = cfg.heads * (d // cfg.heads)
+    shapes = {"embed.token": (vocab_size, d)}
     for i in range(cfg.layers):
-        per_head = [[_xavier(rng, d, dk) for _ in range(3)] for _ in range(h)]
-        for j, w in enumerate(("wq", "wk", "wv")):
-            add(f"layer{i}.attn.{w}", np.concatenate([qkv[j] for qkv in per_head], axis=-1))
-        add(f"layer{i}.attn.wo", _xavier(rng, h * dk, d))
-        add(f"layer{i}.norm1.gain", np.ones(d))
-        add(f"layer{i}.norm1.bias", np.zeros(d))
-        add(f"layer{i}.ff.w1", _xavier(rng, d, cfg.ff_width))
-        add(f"layer{i}.ff.b1", np.zeros(cfg.ff_width))
-        add(f"layer{i}.ff.w2", _xavier(rng, cfg.ff_width, d))
-        add(f"layer{i}.ff.b2", np.zeros(d))
-        add(f"layer{i}.norm2.gain", np.ones(d))
-        add(f"layer{i}.norm2.bias", np.zeros(d))
-    add("classifier.w", _xavier(rng, d, cfg.num_classes))
-    add("classifier.b", np.zeros(cfg.num_classes))
+        layer = {
+            "attn.wq": (d, hd), "attn.wk": (d, hd), "attn.wv": (d, hd), "attn.wo": (hd, d),
+            "norm1.gain": (d,), "norm1.bias": (d,),
+            "ff.w1": (d, f), "ff.b1": (f,), "ff.w2": (f, d), "ff.b2": (d,),
+            "norm2.gain": (d,), "norm2.bias": (d,),
+        }
+        shapes.update({f"layer{i}.{name}": shape for name, shape in layer.items()})
+    shapes["classifier.w"] = (d, cfg.num_classes)
+    shapes["classifier.b"] = (cfg.num_classes,)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Named parameter tensors of :func:`param_shapes`, in its order (fixed RNG consumption).
+
+    Weight matrices are Xavier-normal, gains ones and biases zeros. A layer's
+    (d_model, d_k) head projections are drawn head after head, each head's q,
+    k, v in turn, and packed side by side into ``attn.wq``, ``attn.wk`` and
+    ``attn.wv``.
+    """
+    d, dk = cfg.d_model, cfg.d_model // cfg.heads
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(cfg, vocab_size).items():
+        kind = name.rpartition(".")[2]
+        if kind == "token":
+            data = rng.normal(0.0, 1.0 / math.sqrt(d), size=shape)
+        elif kind == "wq":  # draws the layer's wk and wv too
+            heads = [[_xavier(rng, d, dk) for _ in range(3)] for _ in range(cfg.heads)]
+            packed = {w: np.concatenate(ws, axis=-1) for w, ws in zip(("wq", "wk", "wv"), zip(*heads))}
+            data = packed[kind]
+        elif kind in ("wk", "wv"):
+            data = packed[kind]
+        elif kind == "gain":
+            data = np.ones(shape)
+        elif len(shape) == 1:
+            data = np.zeros(shape)
+        else:
+            data = _xavier(rng, *shape)
+        params[name] = ad.parameter(data, name)
     return params
 
 
@@ -388,7 +413,9 @@ def train(
 
     Fully deterministic under ``cfg.seed``: one RNG stream drives parameter
     initialization and dropout, a second (derived from the same seed) drives
-    the batch shuffle.
+    the batch shuffle. The dev batches are built once per call, from the dev
+    split in length order (see :func:`_forward_only_batches`); they only pick
+    the best epoch, so the order leaves the trained parameters unchanged.
     """
     cfg.validate()
     if not train_sentences or not dev_sentences:
@@ -406,15 +433,11 @@ def train(
         if s.label is not None and s.label not in classes:
             raise ConfigError(f"dev label {s.label!r} unseen in training data")
 
-    roles = cfg.mask_roles()
     train_batches = make_batches(
-        train_sentences, vocab, cfg.batch_size, cfg.max_len, roles,
+        train_sentences, vocab, cfg.batch_size, cfg.max_len, cfg.mask_roles(),
         seed=cfg.seed, shuffle=True, labels=classes,
     )
-    dev_batches = make_batches(
-        dev_sentences, vocab, cfg.batch_size, cfg.max_len, roles,
-        seed=cfg.seed, shuffle=False, labels=classes,
-    )
+    dev_batches = list(_forward_only_batches(dev_sentences, vocab, cfg, classes))
 
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, len(vocab), rng)
@@ -467,7 +490,25 @@ def train(
     )
 
 
-def _evaluate_batches(batches: list[Batch], params: dict[str, Tensor], cfg: ModelConfig) -> EvalMetrics:
+def _forward_only_batches(
+    sentences: list[Sentence], vocab: Vocabulary, cfg: ModelConfig, labels: dict[str, int]
+) -> Iterator[Batch]:
+    """Batches of ``sentences`` for a pass without gradients, in length order, built one at a time.
+
+    The stable sort by length puts sentences of similar length together, so
+    each batch, computed at its longest sentence, carries little padding. No
+    sentence's logits depend on its batch-mates and the metrics are sums over
+    sentences, so the order changes only the float rounding of the summed loss.
+    """
+    ordered = sorted(sentences, key=len)
+    for start in range(0, len(ordered), cfg.batch_size):
+        yield from make_batches(
+            ordered[start : start + cfg.batch_size], vocab, cfg.batch_size, cfg.max_len,
+            cfg.mask_roles(), shuffle=False, labels=labels,
+        )
+
+
+def _evaluate_batches(batches: Iterable[Batch], params: dict[str, Tensor], cfg: ModelConfig) -> EvalMetrics:
     total_loss, correct, total = 0.0, 0, 0
     for batch in batches:
         logits = forward_batch(batch, params, cfg, training=False)
@@ -486,7 +527,11 @@ def _evaluate_batches(batches: list[Batch], params: dict[str, Tensor], cfg: Mode
 
 
 def evaluate(ckpt: Checkpoint, sentences: list[Sentence]) -> EvalMetrics:
-    """Accuracy (%) and mean loss of a checkpoint on labeled sentences."""
+    """Accuracy (%) and mean loss of a checkpoint on labeled sentences.
+
+    The sentences run in length order, and the batches are built and
+    evaluated one at a time, so only one batch is held at once.
+    """
     cfg = ckpt.config
     recorded = ckpt.metadata.get("vocab_hash")
     if recorded is not None and vocabulary_hash(ckpt.vocab) != recorded:
@@ -495,8 +540,5 @@ def evaluate(ckpt: Checkpoint, sentences: list[Sentence]) -> EvalMetrics:
     for s in sentences:
         if s.label is not None and s.label not in classes:
             raise ConfigError(f"label {s.label!r} unknown to this checkpoint")
-    batches = make_batches(
-        sentences, ckpt.vocab, cfg.batch_size, cfg.max_len, cfg.mask_roles(),
-        seed=cfg.seed, shuffle=False, labels=classes,
-    )
+    batches = _forward_only_batches(sentences, ckpt.vocab, cfg, classes)
     return _evaluate_batches(batches, ckpt.param_tensors(), cfg)

@@ -211,6 +211,7 @@ def test_criterion_5_zero_influence_zero_gradient():
         assert np.any(v.grad[np.arange(n) != masked_key] != 0.0)
 
 
+@pytest.mark.slow
 def test_criterion_6_synthetic_directional_experiment(synthetic_report):
     with criterion(6, "RelPos-guided model learns the local-pattern task; its ablation hurts"):
         runs = {r.run_id: r for r in synthetic_report.runs}

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from guided_attention.checkpoint import MAGIC, MAGIC_V1, load_checkpoint, save_checkpoint
+from guided_attention.cli import main
 from guided_attention.corpus import build_vocab, load_corpus
 from guided_attention.errors import CheckpointError
 from guided_attention.model import EvalMetrics, evaluate, train
@@ -24,6 +25,17 @@ def resign(path, edit):
     header_bytes = json.dumps(edit(json.loads(body[start : start + header_len]))).encode("utf-8")
     body = body[: len(MAGIC)] + struct.pack("<Q", len(header_bytes)) + header_bytes + body[start + header_len :]
     path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def edit_entry(target, changes):
+    """A ``resign`` edit that updates the manifest entry of parameter ``target`` with ``changes``."""
+    def edit(header):
+        for entry in header["params"]:
+            if entry["name"] == target:
+                entry.update(changes)
+        return header
+
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +152,42 @@ class TestCheckpointFile:
         assert expected in blob
 
 
+class TestManifest:
+    """A checksum-valid file loads only with a valid config and exactly the parameters it implies."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (edit_entry("layer0.attn.wk", {"name": "layer0.attn.wx"}), "lacks parameter 'layer0.attn.wk'"),
+            (edit_entry("layer0.attn.wk", {"shape": [4, 16]}),
+             "'layer0.attn.wk' has shape \\[4, 16\\], expected \\[8, 8\\]"),
+            (lambda header: {**header, "params": [*header["params"], {"name": "layer0.attn.extra", "shape": [0]}]},
+             "unexpected parameter 'layer0.attn.extra'"),
+            (lambda header: {**header, "config": {**header["config"], "d_model": 9}},
+             "header 'config' is invalid: d_model 9 not divisible by 2 heads"),
+            (lambda header: {**header, "config": {**header["config"], "d_model": 8.0}},
+             "header 'config' is invalid: config key 'd_model' expects int, got 8.0"),
+        ],
+        ids=["renamed", "misshaped", "extra", "indivisible-heads", "float-d-model"],
+    )
+    def test_bad_manifest_rejected(self, trained, tmp_path, edit, message):
+        ckpt, _ = trained
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        resign(path, edit)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_eval_on_renamed_entry_is_one_error_line(self, trained, tmp_path, capsys):
+        ckpt, _ = trained
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        resign(path, edit_entry("layer0.attn.wk", {"name": "layer0.attn.wx"}))
+        assert main(["eval", "--ckpt", str(path), "--data", str(FIXTURES / "twenty.conllu")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: checkpoint lacks parameter 'layer0.attn.wk'"
+
+
 class TestPerHeadCheckpoint:
     """``gdattn01.ckpt`` was written by the per-head format: 1 layer, 6 heads, d_model 12,
     1 epoch on ``twenty.conllu`` (train and dev), seed 0."""
@@ -168,16 +216,6 @@ class TestPerHeadCheckpoint:
         for name in ckpt.params:
             npt.assert_array_equal(again.params[name], ckpt.params[name])
 
-    @staticmethod
-    def _edit_entry(target, changes):
-        def edit(header):
-            for entry in header["params"]:
-                if entry["name"] == target:
-                    entry.update(changes)
-            return header
-
-        return edit
-
     @pytest.mark.parametrize(
         "changes, message",
         [
@@ -189,6 +227,6 @@ class TestPerHeadCheckpoint:
     def test_bad_head_entry_rejected(self, tmp_path, changes, message):
         path = tmp_path / "old.ckpt"
         path.write_bytes(self.FIXTURE.read_bytes())
-        resign(path, self._edit_entry("layer0.head3.wk", changes))
+        resign(path, edit_entry("layer0.head3.wk", changes))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)

@@ -1,8 +1,12 @@
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guided_attention
 import guided_attention.autodiff as ad
@@ -22,6 +26,7 @@ from guided_attention.model import (
     forward_stages,
     format_config,
     init_params,
+    param_shapes,
     parse_config,
     sinusoidal_encoding,
     train,
@@ -127,6 +132,12 @@ class TestParams:
         for j, name in enumerate(("wq", "wk", "wv")):
             npt.assert_array_equal(params[f"layer0.attn.{name}"].data, np.concatenate(draws[j::3], axis=-1))
         npt.assert_array_equal(params["layer0.attn.wo"].data, rng.normal(0.0, math.sqrt(2.0 / 96), size=(48, 48)))
+
+    def test_shape_table_matches_initial_values(self):
+        cfg = ModelConfig(layers=2, num_classes=3)
+        params = init_params(cfg, 10, np.random.default_rng(0))
+        assert {name: p.shape for name, p in params.items()} == param_shapes(cfg, 10)
+        assert list(params) == list(param_shapes(cfg, 10))
 
     def test_default_model_tensor_count(self):
         # embed.token; per layer wq, wk, wv, wo, two norms, four feed-forward; classifier w and b
@@ -279,6 +290,24 @@ class TestBatchCrop:
             reference = np.random.default_rng(11)
             reference.random(count)
             assert rng.bit_generator.state == reference.bit_generator.state, sent_ids
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.permutations(range(20)),
+        size=st.integers(min_value=1, max_value=20),
+        batch_size=st.integers(min_value=1, max_value=8),
+    )
+    def test_logits_equal_those_of_a_batch_of_one(self, twenty, twenty_vocab, order, size, batch_size):
+        cfg = replace(self.CFG, dropout=0.0)
+        params = init_params(cfg, len(twenty_vocab), np.random.default_rng(cfg.seed))
+        chosen = [twenty[i] for i in order[:size]]
+
+        def logits(sentences, width):
+            batches = make_batches(sentences, twenty_vocab, width, cfg.max_len, cfg.mask_roles(), shuffle=False)
+            return np.concatenate([forward_batch(batch, params, cfg).data for batch in batches])
+
+        alone = np.concatenate([logits([s], 1) for s in chosen])
+        npt.assert_allclose(logits(chosen, batch_size), alone, rtol=0, atol=1e-12)
 
 
 class TestEndToEndGradients:
@@ -457,6 +486,96 @@ class TestEvaluate:
         ckpt = train(TINY, data, data)
         ckpt.vocab = build_vocab([sent(["other", "words"])])
         with pytest.raises(ConfigError):
+            evaluate(ckpt, data)
+
+
+class TestLengthOrder:
+    """Forward-only passes run their sentences in length order; ``evaluate`` builds one batch at a time."""
+
+    CFG = ModelConfig(
+        layers=1, guided_roles=GUIDED_ROLES, extra_regular_heads=1, d_model=12, ff_width=16,
+        dropout=0.1, learning_rate=0.01, epochs=3, seed=2, max_len=11, num_classes=2, batch_size=4,
+    )
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, twenty):
+        return train(self.CFG, twenty, twenty)
+
+    @staticmethod
+    def shuffled(sentences, seed=5):
+        copy = list(sentences)
+        random.Random(seed).shuffle(copy)
+        return copy
+
+    def test_evaluate_builds_and_runs_one_sorted_chunk_at_a_time(self, ckpt, twenty, monkeypatch):
+        import guided_attention.model as model_module
+
+        events = []
+        make, forward = model_module.make_batches, model_module.forward_batch
+
+        def make_spy(sentences, *args, **kwargs):
+            events.append([len(s) for s in sentences])
+            return make(sentences, *args, **kwargs)
+
+        def forward_spy(*args, **kwargs):
+            events.append("forward")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "make_batches", make_spy)
+        monkeypatch.setattr(model_module, "forward_batch", forward_spy)
+        evaluate(ckpt, self.shuffled(twenty))
+        built = [lengths for lengths in events if lengths != "forward"]
+        # Each chunk is evaluated before the next is built.
+        assert events == [e for lengths in built for e in (lengths, "forward")]
+        assert [len(lengths) for lengths in built] == [4] * 5
+        flat = [n for lengths in built for n in lengths]
+        assert flat == sorted(len(s) for s in twenty)
+
+    def test_evaluate_does_not_depend_on_input_order(self, ckpt, twenty):
+        from guided_attention.model import _evaluate_batches
+
+        cfg = ckpt.config
+        classes = {name: i for i, name in enumerate(ckpt.class_names)}
+        in_input_order = _evaluate_batches(
+            make_batches(twenty, ckpt.vocab, cfg.batch_size, cfg.max_len, cfg.mask_roles(),
+                         shuffle=False, labels=classes),
+            ckpt.param_tensors(), cfg,
+        )
+        for sentences in (twenty, self.shuffled(twenty)):
+            metrics = evaluate(ckpt, sentences)
+            assert (metrics.correct, metrics.total, metrics.accuracy) == (
+                in_input_order.correct, in_input_order.total, in_input_order.accuracy
+            )
+            npt.assert_allclose(metrics.loss, in_input_order.loss, rtol=0, atol=1e-12)
+
+    def test_dev_order_does_not_move_training(self, ckpt, twenty):
+        again = train(self.CFG, twenty, self.shuffled(twenty))
+        assert list(again.params) == list(ckpt.params)
+        for name in ckpt.params:
+            npt.assert_array_equal(again.params[name], ckpt.params[name])
+        history, other = ckpt.metadata["history"], again.metadata["history"]
+        assert [row["dev_acc"] for row in other] == [row["dev_acc"] for row in history]
+        assert [row["train_loss"] for row in other] == [row["train_loss"] for row in history]
+        npt.assert_allclose([row["dev_loss"] for row in other], [row["dev_loss"] for row in history],
+                            rtol=0, atol=1e-12)
+
+    def test_dev_batches_built_once_per_call(self, twenty, monkeypatch):
+        import guided_attention.model as model_module
+
+        calls = []
+        make = model_module.make_batches
+
+        def spy(sentences, *args, **kwargs):
+            calls.append(len(sentences))
+            return make(sentences, *args, **kwargs)
+
+        monkeypatch.setattr(model_module, "make_batches", spy)
+        train(self.CFG, twenty, twenty[:10])
+        assert calls == [20, 4, 4, 2]  # the training split, then the dev split in chunks, for all 3 epochs
+
+    @pytest.mark.parametrize("data", [[], [sent(["a", "b"]), sent(["c"])]], ids=["empty", "unlabeled"])
+    def test_evaluate_without_labels_rejected(self, ckpt, data):
+        with pytest.raises(ConfigError, match="evaluation data carries no labels"):
             evaluate(ckpt, data)
 
 
