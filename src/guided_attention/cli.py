@@ -25,6 +25,7 @@ from .harness import (
     ExperimentSpec,
     ablation_rows_csv,
     emit_metrics,
+    reject_repeats,
     result_rows_csv,
     run_ablation,
     run_grid,
@@ -116,6 +117,7 @@ def _role_list(flag: str, raw: str) -> tuple[str, ...]:
     for role in roles:
         if role not in GUIDED_ROLES:
             raise ConfigError(f"{flag}: unknown role {role!r}; expected subset of {GUIDED_ROLES}")
+    reject_repeats(flag, roles)
     return roles
 
 
@@ -288,27 +290,27 @@ def _int_list(flag: str, raw: str) -> tuple[int, ...]:
                 values.append(int(item))
             except ValueError:
                 raise ConfigError(f"{flag} expects comma-separated integers, got {item!r} in {raw!r}") from None
+    reject_repeats(flag, values)
     return tuple(values)
+
+
+def _spec(args, cfg: ModelConfig, **fields) -> ExperimentSpec:
+    """The grid or ablation of ``args``; the splits are read last, once every flag has been checked."""
+    seeds = _int_list("--seeds", args.seeds)
+    out = _out_dir(args)
+    return ExperimentSpec(
+        datasets=[_splits(args, cfg.guided_roles)], base_config=cfg, roles=cfg.guided_roles,
+        seeds=seeds, out_dir=out, jobs=args.jobs, **fields,
+    )
 
 
 def cmd_grid(args) -> int:
     cfg = _resolve_config(args, _roles(args))
     layers_grid = _int_list("--layers", args.layers)
     extra_heads_grid = _int_list("--extra-heads", args.extra_heads)
-    seeds = _int_list("--seeds", args.seeds)
-    out = _out_dir(args)
-    spec = ExperimentSpec(
-        datasets=[_splits(args, cfg.guided_roles)],
-        base_config=cfg,
-        layers_grid=layers_grid,
-        extra_heads_grid=extra_heads_grid,
-        roles=cfg.guided_roles,
-        seeds=seeds,
-        out_dir=out,
-        jobs=args.jobs,
-    )
+    spec = _spec(args, cfg, layers_grid=layers_grid, extra_heads_grid=extra_heads_grid)
     report = run_grid(spec, save_ckpts=True)
-    emit_metrics(out, grid_rows=report.rows)
+    emit_metrics(spec.out_dir, grid_rows=report.rows)
     _print_grid(report, args.format)
     return 0
 
@@ -326,23 +328,13 @@ def _print_grid(report, fmt: str) -> None:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args, _roles(args))
-    seeds = _int_list("--seeds", args.seeds)
     ablate_roles = _role_list("--ablate", args.ablate) if args.ablate else None
-    out = _out_dir(args)
-    spec = ExperimentSpec(
-        datasets=[_splits(args, cfg.guided_roles)],
-        base_config=cfg,
-        layers_grid=(cfg.layers,),
-        extra_heads_grid=(cfg.extra_regular_heads,),
-        roles=cfg.guided_roles,
-        seeds=seeds,
-        ablate_roles=ablate_roles,
-        include_baseline=not args.no_baseline,
-        out_dir=out,
-        jobs=args.jobs,
+    spec = _spec(
+        args, cfg, layers_grid=(cfg.layers,), extra_heads_grid=(cfg.extra_regular_heads,),
+        ablate_roles=ablate_roles, include_baseline=not args.no_baseline,
     )
     report = run_ablation(spec)
-    emit_metrics(out, grid_rows=report.runs, ablation=report)
+    emit_metrics(spec.out_dir, grid_rows=report.runs, ablation=report)
     if args.format == "csv":
         sys.stdout.write(ablation_rows_csv(report.rows))
     else:

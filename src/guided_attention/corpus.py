@@ -289,7 +289,7 @@ def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
     :func:`masks.rare_columns` on a batch of this one sentence.
     """
     valid = np.ones((1, len(sentence)), dtype=bool)
-    return set(np.flatnonzero(masks_mod.rare_columns([sentence], vocab, valid)[0]).tolist())
+    return set(np.flatnonzero(masks_mod.rare_columns(sentence.tokens, vocab, valid)[0]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +303,8 @@ class Batch:
 
     ``pad_mask`` opens exactly the valid key columns; each role mask is that
     grid with the role's sentence-length mask in its top-left ``n x n`` block.
-    Each grid is built for the whole batch in one vectorised pass by
-    ``masks.build_batch_mask``; ``pad_mask`` is the ``padding`` role's.
+    One ``masks.build_batch_masks`` call builds every grid of a batch;
+    ``pad_mask`` is the ``padding`` role's (shared with a ``padding`` head).
     Arrays are padded to ``max_len``; ``model.forward_stages`` computes on
     :meth:`cropped`, which cuts them to the batch's longest sentence. Its
     dropout still draws at ``max_len`` and keeps the cropped block, so a
@@ -367,8 +367,8 @@ def make_batches(
 ) -> list[Batch]:
     """Assemble padded batches with each role's mask placed into the padding grid.
 
-    Per batch, the token loop only gathers ids and labels; each role's masks
-    come from one ``masks.build_batch_mask`` call on the whole chunk.
+    Per batch, the token loop only gathers ids and labels; all the masks
+    come from one ``masks.build_batch_masks`` call on the whole chunk.
     """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
@@ -393,12 +393,13 @@ def make_batches(
                     )
                 label_arr[row] = labels[sentence.label]
             sent_ids.append(sentence.sent_id or str(start + row))
+        grids = masks_mod.build_batch_masks((*roles, masks_mod.ROLE_PADDING), chunk, vocab, max_len)
         batches.append(
             Batch(
                 token_ids=ids,
                 lengths=np.array([len(sentence) for sentence in chunk], dtype=np.int64),
-                role_masks={role: masks_mod.build_batch_mask(role, chunk, vocab, max_len) for role in roles},
-                pad_mask=masks_mod.build_batch_mask(masks_mod.ROLE_PADDING, chunk, vocab, max_len),
+                role_masks={role: grids[role] for role in roles},
+                pad_mask=grids[masks_mod.ROLE_PADDING],
                 labels=label_arr,
                 sent_ids=sent_ids,
             )

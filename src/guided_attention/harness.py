@@ -48,6 +48,13 @@ class DatasetSplits:
     test: list[Sentence]
 
 
+def reject_repeats(what: str, values) -> None:
+    """Raise :class:`ConfigError` naming the first value that ``values`` repeats."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{what}: {value!r} given twice")
+
+
 @dataclass
 class ExperimentSpec:
     datasets: list[DatasetSplits]
@@ -68,6 +75,9 @@ class ExperimentSpec:
             raise ConfigError("configuration grid must be non-empty")
         if not self.seeds:
             raise ConfigError("at least one seed (repetition) is required")
+        # A repeated grid value or seed trains a run twice; a repeated ablated role counts its drops twice.
+        for name in ("layers_grid", "extra_heads_grid", "seeds", "ablate_roles"):
+            reject_repeats(name, getattr(self, name) or ())
         for role in self.ablate_roles or ():
             if role not in self.roles:
                 raise ConfigError(f"cannot ablate disabled role {role!r}")
@@ -303,39 +313,34 @@ def _fmt(value, places: int = 6) -> str:
     return f"{value:.{places}f}"
 
 
-def result_rows_csv(rows: list[RunResult]) -> str:
+def _csv(columns: tuple[str, ...], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.run_id, r.dataset, r.config.layers, r.config.heads, r.config.guided_heads,
-                "+".join(r.config.guided_roles), r.seed, _fmt(r.dev_acc), _fmt(r.test_acc),
-                r.config.epochs, _fmt(r.wall_seconds, 3),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def result_rows_csv(rows: list[RunResult]) -> str:
+    return _csv(RESULT_COLUMNS, (
+        [
+            r.run_id, r.dataset, r.config.layers, r.config.heads, r.config.guided_heads,
+            "+".join(r.config.guided_roles), r.seed, _fmt(r.dev_acc), _fmt(r.test_acc),
+            r.config.epochs, _fmt(r.wall_seconds, 3),
+        ]
+        for r in rows
+    ))
 
 
 def ablation_rows_csv(rows: list[AblationRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ABLATION_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [r.role, r.dataset, r.seed, _fmt(r.full_acc), _fmt(r.ablated_acc), _fmt(r.drop)]
-        )
-    return buf.getvalue()
+    return _csv(
+        ABLATION_COLUMNS,
+        ([r.role, r.dataset, r.seed, _fmt(r.full_acc), _fmt(r.ablated_acc), _fmt(r.drop)] for r in rows),
+    )
 
 
 def ablation_summary_csv(report: AblationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for role, mean_drop, std_drop in report.per_role():
-        writer.writerow([role, _fmt(mean_drop), _fmt(std_drop)])
-    return buf.getvalue()
+    return _csv(SUMMARY_COLUMNS, ([role, _fmt(mean), _fmt(std)] for role, mean, std in report.per_role()))
 
 
 def emit_metrics(
@@ -346,16 +351,12 @@ def emit_metrics(
     """Write result tables as CSV files; re-emission is byte-identical."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    tables = {}
     if grid_rows is not None:
-        path = out_dir / "results.csv"
-        path.write_text(result_rows_csv(grid_rows), encoding="utf-8")
-        written.append(path)
+        tables["results.csv"] = result_rows_csv(grid_rows)
     if ablation is not None:
-        path = out_dir / "ablation.csv"
-        path.write_text(ablation_rows_csv(ablation.rows), encoding="utf-8")
-        written.append(path)
-        path = out_dir / "ablation_summary.csv"
-        path.write_text(ablation_summary_csv(ablation), encoding="utf-8")
-        written.append(path)
-    return written
+        tables["ablation.csv"] = ablation_rows_csv(ablation.rows)
+        tables["ablation_summary.csv"] = ablation_summary_csv(ablation)
+    for name, text in tables.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
+    return [out_dir / name for name in tables]

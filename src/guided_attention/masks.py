@@ -10,13 +10,13 @@ Every mask is a float64 grid whose entries are exactly 0.0 (attend) or
 * ``relpos`` - a centered window of size 3 (self and both neighbours),
 * ``padding`` - no restriction (opens everything).
 
-:func:`build_batch_mask` builds one role's masks for a whole batch in one
-vectorised pass: the role's pattern as a boolean array at the batch's
-longest sentence, cut to each sentence's valid positions and placed into
-the padding grid, whose padded query rows keep the valid key columns open.
-A valid query row that ends up fully masked would make softmax undefined,
-so :func:`apply_fallback` opens its diagonal. :func:`build_role_mask` is
-the same pass on a batch of one sentence, at the sentence's own length.
+:func:`build_batch_masks` builds every role's masks for a whole batch in
+one pass over a shared padding grid, which opens the valid key columns on
+every row. Each role's pattern is a boolean block at the batch's longest
+sentence; a valid query row left with no open key would make softmax
+undefined, so :func:`apply_fallback` opens its diagonal, and only the block
+is written into a copy of the padding grid. :func:`build_role_mask` is the
+same pass on a batch of one sentence, at the sentence's own length.
 """
 
 from __future__ import annotations
@@ -92,21 +92,23 @@ def relative_position_mask(n: int) -> RoleMask:
 
 
 def apply_fallback(mask: RoleMask, n_valid) -> RoleMask:
-    """Give every fully-masked valid query row a diagonal self-attention zero.
+    """A new mask in which every fully-closed valid query row opens its diagonal.
 
-    ``mask.values`` is ``(..., n, n)``; ``n_valid`` counts the valid rows of
-    each grid, as one int or an array over the leading axes. Returns a new
-    mask; ``mask`` is left as it is.
+    ``mask.values`` is ``(..., n, n)``, open where True if boolean and where
+    0.0 if float; ``n_valid`` counts each grid's valid rows, as one int or an
+    array over the leading axes. ``mask`` is left as it is.
     """
     values = mask.values.copy()
+    boolean = values.dtype == bool
+    is_open = values if boolean else values == 0.0
     valid_rows = np.arange(values.shape[-1]) < np.asarray(n_valid)[..., None]
-    *grid, rows = np.nonzero(valid_rows & ~(values == 0.0).any(axis=-1))
-    values[(*grid, rows, rows)] = 0.0
+    *grid, rows = np.nonzero(valid_rows & ~is_open.any(axis=-1))
+    values[(*grid, rows, rows)] = True if boolean else 0.0
     return RoleMask(mask.role, values)
 
 
-def build_batch_mask(role: str, sentences, vocab, width: int) -> np.ndarray:
-    """One role's ``(B, width, width)`` masks for a batch of truncated sentences.
+def build_batch_masks(roles, sentences, vocab, width: int) -> dict[str, np.ndarray]:
+    """Each role's ``(B, width, width)`` masks for a batch of truncated sentences.
 
     For row ``b`` with ``n_b`` tokens, a valid query row (``i < n_b``) opens
     the role's keys among the valid columns, or its diagonal if there are
@@ -118,12 +120,20 @@ def build_batch_mask(role: str, sentences, vocab, width: int) -> np.ndarray:
     if n > width:
         raise ShapeMismatchError(f"a {n}-token sentence does not fit a mask of width {width}")
     valid = np.arange(width) < lengths[:, None]  # (B, width) valid key columns
-    allow = _pattern(role, sentences, vocab, valid[:, :n])
-    grid = np.repeat(valid[:, None, :], width, axis=1)
-    grid[:, :n, :n] &= allow | ~valid[:, :n, None]
-    out = np.where(grid, 0.0, NEG_INF)
-    # Only the (n, n) block holds valid rows, so only it can need the fallback.
-    out[:, :n, :n] = apply_fallback(RoleMask(role, out[:, :n, :n]), lengths).values
+    padding = np.repeat(np.where(valid, 0.0, NEG_INF)[:, None, :], width, axis=1)
+    tokens = [t for s in sentences for t in s.tokens]  # one per True of valid, in row order
+    key_valid, row_padded = valid[:, None, :n], ~valid[:, :n, None]
+    out = {}
+    for role in roles:
+        if role == ROLE_PADDING:
+            out[role] = padding
+            continue
+        # Past n every row and column is padded: only the (n, n) block can differ.
+        block = key_valid & (_pattern(role, tokens, vocab, valid[:, :n]) | row_padded)
+        block = apply_fallback(RoleMask(role, block), lengths).values
+        grid = padding.copy()
+        grid[:, :n, :n] = np.where(block, 0.0, NEG_INF)
+        out[role] = grid
     return out
 
 
@@ -134,53 +144,51 @@ def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
     into a padded grid it leaves that grid's padding mask as it is, which is
     how an ablated head is given "just the padding mask".
     """
-    return RoleMask(role, build_batch_mask(role, [sentence], vocab, len(sentence))[0])
+    return RoleMask(role, build_batch_masks((role,), [sentence], vocab, len(sentence))[role][0])
 
 
-def _pattern(role: str, sentences, vocab, valid: np.ndarray) -> np.ndarray:
-    """The role's open (query, key) pairs, broadcastable to ``(B, n, n)``.
+def _pattern(role: str, tokens, vocab, valid: np.ndarray) -> np.ndarray:
+    """A guided role's open (query, key) pairs, broadcastable to ``(B, n, n)``.
 
-    ``valid`` is the ``(B, n)`` grid of token positions at the batch's
-    longest sentence; pairs outside it may be open and are cut later.
+    ``tokens`` holds one token per True of ``valid``, the ``(B, n)`` grid of
+    token positions, in row order; pairs outside ``valid`` are cut later.
     """
-    n = valid.shape[1]
     if role == ROLE_RARE_WORDS:
         if vocab is None:
             raise ShapeMismatchError("rare-words mask needs a vocabulary")
-        return rare_columns(sentences, vocab, valid)[:, None, :]
+        return rare_columns(tokens, vocab, valid)[:, None, :]
     if role == ROLE_SEPARATOR:
-        return _per_token(sentences, valid, lambda t: t.form in SEPARATOR_FORMS, False)[:, None, :]
+        return _scatter(valid, [t.form in SEPARATOR_FORMS for t in tokens], False)[:, None, :]
     if role == ROLE_DEP_SYNTAX:
-        return _edges(sentences, n, None)
+        return _edges(valid, [t.head or 0 for t in tokens])
     if role == ROLE_MAJOR_RELATIONS:
-        return _edges(sentences, n, MAJOR_RELATIONS)
+        return _edges(valid, [(t.head or 0) if t.deprel in MAJOR_RELATIONS else 0 for t in tokens])
     if role == ROLE_RELATIVE_POSITION:
-        return _band(n)
-    if role == ROLE_PADDING:
-        return np.ones((n, n), dtype=bool)
+        return _band(valid.shape[1])
     raise ShapeMismatchError(f"unknown role {role!r}; expected one of {ALL_ROLES}")
 
 
-def _per_token(sentences, valid: np.ndarray, value, fill) -> np.ndarray:
-    """``value(token)`` at each valid position of ``valid``, ``fill`` elsewhere."""
+def _scatter(valid: np.ndarray, values: list, fill) -> np.ndarray:
+    """``values`` at the True positions of ``valid``, in row order; ``fill`` elsewhere."""
     out = np.full(valid.shape, fill)
-    out[valid] = [value(t) for s in sentences for t in s.tokens]
+    out[valid] = values
     return out
 
 
-def rare_columns(sentences, vocab, valid: np.ndarray) -> np.ndarray:
+def rare_columns(tokens, vocab, valid: np.ndarray) -> np.ndarray:
     """Each row's top-10%-IDF positions; a stable sort sends ties to the earlier position.
 
-    ``valid`` is the ``(B, n)`` grid of token positions; the result is a
-    boolean grid of the same shape. This is the one home of the rare-token
-    rule: ``corpus.rare_token_indices`` is it on one sentence.
+    ``tokens`` holds one token per True of ``valid``, the ``(B, n)`` grid of
+    token positions, in row order; the result is a boolean grid shaped like
+    ``valid``. This is the one home of the rare-token rule:
+    ``corpus.rare_token_indices`` is it on one sentence.
 
     IDF = log(total_docs / df) falls strictly as df rises, so ranking by df
     ascending ranks by IDF descending, ties included, with no log per token.
     """
     from .corpus import rare_token_count
 
-    df = _per_token(sentences, valid, lambda t: vocab.df(t.form), vocab.total_docs + 1)
+    df = _scatter(valid, [vocab.df(t.form) for t in tokens], vocab.total_docs + 1)
     order = np.argsort(df, axis=1, kind="stable")
     ranked_in = np.arange(valid.shape[1]) < rare_token_count(valid.sum(axis=1))[:, None]
     picked = np.zeros_like(valid)
@@ -188,19 +196,16 @@ def rare_columns(sentences, vocab, valid: np.ndarray) -> np.ndarray:
     return picked
 
 
-def _edges(sentences, n: int, relations: frozenset[str] | None) -> np.ndarray:
-    """Scatter each (row, dependent, head) parse edge in both directions.
+def _edges(valid: np.ndarray, heads: list[int]) -> np.ndarray:
+    """Open each token's parse edge to its 1-based head, in both directions.
 
-    Unparsed tokens and edges to the virtual root (head 0) open nothing.
+    ``heads`` holds one head per True of ``valid``; a head of 0 (the
+    virtual root, an unparsed token or a filtered-out relation) opens nothing.
     """
-    edges = [
-        (row, t.index - 1, t.head - 1)
-        for row, s in enumerate(sentences)
-        for t in s.tokens
-        if t.head and (relations is None or (t.deprel or "") in relations)
-    ]
-    rows, dependents, heads = np.array(edges, dtype=np.intp).reshape(-1, 3).T
-    allow = np.zeros((len(sentences), n, n), dtype=bool)
+    head_of = _scatter(valid, heads, 0)
+    rows, dependents = np.nonzero(head_of)
+    heads = head_of[rows, dependents] - 1
+    allow = np.zeros((*valid.shape, valid.shape[1]), dtype=bool)
     allow[rows, dependents, heads] = True
     allow[rows, heads, dependents] = True
     return allow

@@ -14,6 +14,14 @@ from guided_attention.autodiff import Tensor
 
 NEG_INF = float("-inf")
 
+# Hand-counted token counts of tests/fixtures/twenty.conllu, by sent_id.
+TWENTY_TOKEN_COUNTS = {
+    "s01": 3, "s02": 6, "s03": 5, "s04": 4, "s05": 2,
+    "s06": 7, "s07": 8, "s08": 1, "s09": 6, "s10": 7,
+    "s11": 6, "s12": 7, "s13": 8, "s14": 5, "s15": 11,
+    "s16": 6, "s17": 7, "s18": 8, "s19": 10, "s20": 8,
+}
+
 
 def matmul_naive(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows, inner = a.shape

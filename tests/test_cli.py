@@ -308,6 +308,24 @@ class TestNonNumericValues:
         assert last == "error: config key 'epochs' expects int, got 'ten'"
 
 
+class TestRepeatedValues:
+    @pytest.mark.parametrize(
+        "command, extra, named",
+        [
+            ("grid", ["--layers", "1,2,1,2"], "--layers: 1 given twice"),
+            ("grid", ["--extra-heads", "0,0"], "--extra-heads: 0 given twice"),
+            ("grid", ["--seeds", "3,4,4"], "--seeds: 4 given twice"),
+            ("ablate", ["--seeds", "0,0"], "--seeds: 0 given twice"),
+            ("ablate", ["--ablate", "relpos,seprat,relpos"], "--ablate: 'relpos' given twice"),
+        ],
+        ids=["grid-layers", "grid-extra-heads", "grid-seeds", "ablate-seeds", "ablate-roles"],
+    )
+    def test_repeat_rejected_before_any_corpus_loads(self, toy_files, tmp_path, capsys, command, extra, named):
+        line = TestNonNumericValues._error_line(capsys, toy_files, tmp_path, command, toy_files["config"], extra)
+        assert line == f"error: {named}"
+        assert not (tmp_path / "out").exists()
+
+
 class TestEntryPoint:
     def test_console_script_or_module(self, tmp_path):
         exe = shutil.which("guided-attn")

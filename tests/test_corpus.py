@@ -1,10 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import TWENTY_TOKEN_COUNTS
 from guided_attention.corpus import (
     Sentence,
     Token,
@@ -25,7 +25,7 @@ from guided_attention.corpus import (
 from guided_attention.errors import ConlluError, ShapeMismatchError
 from guided_attention import masks as masks_mod
 from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask
-from oracles import rare_columns_bruteforce
+from oracles import TWENTY_TOKEN_COUNTS, rare_columns_bruteforce
 
 
 def sent(forms, label=None):
@@ -280,6 +280,27 @@ class TestBatchMaskLayout:
                 expected = batch.pad_mask[row].copy()
                 expected[:n, :n] = build_role_mask(role, cut, twenty_vocab).values
                 npt.assert_array_equal(batch.role_masks[role][row], expected)
+
+    def test_batch_bytes_match_the_golden_digest(self, twenty, twenty_vocab):
+        """SHA-256 of every array ``make_batches`` returns on the fixture, pinned as a literal.
+
+        The per-sentence reference in ``oracles`` follows the builder's
+        layout, so a change that moved both would pass that comparison but
+        not this one.
+        """
+        digest = hashlib.sha256()
+        for max_len in (8, 11):
+            for shuffle in (True, False):
+                batches = make_batches(
+                    twenty, twenty_vocab, 8, max_len, ALL_ROLES, seed=3, shuffle=shuffle, labels=label_index(twenty)
+                )
+                for batch in batches:
+                    arrays = (batch.token_ids, batch.lengths, batch.labels, batch.pad_mask)
+                    for array in (*arrays, *(batch.role_masks[role] for role in ALL_ROLES)):
+                        digest.update(f"{array.dtype}{array.shape}".encode())
+                        digest.update(array.tobytes())
+                    digest.update(",".join(batch.sent_ids).encode())
+        assert digest.hexdigest() == "ae509d741f825f03a991a1bb26e11d6ed4a013192ed0da84a5b6d99ee4a7ed23"
 
     def test_masks_built_per_batch_not_per_sentence(self, twenty, twenty_vocab, monkeypatch):
         def per_sentence(*args, **kwargs):

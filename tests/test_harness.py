@@ -84,6 +84,19 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             run_grid(tiny_spec(splits, layers_grid=()))
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(layers_grid=(1, 2, 1, 2)), "layers_grid: 1 given twice"),
+            (dict(extra_heads_grid=(1, 1)), "extra_heads_grid: 1 given twice"),
+            (dict(seeds=(0, 1, 1)), "seeds: 1 given twice"),
+        ],
+    )
+    def test_repeated_grid_value_rejected(self, splits, monkeypatch, overrides, named):
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("a run was started"))
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            run_grid(tiny_spec(splits, **overrides))
+
 
 class TestRunSingle:
     def test_manifest_written(self, splits, tmp_path):
@@ -100,6 +113,18 @@ class TestAblation:
         assert ablated_roles(roles, "seprat") == ("rarew", "padding", "relpos")
         with pytest.raises(ConfigError):
             ablated_roles(roles, "depsyn")
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(seeds=(0, 0)), "seeds: 0 given twice"),
+            (dict(roles=("seprat", "relpos"), ablate_roles=("relpos", "seprat", "relpos")), "ablate_roles: 'relpos' given twice"),
+        ],
+    )
+    def test_repeated_seed_or_role_rejected(self, splits, monkeypatch, overrides, named):
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("a run was started"))
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            run_ablation(tiny_spec(splits, **overrides))
 
     def test_report_structure(self, splits):
         spec = tiny_spec(splits, seeds=(0, 1), include_baseline=True)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
+from guided_attention import masks as masks_mod
 from guided_attention.errors import ShapeMismatchError
 from guided_attention.masks import (
     ALL_ROLES,
@@ -251,6 +252,26 @@ class TestFallbackAndCombine:
         assert out is not mask and out.values is not values
         assert np.all(values == NEG_INF)
         assert mask_zero_pairs(out.values[1]) == {(0, 0), (1, 1)}
+
+    @pytest.mark.parametrize("open_value, closed_value", [(True, False), (0.0, NEG_INF)], ids=["bool", "float"])
+    def test_boolean_and_float_values(self, open_value, closed_value):
+        values = np.full((2, 3, 3), closed_value)
+        values[0, 0, 1] = open_value  # a valid row that is already open
+        values[1, 2, 0] = open_value  # a padded row of the second grid, which has one valid row
+        before = values.copy()
+        out = apply_fallback(RoleMask("depsyn", values), np.array([3, 1]))
+        assert out.values.dtype == values.dtype
+        npt.assert_array_equal(values, before)
+        opened = [{(int(i), int(j)) for i, j in zip(*np.nonzero(grid == open_value))} for grid in out.values]
+        assert opened == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
+        assert np.all((out.values == open_value) | (out.values == closed_value))
+
+    def test_batches_get_the_fallback_only_from_apply_fallback(self, monkeypatch):
+        monkeypatch.setattr(masks_mod, "apply_fallback", lambda mask, n_valid: mask)
+        batch, _ = batch_of([sent(["no", "parse", "here"])], 4, ("depsyn",))
+        opened = batch.role_masks["depsyn"][0] == 0.0
+        assert not opened[:3].any()
+        assert opened[3, :3].all() and not opened[3, 3]
 
     def test_all_zero_pad_is_identity(self):
         batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
