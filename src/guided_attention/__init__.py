@@ -29,6 +29,7 @@ from .errors import (
     ConlluError,
     DegenerateRowError,
     GuidedAttentionError,
+    MissingGradientError,
     ShapeMismatchError,
     TrainingDivergedError,
 )
@@ -50,8 +51,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AblationReport", "Batch", "Checkpoint", "CheckpointError", "ConfigError",
     "ConlluError", "DatasetSplits", "DegenerateRowError", "EvalMetrics",
-    "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "ModelConfig",
-    "RoleMask", "Sentence", "ShapeMismatchError", "Tensor", "Token",
+    "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "MissingGradientError",
+    "ModelConfig", "RoleMask", "Sentence", "ShapeMismatchError", "Tensor", "Token",
     "TrainingDivergedError", "Vocabulary", "apply_fallback", "backward",
     "build_vocab", "dep_syntax_mask", "emit_metrics", "evaluate",
     "load_checkpoint", "load_corpus", "major_relations_mask", "make_batches",

@@ -24,6 +24,7 @@ from .harness import (
     DatasetSplits,
     ExperimentSpec,
     ablation_rows_csv,
+    check_jobs,
     emit_metrics,
     reject_repeats,
     result_rows_csv,
@@ -296,6 +297,7 @@ def _int_list(flag: str, raw: str) -> tuple[int, ...]:
 
 def _spec(args, cfg: ModelConfig, **fields) -> ExperimentSpec:
     """The grid or ablation of ``args``; the splits are read last, once every flag has been checked."""
+    check_jobs("--jobs", args.jobs)
     seeds = _int_list("--seeds", args.seeds)
     out = _out_dir(args)
     return ExperimentSpec(

@@ -367,8 +367,10 @@ def make_batches(
 ) -> list[Batch]:
     """Assemble padded batches with each role's mask placed into the padding grid.
 
-    Per batch, the token loop only gathers ids and labels; all the masks
-    come from one ``masks.build_batch_masks`` call on the whole chunk.
+    Per batch, the batch's token ids are looked up in one pass and scattered
+    through its ``(B, max_len)`` validity grid, the sentence loop only gathers
+    labels, and all the masks come from one ``masks.build_batch_masks`` call
+    on the whole chunk.
     """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
@@ -381,11 +383,13 @@ def make_batches(
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
         b = len(chunk)
+        lengths = np.array([len(sentence) for sentence in chunk], dtype=np.int64)
         ids = np.full((b, max_len), PAD_ID, dtype=np.int64)
+        valid = np.arange(max_len) < lengths[:, None]
+        ids[valid] = [vocab.id(token.form) for sentence in chunk for token in sentence.tokens]
         label_arr = np.full(b, -1, dtype=np.int64)
         sent_ids = []
         for row, sentence in enumerate(chunk):
-            ids[row, : len(sentence)] = [vocab.id(f) for f in sentence.forms]
             if labels is not None and sentence.label is not None:
                 if sentence.label not in labels:
                     raise ShapeMismatchError(
@@ -397,7 +401,7 @@ def make_batches(
         batches.append(
             Batch(
                 token_ids=ids,
-                lengths=np.array([len(sentence) for sentence in chunk], dtype=np.int64),
+                lengths=lengths,
                 role_masks={role: grids[role] for role in roles},
                 pad_mask=grids[masks_mod.ROLE_PADDING],
                 labels=label_arr,

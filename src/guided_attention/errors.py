@@ -35,3 +35,11 @@ class TrainingDivergedError(GuidedAttentionError):
     def __init__(self, tensor_name: str):
         super().__init__(f"non-finite values detected, first offending tensor: {tensor_name}")
         self.tensor_name = tensor_name
+
+
+class MissingGradientError(GuidedAttentionError):
+    """An optimizer step found a parameter without a gradient."""
+
+    def __init__(self, param_name: str):
+        super().__init__(f"parameter {param_name!r} has no gradient; run backward(loss, params) first")
+        self.param_name = param_name

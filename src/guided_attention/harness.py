@@ -55,6 +55,12 @@ def reject_repeats(what: str, values) -> None:
             raise ConfigError(f"{what}: {value!r} given twice")
 
 
+def check_jobs(what: str, jobs: int) -> None:
+    """Raise :class:`ConfigError` unless ``jobs``, the worker count ``what`` names, is at least 1."""
+    if jobs < 1:
+        raise ConfigError(f"{what} must be >= 1, got {jobs}")
+
+
 @dataclass
 class ExperimentSpec:
     datasets: list[DatasetSplits]
@@ -78,6 +84,7 @@ class ExperimentSpec:
         # A repeated grid value or seed trains a run twice; a repeated ablated role counts its drops twice.
         for name in ("layers_grid", "extra_heads_grid", "seeds", "ablate_roles"):
             reject_repeats(name, getattr(self, name) or ())
+        check_jobs("jobs", self.jobs)
         for role in self.ablate_roles or ():
             if role not in self.roles:
                 raise ConfigError(f"cannot ablate disabled role {role!r}")
@@ -194,7 +201,9 @@ def _run_job(args) -> RunResult:
 
 
 def _execute(jobs: list, n_workers: int) -> list[RunResult]:
-    if n_workers <= 1 or len(jobs) <= 1:
+    # The pool forks all its workers up front, so it gets no more than there are jobs.
+    n_workers = min(n_workers, len(jobs))
+    if n_workers <= 1:
         return [_run_job(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_run_job, jobs))

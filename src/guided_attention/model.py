@@ -28,7 +28,7 @@ from .corpus import (
     make_batches,
     vocabulary_hash,
 )
-from .errors import ConfigError, DegenerateRowError, TrainingDivergedError
+from .errors import ConfigError, DegenerateRowError, MissingGradientError, TrainingDivergedError
 from .masks import GUIDED_ROLES, ROLE_PADDING
 
 DEFAULT_LAYER_GRID = (2, 4, 6, 8)
@@ -327,28 +327,60 @@ def forward_batch(
 
 
 class Adam:
-    """Adam with a fixed learning rate and bias correction."""
+    """Adam with a fixed learning rate and bias correction, over one flat buffer.
+
+    The parameters, and the moments ``m`` and ``v``, each live in one
+    contiguous float64 buffer: every parameter's ``.data`` becomes a view
+    into ``self.flat``, in the order of ``params``. A step gathers the
+    gradients with one concatenate and updates the three buffers with a
+    fixed number of whole-buffer operations, however many tensors there are.
+    Each element is computed as the per-tensor update would compute it, so
+    the results are the same bit for bit.
+    """
 
     def __init__(self, params: dict[str, Tensor], lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.flat = np.concatenate([p.data.ravel() for p in params.values()])
+        for p, view in zip(params.values(), self.views(self.flat).values()):
+            p.data = view
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)
+        self._scratch = np.empty_like(self.flat)
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's slice of a buffer laid out like ``flat``, shaped and named like it."""
+        out, start = {}, 0
+        for name, p in self.params.items():
+            out[name] = buffer[start : start + p.data.size].reshape(p.data.shape)
+            start += p.data.size
+        return out
 
     def step(self) -> None:
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise MissingGradientError(name)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
-            m_hat = self.m[name] / (1 - b1**self.t)
-            v_hat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, tmp, m, v = self._grad, self._scratch, self.m, self.v
+        np.concatenate([p.grad.ravel() for p in self.params.values()], out=g)
+        m *= b1  # m = b1 * m + (1 - b1) * g
+        np.multiply(g, 1 - b1, out=tmp)
+        m += tmp
+        np.multiply(g, g, out=g)  # v = b2 * v + (1 - b2) * (g * g)
+        g *= 1 - b2
+        v *= b2
+        v += g
+        np.divide(m, 1 - b1**self.t, out=tmp)  # m_hat
+        np.divide(v, 1 - b2**self.t, out=g)  # v_hat
+        np.sqrt(g, out=g)
+        g += self.eps
+        tmp *= self.lr
+        tmp /= g
+        self.flat -= tmp
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +476,7 @@ def train(
     optimizer = Adam(params, cfg.learning_rate)
 
     history: list[dict] = []
-    best_acc, best_epoch, best_params = -1.0, -1, None
+    best_acc, best_epoch, best_flat = -1.0, -1, None
     for epoch in range(1, cfg.epochs + 1):
         total_loss, total_examples = 0.0, 0
         for batch in train_batches:
@@ -473,12 +505,12 @@ def train(
         )
         if dev.accuracy > best_acc:
             best_acc, best_epoch = dev.accuracy, epoch
-            best_params = {name: p.data.copy() for name, p in params.items()}
+            best_flat = optimizer.flat.copy()
 
     class_names = [name for name, _ in sorted(classes.items(), key=lambda kv: kv[1])]
     return Checkpoint(
         config=cfg,
-        params=best_params,
+        params=optimizer.views(best_flat),
         vocab=vocab,
         class_names=class_names,
         metadata={

@@ -143,6 +143,52 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None, dr
     return ad.matmul(concat_last(outputs), wo)
 
 
+def layer_norm_mean_var(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """``autodiff.layer_norm`` written with ``np.mean`` and ``np.var``, which centre each row twice."""
+    x, gain, bias = ad.as_tensor(x), ad.as_tensor(gain), ad.as_tensor(bias)
+    d = x.shape[-1]
+    mean = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = (x.data - mean) * inv_std
+
+    def backward(g):
+        gy = g * gain.data
+        if x.requires_grad:
+            m1 = gy.mean(axis=-1, keepdims=True)
+            m2 = (gy * x_hat).mean(axis=-1, keepdims=True)
+            ad._accumulate(x, (gy - m1 - x_hat * m2) * inv_std)
+        if gain.requires_grad:
+            ad._accumulate(gain, (g * x_hat).reshape(-1, d).sum(axis=0))
+        if bias.requires_grad:
+            ad._accumulate(bias, g.reshape(-1, d).sum(axis=0))
+
+    return ad._record(Tensor(x_hat * gain.data + bias.data), (x, gain, bias), backward)
+
+
+class AdamPerTensor:
+    """Adam updated one tensor at a time, each with its own moment arrays."""
+
+    def __init__(self, params: dict, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in self.params.items():
+            g = p.grad
+            self.m[name] = b1 * self.m[name] + (1 - b1) * g
+            self.v[name] = b2 * self.v[name] + (1 - b2) * (g * g)
+            m_hat = self.m[name] / (1 - b1**self.t)
+            v_hat = self.v[name] / (1 - b2**self.t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
 def finite_difference_grad(f, arrays: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
     """Central finite differences of scalar f(arrays) w.r.t. each array entry."""
     grads = []

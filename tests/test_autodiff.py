@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
@@ -11,6 +13,7 @@ from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
     concat_last,
     finite_difference_grad,
+    layer_norm_mean_var,
     layer_norm_naive,
     matmul_naive,
     relative_error,
@@ -160,6 +163,30 @@ class TestLayerNorm:
             lambda x, g, b: random_weighted_sum(ad.layer_norm(x, g, b), np.random.default_rng(5)),
             [rng.normal(size=(3, 4)), rng.normal(size=4) + 1.0, rng.normal(size=4)],
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+        d=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, 1e3, -1e6]),
+        constant_row=st.booleans(),
+    )
+    def test_bit_identical_to_mean_var_oracle(self, lead, d, seed, offset, constant_row):
+        """Forward and every gradient equal those of the ``np.mean``/``np.var`` layer norm bit for bit."""
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(*lead, d)) * rng.uniform(0.1, 10.0) + offset
+        if constant_row:
+            x.reshape(-1, d)[0] = offset
+        gain, bias, weights = rng.normal(size=d), rng.normal(size=d), rng.normal(size=x.shape)
+        results = []
+        for norm in (ad.layer_norm, layer_norm_mean_var):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gain, bias)]
+            out = norm(*leaves)
+            ad.backward(tensor_sum(ad.mul(out, weights)))
+            results.append([out.data] + [leaf.grad for leaf in leaves])
+        for got, expected in zip(*results):
+            npt.assert_array_equal(got, expected)
 
 
 class TestElementwiseOps:

@@ -326,6 +326,17 @@ class TestRepeatedValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestJobs:
+    @pytest.mark.parametrize("command", ["grid", "ablate"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected_before_any_corpus_loads(self, toy_files, tmp_path, capsys, command, jobs):
+        line = TestNonNumericValues._error_line(
+            capsys, toy_files, tmp_path, command, toy_files["config"], ["--jobs", jobs]
+        )
+        assert line == f"error: --jobs must be >= 1, got {jobs}"
+        assert not (tmp_path / "out").exists()
+
+
 class TestEntryPoint:
     def test_console_script_or_module(self, tmp_path):
         exe = shutil.which("guided-attn")

@@ -10,6 +10,7 @@ from guided_attention.harness import (
     RESULT_COLUMNS,
     DatasetSplits,
     ExperimentSpec,
+    RunResult,
     ablated_roles,
     ablation_rows_csv,
     emit_metrics,
@@ -240,3 +241,38 @@ class TestParallel:
         assert [r.run_id for r in sequential.rows] == [r.run_id for r in parallel.rows]
         for a, b in zip(sequential.rows, parallel.rows):
             assert (a.dev_acc, a.test_acc) == (b.dev_acc, b.test_acc)
+
+    @pytest.mark.parametrize("jobs, seeds, workers", [(500, (0, 1), [2]), (2, (0, 1, 2), [2]), (8, (0,), [])])
+    def test_pool_gets_no_more_workers_than_runs(self, splits, monkeypatch, jobs, seeds, workers):
+        opened = []
+
+        class RecordingPool:
+            """Runs the jobs in this process; records the worker count it was asked for."""
+
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def run_single(run_id, config, splits, **kwargs):
+            return RunResult(run_id, splits.name, config, config.seed, 50.0, 50.0, 0.0)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "run_single", run_single)
+        report = run_grid(tiny_spec(splits, seeds=seeds, jobs=jobs))
+        assert [row.seed for row in report.rows] == list(seeds)
+        assert opened == workers  # no pool at all for a single run
+
+    @pytest.mark.parametrize("run", [run_grid, run_ablation], ids=["grid", "ablation"])
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, splits, monkeypatch, run, jobs):
+        monkeypatch.setattr(harness, "run_single", lambda *a, **k: pytest.fail("a run was started"))
+        with pytest.raises(ConfigError, match=f"^jobs must be >= 1, got {jobs}$"):
+            run(tiny_spec(splits, jobs=jobs))

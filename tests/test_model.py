@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from dataclasses import replace
@@ -12,7 +14,7 @@ import guided_attention
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
-from guided_attention.errors import ConfigError, ShapeMismatchError, TrainingDivergedError
+from guided_attention.errors import ConfigError, MissingGradientError, ShapeMismatchError, TrainingDivergedError
 from guided_attention.masks import GUIDED_ROLES
 from guided_attention.model import (
     Adam,
@@ -32,7 +34,7 @@ from guided_attention.model import (
     train,
 )
 from guided_attention.synthetic import generate_local_pattern_task
-from oracles import finite_difference_grad, relative_error, tensor_sum
+from oracles import AdamPerTensor, finite_difference_grad, relative_error, tensor_sum
 
 
 def sent(forms, label=None):
@@ -379,6 +381,11 @@ class TestTraining:
         best_acc = max(row["dev_acc"] for row in history)
         assert history[best - 1]["dev_acc"] == best_acc
         assert all(row["dev_acc"] < best_acc for row in history[: best - 1])
+        # The kept parameters are those after epoch `best`: a run stopped there ends with them.
+        assert best < cfg.epochs
+        stopped = train(replace(cfg, epochs=best), data, data)
+        for name in ckpt.params:
+            npt.assert_array_equal(ckpt.params[name], stopped.params[name])
 
     def test_loss_decreases_on_local_pattern_task(self):
         train_set, _ = generate_local_pattern_task(n_train=200, n_test=10, seq_len=8, seed=3)
@@ -590,6 +597,63 @@ class TestAdam:
             opt.step()
         assert np.all(np.abs(p.data) < 1e-2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple), min_size=1, max_size=6
+        ),
+        steps=st.integers(1, 20),
+        lr=st.sampled_from([0.0, 1e-3, 0.05, 3.0]),
+        zero_every=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_bit_identical_to_per_tensor_adam(self, shapes, steps, lr, zero_every, seed):
+        """Parameters and moments equal those of per-tensor Adam after every step, for any mix of shapes."""
+        rng = np.random.default_rng(seed)
+        start = {f"p{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        flat = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+        ref = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+        opt, oracle = Adam(flat, lr=lr), AdamPerTensor(ref, lr=lr)
+        for step in range(steps):
+            for i, name in enumerate(start):
+                g = np.zeros(start[name].shape) if (step + i) % zero_every == 0 else rng.normal(size=start[name].shape)
+                flat[name].grad, ref[name].grad = g, g.copy()
+            opt.step()
+            oracle.step()
+            for name in start:
+                npt.assert_array_equal(flat[name].data, ref[name].data)
+            for mine, theirs in ((opt.m, oracle.m), (opt.v, oracle.v)):
+                for name, view in opt.views(mine).items():
+                    npt.assert_array_equal(view, theirs[name])
+
+    def test_parameters_become_views_of_one_buffer(self):
+        params = init_params(TINY, 10, np.random.default_rng(0))
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = Adam(params, lr=0.1)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.flat)
+            npt.assert_array_equal(p.data, before[name])
+        assert opt.flat.size == sum(a.size for a in before.values())
+
+    def test_parameter_without_gradient_named(self):
+        params = init_params(TINY, 10, np.random.default_rng(0))
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        params["layer0.ff.b1"].grad = None
+        flat = opt.flat.copy()
+        with pytest.raises(MissingGradientError, match="'layer0.ff.b1'") as excinfo:
+            opt.step()
+        assert excinfo.value.param_name == "layer0.ff.b1"
+        assert opt.t == 0
+        npt.assert_array_equal(opt.flat, flat)
+
+    def test_checkpoint_parameters_are_views_of_one_snapshot(self, twenty):
+        ckpt = train(replace(TINY, epochs=2), twenty, twenty)
+        (snapshot,) = {id(a.base): a.base for a in ckpt.params.values()}.values()
+        assert snapshot is not None and snapshot.size == sum(a.size for a in ckpt.params.values())
+        assert list(ckpt.params) == list(param_shapes(TINY, len(ckpt.vocab)))
+
 
 class TestDivergenceDiagnosis:
     """``diagnose_nonfinite`` names the parameter or forward stage that first goes non-finite."""
@@ -618,3 +682,34 @@ class TestDivergenceDiagnosis:
 
     def test_finite_forward_falls_through_to_loss(self):
         assert self._diagnose("classifier.b", 0.0) == "loss"
+
+
+class TestGoldenTraining:
+    """SHA-256 of what ``train`` returns on the fixture, pinned as literals.
+
+    A change meant to leave training bit-identical (a faster kernel, a new
+    optimizer layout) must leave these digests as they are.
+    """
+
+    CFG = ModelConfig(
+        layers=2, guided_roles=GUIDED_ROLES, extra_regular_heads=1, d_model=12, ff_width=16,
+        dropout=0.1, learning_rate=0.01, epochs=2, seed=4, max_len=11, num_classes=2, batch_size=4,
+    )
+
+    @pytest.mark.parametrize(
+        "dropout, expected",
+        [
+            (0.1, "80064ca9ced46debc9ec89a759a5bc8ec784f72de5af73cc840f9da0ff34b388"),
+            (0.0, "49e6ba2ee8dbd9097d5b3ab0d6846dcaa4eaf99455b9c032431c413089fea664"),
+        ],
+    )
+    def test_parameters_history_and_evaluation_match_the_golden_digest(self, twenty, dropout, expected):
+        ckpt = train(replace(self.CFG, dropout=dropout), twenty, twenty[:12])
+        digest = hashlib.sha256()
+        for name, array in ckpt.params.items():
+            digest.update(f"{name}{array.dtype}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        digest.update(json.dumps(ckpt.metadata, sort_keys=True).encode())
+        metrics = evaluate(ckpt, twenty)
+        digest.update(repr((metrics.loss, metrics.correct, metrics.total)).encode())
+        assert digest.hexdigest() == expected
