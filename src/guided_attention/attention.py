@@ -3,11 +3,12 @@
 A guided head adds its role mask to the raw attention scores before the
 softmax, ``softmax((Q Kᵀ + M) / sqrt(d_k)) V``; because mask entries are 0 or
 ``-inf`` this is numerically identical to masking after the scaling. Regular
-heads receive the padding mask only. Heads differ only in their masks: each
-of Q, K and V is one packed projection with the heads side by side along its
-last axis, and all heads of a layer are computed by one
-``autodiff.attention`` node. Per-head attention weights are returned
-alongside outputs so mask support can be checked directly.
+heads receive the padding mask only, as one row that closes the padded key
+columns. Heads differ only in their masks: each of Q, K and V is one packed
+projection with the heads side by side along its last axis, and all heads
+of a layer are computed by one ``autodiff.attention`` node. Per-head
+attention weights are returned alongside outputs so mask support can be
+checked directly.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def multi_head(
     ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns
     ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``masks`` holds one
     additive {0, -inf} mask per head, broadcastable to (..., n, n): a guided
-    head's role mask placed into the padding grid (see ``corpus.Batch``), or
-    the padding mask for a regular head. Each head's attention dropout is
-    drawn in ``draw_shape``, head after head. Returns the layer output and the
+    head's role block (see ``model.forward_stages``), or the (..., 1, n) row
+    of valid key columns for a regular head. Each head's attention dropout
+    is drawn in ``draw_shape``, head after head. Returns the layer output and the
     (H, ..., n, n) attention weights before dropout, off the tape.
     """
     x = ad.as_tensor(x)

@@ -196,12 +196,13 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
 
-    Masked entries never reach ``exp``: it is taken of the unmasked scores
-    minus the row maximum, clipped at 0, and the result is multiplied by the
-    open mask, which gives the weights of :func:`softmax_rows` bit for bit.
-    A row whose maximum is not finite (every key masked, or a NaN or +inf
-    score) is left to :func:`softmax_rows` itself, which raises
-    :class:`DegenerateRowError` or propagates the value.
+    The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
+    ``p -= row_max``, ``exp`` and normalisation, which gives the weights of
+    :func:`softmax_rows` bit for bit: an open entry minus the row maximum is
+    at most 0, and a masked entry is ``-inf`` whatever its score, so ``exp``
+    maps it to exactly 0 without overflow. A row whose maximum is not finite
+    (every key masked, or a NaN or +inf score) is left to :func:`softmax_rows`
+    itself, which raises :class:`DegenerateRowError` or propagates the value.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     heads = len(masks)
@@ -226,22 +227,18 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     out = np.empty((*lead, n, heads * d_v))
     for h in range(heads):
         mask = np.asarray(masks[h], dtype=np.float64)
-        if mask.shape[-2:] != (n, m):
-            raise ShapeMismatchError(f"mask shape {mask.shape} does not match scores ({n}, {m})")
         qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
-        scores = q.data[..., qk] @ np.swapaxes(k.data[..., qk], -1, -2)
-        scores *= scale  # for a {0, -inf} mask, scores + mask now equals (QKᵀ + M) * scale
         p = weights[h]
+        np.matmul(q.data[..., qk], np.swapaxes(k.data[..., qk], -1, -2), out=p)
+        p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
         try:
-            np.add(scores, mask, out=p)
+            p += mask
         except ValueError as exc:
             raise ShapeMismatchError(f"mask shape {mask.shape} does not broadcast to {p.shape}") from exc
         row_max = p.max(axis=-1, keepdims=True)
         if np.all(np.isfinite(row_max)):
-            np.subtract(scores, row_max, out=p)
-            np.minimum(p, 0.0, out=p)
+            p -= row_max
             np.exp(p, out=p)
-            p *= mask == 0.0
             p /= p.sum(axis=-1, keepdims=True)
         else:
             p[...] = softmax_rows(p).data

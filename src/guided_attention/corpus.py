@@ -299,22 +299,26 @@ def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
 
 @dataclass
 class Batch:
-    """Padded model input with per-role masks placed into padding grids.
+    """Padded model input with each role's boolean allow-block at the batch's width.
 
-    ``pad_mask`` opens exactly the valid key columns; each role mask is that
-    grid with the role's sentence-length mask in its top-left ``n x n`` block.
-    One ``masks.build_batch_masks`` call builds every grid of a batch;
-    ``pad_mask`` is the ``padding`` role's (shared with a ``padding`` head).
-    Arrays are padded to ``max_len``; ``model.forward_stages`` computes on
-    :meth:`cropped`, which cuts them to the batch's longest sentence. Its
-    dropout still draws at ``max_len`` and keeps the cropped block, so a
-    sentence's noise does not depend on how long its batch-mates are.
+    ``allowed`` maps each requested role, in order, to its ``(B, n, n)``
+    boolean block from ``masks.build_batch_masks``, ``n = lengths.max()``:
+    True where a query may attend to a key. ``token_ids`` stay padded to
+    ``max_len``; ``model.forward_stages`` computes on :meth:`cropped`, which
+    cuts them to ``n``. Its dropout still draws at ``max_len`` and keeps the
+    cropped block, so a sentence's noise does not depend on how long its
+    batch-mates are.
+
+    :attr:`role_masks` and :attr:`pad_mask` give the same masks as additive
+    ``{0, -inf}`` float grids padded to the width of ``token_ids``, built
+    afresh on each access. They serve readers of that layout (mask checks
+    and tests); batching, training and evaluation never touch them, and they
+    go once the benchmark reads the boolean blocks.
     """
 
     token_ids: np.ndarray  # (B, max_len) int64
     lengths: np.ndarray  # (B,) int64
-    role_masks: dict[str, np.ndarray]  # role -> (B, max_len, max_len)
-    pad_mask: np.ndarray  # (B, max_len, max_len)
+    allowed: dict[str, np.ndarray]  # role -> (B, n, n) bool, n = lengths.max()
     labels: np.ndarray  # (B,) int64, -1 where unlabeled
     sent_ids: list[str] = field(default_factory=list)
 
@@ -322,19 +326,32 @@ class Batch:
     def size(self) -> int:
         return self.token_ids.shape[0]
 
+    @property
+    def pad_mask(self) -> np.ndarray:
+        """``(B, width, width)`` grid opening exactly the valid key columns on every row."""
+        width = self.token_ids.shape[1]
+        valid = np.arange(width) < self.lengths[:, None]
+        return np.repeat(np.where(valid, 0.0, masks_mod.NEG_INF)[:, None, :], width, axis=1)
+
+    @property
+    def role_masks(self) -> dict[str, np.ndarray]:
+        """Each role's ``(B, width, width)`` grid: :attr:`pad_mask` with the role's block top left."""
+        pad = self.pad_mask
+        n = int(self.lengths.max())
+        grids = {}
+        for role, block in self.allowed.items():
+            grid = pad.copy()
+            grid[:, :n, :n] = np.where(block, 0.0, masks_mod.NEG_INF)
+            grids[role] = grid
+        return grids
+
     def cropped(self) -> "Batch":
-        """This batch cut to its longest sentence; the arrays are views, not copies.
+        """This batch with ``token_ids`` cut to its longest sentence, as a view.
 
         Only padded positions are dropped, and no valid position reads them:
-        their key columns carry -inf in every mask.
+        their key columns are closed in every mask.
         """
-        n = int(self.lengths.max())
-        return replace(
-            self,
-            token_ids=self.token_ids[:, :n],
-            role_masks={role: m[:, :n, :n] for role, m in self.role_masks.items()},
-            pad_mask=self.pad_mask[:, :n, :n],
-        )
+        return replace(self, token_ids=self.token_ids[:, : int(self.lengths.max())])
 
 
 def truncate(sentence: Sentence, max_len: int) -> Sentence:
@@ -365,12 +382,12 @@ def make_batches(
     shuffle: bool = True,
     labels: dict[str, int] | None = None,
 ) -> list[Batch]:
-    """Assemble padded batches with each role's mask placed into the padding grid.
+    """Assemble padded batches, each with every role's boolean allow-block.
 
     Per batch, the batch's token ids are looked up in one pass and scattered
     through its ``(B, max_len)`` validity grid, the sentence loop only gathers
     labels, and all the masks come from one ``masks.build_batch_masks`` call
-    on the whole chunk.
+    on the whole chunk, at the chunk's longest sentence.
     """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
@@ -397,13 +414,11 @@ def make_batches(
                     )
                 label_arr[row] = labels[sentence.label]
             sent_ids.append(sentence.sent_id or str(start + row))
-        grids = masks_mod.build_batch_masks((*roles, masks_mod.ROLE_PADDING), chunk, vocab, max_len)
         batches.append(
             Batch(
                 token_ids=ids,
                 lengths=lengths,
-                role_masks={role: grids[role] for role in roles},
-                pad_mask=grids[masks_mod.ROLE_PADDING],
+                allowed=masks_mod.build_batch_masks(roles, chunk, vocab),
                 labels=label_arr,
                 sent_ids=sent_ids,
             )

@@ -1,7 +1,9 @@
 """Construction of the five role-specific additive attention masks.
 
-Every mask is a float64 grid whose entries are exactly 0.0 (attend) or
-``-inf`` (ignore), indexed query row x key column. Each role opens:
+A mask is indexed query row x key column. A batch carries each role's
+mask as a boolean block (True = attend); a single sentence's
+:class:`RoleMask` is a float64 grid whose entries are exactly 0.0 (attend)
+or ``-inf`` (ignore). Each role opens:
 
 * ``rarew``  - columns of the top-10%-IDF token positions,
 * ``seprat`` - columns of separator/punctuation tokens,
@@ -11,12 +13,11 @@ Every mask is a float64 grid whose entries are exactly 0.0 (attend) or
 * ``padding`` - no restriction (opens everything).
 
 :func:`build_batch_masks` builds every role's masks for a whole batch in
-one pass over a shared padding grid, which opens the valid key columns on
-every row. Each role's pattern is a boolean block at the batch's longest
-sentence; a valid query row left with no open key would make softmax
-undefined, so :func:`apply_fallback` opens its diagonal, and only the block
-is written into a copy of the padding grid. :func:`build_role_mask` is the
-same pass on a batch of one sentence, at the sentence's own length.
+one pass, as boolean blocks at the batch's longest sentence: only the
+valid key columns open, and a padded query row opens all of them. A valid
+query row left with no open key would make softmax undefined, so
+:func:`apply_fallback` opens its diagonal. :func:`build_role_mask` is the
+same pass on a batch of one sentence, turned into a {0, -inf} grid.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ MAJOR_RELATIONS = frozenset({"nsubj", "dobj", "obj", "amod", "advmod"})
 @dataclass
 class RoleMask:
     role: str
-    values: np.ndarray  # (n, n) float64 over {0, -inf}; (B, n, n) while a batch is built
+    values: np.ndarray  # (n, n) float64 over {0, -inf}; (B, n, n) boolean while a batch is built
 
     @property
     def n(self) -> int:
@@ -107,44 +108,36 @@ def apply_fallback(mask: RoleMask, n_valid) -> RoleMask:
     return RoleMask(mask.role, values)
 
 
-def build_batch_masks(roles, sentences, vocab, width: int) -> dict[str, np.ndarray]:
-    """Each role's ``(B, width, width)`` masks for a batch of truncated sentences.
+def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:
+    """Each role's boolean ``(B, n, n)`` allow-block for a batch of sentences.
 
-    For row ``b`` with ``n_b`` tokens, a valid query row (``i < n_b``) opens
-    the role's keys among the valid columns, or its diagonal if there are
-    none; a padded query row opens every valid column; padded key columns
-    (``j >= n_b``) stay closed.
+    ``n`` is the longest sentence's length. For row ``b`` with ``n_b``
+    tokens, a valid query row (``i < n_b``) opens the role's keys among the
+    valid columns, or its diagonal if there are none; a padded query row
+    opens every valid column; padded key columns (``j >= n_b``) stay closed.
     """
     lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    n = int(lengths.max(initial=0))
-    if n > width:
-        raise ShapeMismatchError(f"a {n}-token sentence does not fit a mask of width {width}")
-    valid = np.arange(width) < lengths[:, None]  # (B, width) valid key columns
-    padding = np.repeat(np.where(valid, 0.0, NEG_INF)[:, None, :], width, axis=1)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]  # (B, n) valid key columns
     tokens = [t for s in sentences for t in s.tokens]  # one per True of valid, in row order
-    key_valid, row_padded = valid[:, None, :n], ~valid[:, :n, None]
+    key_valid, row_padded = valid[:, None, :], ~valid[:, :, None]
     out = {}
     for role in roles:
         if role == ROLE_PADDING:
-            out[role] = padding
+            out[role] = np.repeat(key_valid, valid.shape[1], axis=1)
             continue
-        # Past n every row and column is padded: only the (n, n) block can differ.
-        block = key_valid & (_pattern(role, tokens, vocab, valid[:, :n]) | row_padded)
-        block = apply_fallback(RoleMask(role, block), lengths).values
-        grid = padding.copy()
-        grid[:, :n, :n] = np.where(block, 0.0, NEG_INF)
-        out[role] = grid
+        block = key_valid & (_pattern(role, tokens, vocab, valid) | row_padded)
+        out[role] = apply_fallback(RoleMask(role, block), lengths).values
     return out
 
 
 def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
-    """One role's mask for one sentence at its own length: a batch of one.
+    """One role's ``(n, n)`` {0, -inf} mask for one sentence at its own length: a batch of one.
 
-    The ``padding`` pseudo-role places no restriction of its own; placed
-    into a padded grid it leaves that grid's padding mask as it is, which is
-    how an ablated head is given "just the padding mask".
+    The ``padding`` pseudo-role places no restriction of its own; it opens
+    every key, which is how an ablated head is given "just the padding mask".
     """
-    return RoleMask(role, build_batch_masks((role,), [sentence], vocab, len(sentence))[role][0])
+    block = build_batch_masks((role,), [sentence], vocab)[role][0]
+    return RoleMask(role, np.where(block, 0.0, NEG_INF))
 
 
 def _pattern(role: str, tokens, vocab, valid: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ is deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
@@ -29,7 +30,7 @@ from .corpus import (
     vocabulary_hash,
 )
 from .errors import ConfigError, DegenerateRowError, MissingGradientError, TrainingDivergedError
-from .masks import GUIDED_ROLES, ROLE_PADDING
+from .masks import GUIDED_ROLES, NEG_INF, ROLE_PADDING
 
 DEFAULT_LAYER_GRID = (2, 4, 6, 8)
 DEFAULT_EXTRA_HEAD_GRID = (1, 3)
@@ -223,14 +224,19 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
     return params
 
 
+@functools.cache
 def sinusoidal_encoding(n: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos position encoding: sin on even dims, cos on odd dims."""
+    """Fixed sin/cos position encoding: sin on even dims, cos on odd dims.
+
+    Computed once per ``(n, d_model)`` and shared: the array is read-only.
+    """
     positions = np.arange(n)[:, None]
     dims = np.arange(d_model)[None, :]
     angles = positions / np.power(10000.0, (2 * (dims // 2)) / d_model)
     enc = np.empty((n, d_model))
     enc[:, 0::2] = np.sin(angles[:, 0::2])
     enc[:, 1::2] = np.cos(angles[:, 1::2])
+    enc.flags.writeable = False
     return enc
 
 
@@ -262,20 +268,29 @@ def forward_stages(
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
 
     The pass runs on ``batch.cropped()``, the batch cut to its longest
-    sentence, so outputs have that length, not ``max_len``. Dropout still
-    draws at the padded size (``(B, max_len, max_len)`` per head,
+    sentence, so outputs have that length, not ``max_len``. Each distinct
+    role's boolean block becomes one additive {0, -inf} float block, shared
+    by every layer and head that uses the role; padding and regular heads
+    share one ``(B, 1, n)`` row that closes the padded key columns. Dropout
+    still draws at the padded size (``(B, max_len, max_len)`` per head,
     ``(B, max_len, ff_width)`` in the feed-forward) and keeps the cropped
     block: a sentence's noise, and the RNG stream, do not depend on the
     lengths of its batch-mates.
     """
-    attn_draw = batch.pad_mask.shape
-    ff_draw = (*batch.token_ids.shape, cfg.ff_width)
+    b, max_len = batch.token_ids.shape
+    attn_draw = (b, max_len, max_len)
+    ff_draw = (b, max_len, cfg.ff_width)
     batch = batch.cropped()
     for role in cfg.guided_roles:
-        if role not in batch.role_masks:
+        if role not in batch.allowed:
             raise ConfigError(f"batch carries no mask for guided role {role!r}")
-    masks = [batch.role_masks[role] for role in cfg.guided_roles]
-    masks += [batch.pad_mask] * cfg.extra_regular_heads
+    n = batch.token_ids.shape[1]
+    key_row = np.where(np.arange(n) < batch.lengths[:, None], 0.0, NEG_INF)[:, None, :]
+    additive = {
+        role: key_row if role == ROLE_PADDING else np.where(batch.allowed[role], 0.0, NEG_INF)
+        for role in cfg.mask_roles()
+    }
+    masks = [additive[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
     x = embed(batch, params, cfg)
     yield "embed.output", x
     rate = cfg.dropout if training else 0.0

@@ -6,6 +6,7 @@ checks.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -305,11 +306,12 @@ def role_mask_per_sentence(role: str, sentence, vocab) -> np.ndarray:
 def make_batches_per_sentence(sentences, vocab, batch_size, max_len, roles, seed=0, shuffle=True, labels=None):
     """``make_batches`` with each sentence's masks built on their own.
 
-    Each batch's padding grid opens the valid key columns on every row, and
-    each role grid is a copy of it with the sentence's
-    :func:`role_mask_per_sentence` written into its top-left block.
+    Each batch is a namespace with the arrays a ``corpus.Batch`` exposes,
+    the masks in their float-grid layout: the padding grid opens the valid
+    key columns on every row, and each role grid is a copy of it with the
+    sentence's :func:`role_mask_per_sentence` written into its top-left block.
     """
-    from guided_attention.corpus import Batch, truncate
+    from guided_attention.corpus import truncate
 
     order = np.random.default_rng(seed).permutation(len(sentences)) if shuffle else range(len(sentences))
     kept = [truncate(sentences[i], max_len) for i in order]
@@ -331,5 +333,10 @@ def make_batches_per_sentence(sentences, vocab, batch_size, max_len, roles, seed
             for role in roles:
                 role_masks[role][row, :n, :n] = role_mask_per_sentence(role, sentence, vocab)
         sent_ids = [s.sent_id or str(start + row) for row, s in enumerate(chunk)]
-        batches.append(Batch(ids, lengths, role_masks, pad, label_arr, sent_ids))
+        batches.append(
+            SimpleNamespace(
+                token_ids=ids, lengths=lengths, labels=label_arr, sent_ids=sent_ids,
+                role_masks=role_masks, pad_mask=pad,
+            )
+        )
     return batches

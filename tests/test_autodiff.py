@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -372,6 +373,30 @@ class TestAttention:
             assert not np.all(np.isfinite(expected))
             npt.assert_array_equal(fused, expected)
 
+    def test_closed_key_with_an_overflowing_score_gets_zero_weight(self):
+        """A masked key whose score would overflow ``exp`` if it were open weighs exactly 0, silently."""
+        q = np.array([[1e150], [1.0]])
+        k = np.array([[1e150], [1e-150], [2e-150]])  # query 0 scores key 0 at 1e300
+        v = np.random.default_rng(39).normal(size=(3, 2))
+        mask = np.array([[NEG_INF, 0.0, 0.0], [NEG_INF, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+        assert np.all(weights[0][:, 0] == 0.0)
+        npt.assert_array_equal(weights[0], self.reference_weights(q, k, [mask], 0, 1))
+
+    def test_key_row_mask_equals_its_broadcast_grid(self):
+        rng = np.random.default_rng(38)
+        q, k, v, _ = self.packed_inputs(rng)
+        rows = [np.where(rng.random((2, 1, 4)) < 0.5, NEG_INF, 0.0) for _ in range(2)]
+        for row in rows:
+            row[..., 0] = 0.0
+        grids = [np.broadcast_to(row, (2, 3, 4)).copy() for row in rows]
+        out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), rows)
+        want_out, want = ad.attention(Tensor(q), Tensor(k), Tensor(v), grids)
+        assert weights.tobytes() == want.tobytes()
+        assert out.data.tobytes() == want_out.data.tobytes()
+
     def test_shape_errors(self):
         rng = np.random.default_rng(37)
         q, k, v, masks = self.packed_inputs(rng)
@@ -379,6 +404,8 @@ class TestAttention:
             ad.attention(Tensor(q), Tensor(k), Tensor(v), masks + masks[:1])
         with pytest.raises(ShapeMismatchError, match="mask shape"):
             ad.attention(Tensor(q), Tensor(k), Tensor(v), [mk[..., :3] for mk in masks])
+        with pytest.raises(ShapeMismatchError, match="mask shape"):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((3, 1, 4))] * 2)
         with pytest.raises(ShapeMismatchError, match="keep shape"):
             ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, np.ones((2, 3, 4)))
 

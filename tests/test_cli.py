@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -121,6 +122,28 @@ class TestInspectCommand:
     def test_missing_id_nonzero(self, capsys):
         assert main(["inspect", "--data", FIXTURE, "--roles", "relpos", "s99"]) == 1
         assert "no sentence" in capsys.readouterr().err
+
+
+class TestGoldenBytes:
+    """SHA-256 of the ``masks`` dumps and of one ``inspect`` rendering on the fixture, pinned as literals."""
+
+    DUMPS = {
+        "rarew": "46f1679b7e47c373778d78652aaa7e3c09cf31599128332cd6dbf9f0272e3c34",
+        "seprat": "92cb7a49639414038a7a02bb23750827aa1517fb0287f8d9e75dec9372d8aaf9",
+        "depsyn": "4541d10ec14d32102e75e216cd25e10701659cd124234a947817e0e944ba201d",
+        "majrel": "2148c90cff95192a334fb82a9aa2e2fbe029e633ad8f5da68dcae1283e4b21e4",
+        "relpos": "c6c84effbb68112b350dccbc13179f73c6d55472fe899a0f5b47ec3c53f09516",
+    }
+
+    def test_mask_dumps_match_the_golden_digests(self, tmp_path):
+        assert main(["masks", "--data", FIXTURE, "--out", str(tmp_path)]) == 0
+        got = {role: hashlib.sha256((tmp_path / f"masks_{role}.txt").read_bytes()).hexdigest() for role in self.DUMPS}
+        assert got == self.DUMPS
+
+    def test_inspect_output_matches_the_golden_digest(self, capsys):
+        assert main(["inspect", "--data", FIXTURE, "s02"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "7d85ed426b0690784fcfefbe2a283f2462335078680212401244ef9c5d5aaefc"
 
 
 class TestTrainEval:

@@ -281,6 +281,16 @@ class TestBatchMaskLayout:
                 expected[:n, :n] = build_role_mask(role, cut, twenty_vocab).values
                 npt.assert_array_equal(batch.role_masks[role][row], expected)
 
+    def test_masks_are_boolean_blocks_at_the_batch_width(self, twenty, twenty_vocab):
+        roles = ("relpos", "padding", "rarew")
+        for batch in make_batches(twenty, twenty_vocab, 8, 32, roles, seed=3):
+            n = int(batch.lengths.max())
+            assert n < 32
+            assert list(batch.allowed) == list(roles)
+            for role, block in batch.allowed.items():
+                assert (block.dtype, block.shape) == (np.dtype(bool), (batch.size, n, n)), role
+            assert list(batch.role_masks) == list(roles)
+
     def test_batch_bytes_match_the_golden_digest(self, twenty, twenty_vocab):
         """SHA-256 of every array ``make_batches`` returns on the fixture, pinned as a literal.
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import guided_attention
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
-from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
+from guided_attention.corpus import Batch, Sentence, Token, build_vocab, label_index, make_batches
 from guided_attention.errors import ConfigError, MissingGradientError, ShapeMismatchError, TrainingDivergedError
 from guided_attention.masks import GUIDED_ROLES
 from guided_attention.model import (
@@ -155,6 +155,11 @@ class TestEmbedding:
                 angle = pos / 10000 ** (2 * i / 6)
                 npt.assert_allclose(enc[pos, 2 * i], math.sin(angle), atol=1e-12)
                 npt.assert_allclose(enc[pos, 2 * i + 1], math.cos(angle), atol=1e-12)
+
+    def test_position_encoding_is_computed_once_and_read_only(self):
+        first, second = sinusoidal_encoding(7, 6), sinusoidal_encoding(7, 6)
+        assert second is first and not second.flags.writeable
+        npt.assert_array_equal(second, sinusoidal_encoding.__wrapped__(7, 6))
 
     def test_deterministic_same_seed(self):
         vocab = build_vocab(toy_separable())
@@ -417,6 +422,15 @@ class TestTraining:
         assert len(dev) == TINY.epochs * 2  # 10 dev sentences in batches of 8
         assert not any(dev)
         assert all(requires_grad for training, requires_grad in calls if training)
+
+    def test_train_and_evaluate_build_no_float_mask_grid(self, twenty, monkeypatch):
+        def refuse(batch):
+            raise AssertionError("a (B, max_len, max_len) float mask grid was built")
+
+        monkeypatch.setattr(Batch, "role_masks", property(refuse))
+        monkeypatch.setattr(Batch, "pad_mask", property(refuse))
+        ckpt = train(replace(TestGoldenTraining.CFG, epochs=1), twenty, twenty[:12])
+        assert evaluate(ckpt, twenty).total == len(twenty)
 
     def test_unlabeled_training_data_rejected(self):
         data = toy_separable(8)
