@@ -21,7 +21,6 @@ from .corpus import (
     load_corpus,
     make_batches,
     parse_conllu,
-    rare_token_indices,
 )
 from .errors import (
     CheckpointError,
@@ -34,16 +33,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .harness import AblationReport, DatasetSplits, ExperimentSpec, emit_metrics, run_ablation, run_grid
-from .masks import (
-    GUIDED_ROLES,
-    RoleMask,
-    apply_fallback,
-    dep_syntax_mask,
-    major_relations_mask,
-    rare_words_mask,
-    relative_position_mask,
-    separator_mask,
-)
+from .masks import GUIDED_ROLES, RoleMask, apply_fallback
 from .model import Checkpoint, EvalMetrics, ModelConfig, evaluate, train
 
 __version__ = "0.1.0"
@@ -54,9 +44,7 @@ __all__ = [
     "ExperimentSpec", "GUIDED_ROLES", "GuidedAttentionError", "MissingGradientError",
     "ModelConfig", "RoleMask", "Sentence", "ShapeMismatchError", "Tensor", "Token",
     "TrainingDivergedError", "Vocabulary", "apply_fallback", "backward",
-    "build_vocab", "dep_syntax_mask", "emit_metrics", "evaluate",
-    "load_checkpoint", "load_corpus", "major_relations_mask", "make_batches",
-    "multi_head", "parse_conllu", "rare_token_indices", "rare_words_mask",
-    "relative_position_mask", "run_ablation", "run_grid", "save_checkpoint",
-    "separator_mask", "train",
+    "build_vocab", "emit_metrics", "evaluate",
+    "load_checkpoint", "load_corpus", "make_batches", "multi_head",
+    "parse_conllu", "run_ablation", "run_grid", "save_checkpoint", "train",
 ]

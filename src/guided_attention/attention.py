@@ -28,7 +28,6 @@ def multi_head(
     masks: list[np.ndarray],
     dropout_rate: float = 0.0,
     rng=None,
-    draw_shape: tuple[int, ...] | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
@@ -36,18 +35,13 @@ def multi_head(
     ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``masks`` holds one
     additive {0, -inf} mask per head, broadcastable to (..., n, n): a guided
     head's role block (see ``model.forward_stages``), or the (..., 1, n) row
-    of valid key columns for a regular head. Each head's attention dropout
-    is drawn in ``draw_shape``, head after head. Returns the layer output and the
+    of valid key columns for a regular head. Attention dropout is one
+    (H, ..., n, n) draw, head after head. Returns the layer output and the
     (H, ..., n, n) attention weights before dropout, off the tape.
     """
     x = ad.as_tensor(x)
     heads = len(masks)
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    keep = ad.dropout_keep(
-        (heads, *x.shape[:-1], x.shape[-2]),
-        dropout_rate,
-        rng,
-        None if draw_shape is None else (heads, *draw_shape),
-    )
+    keep = ad.dropout_keep((heads, *x.shape[:-1], x.shape[-2]), dropout_rate, rng)
     out, weights = ad.attention(q, k, v, masks, keep)
     return ad.matmul(out, wo), weights

@@ -357,17 +357,12 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
 
 
 def dropout_keep(
-    shape: tuple[int, ...],
-    rate: float,
-    rng: np.random.Generator | None,
-    draw_shape: tuple[int, ...] | None = None,
+    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None
 ) -> np.ndarray | None:
     """Inverted-dropout multiplier (0 or ``1 / (1 - rate)``) for a tensor of ``shape``.
 
-    Returns None, and draws nothing, when rate == 0. The uniforms are drawn
-    in ``draw_shape`` (default ``shape``) and cut to their leading ``shape``
-    block, so a tensor cropped from a larger buffer keeps the noise, and the
-    RNG stream, of the uncropped one.
+    Returns None, and draws nothing, when rate == 0; otherwise draws exactly
+    ``prod(shape)`` uniforms from ``rng``.
     """
     if rate == 0.0:
         return None
@@ -375,20 +370,13 @@ def dropout_keep(
         raise ShapeMismatchError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None:
         raise ShapeMismatchError("dropout with rate > 0 needs a random generator")
-    shape = tuple(shape)
-    draw = shape if draw_shape is None else tuple(draw_shape)
-    if len(draw) != len(shape) or any(d < s for d, s in zip(draw, shape)):
-        raise ShapeMismatchError(f"dropout draw shape {draw} does not cover {shape}")
-    draws = rng.random(draw)[tuple(slice(0, s) for s in shape)]
-    return (draws >= rate) / (1.0 - rate)
+    return (rng.random(tuple(shape)) >= rate) / (1.0 - rate)
 
 
-def dropout(
-    x, rate: float, rng: np.random.Generator | None, draw_shape: tuple[int, ...] | None = None
-) -> Tensor:
+def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout with the multiplier of :func:`dropout_keep`; identity when rate == 0."""
     x = as_tensor(x)
-    keep = dropout_keep(x.shape, rate, rng, draw_shape)
+    keep = dropout_keep(x.shape, rate, rng)
     if keep is None:
         return x
     out = Tensor(x.data * keep)

@@ -148,7 +148,11 @@ def _out_dir(args) -> Path:
 def _resolve_config(args, roles: tuple[str, ...] | None) -> ModelConfig:
     """Config file first, then --roles / --set / --seed flag overrides."""
     if args.config:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc.reason}") from None
+        cfg = parse_config(text)
     else:
         cfg = ModelConfig()
     raw = _as_strings(cfg)

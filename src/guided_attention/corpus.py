@@ -201,17 +201,29 @@ def attach_labels(sentences: list[Sentence], labels: dict[str, str]) -> list[Sen
     return [replace(s, label=labels[s.sent_id]) if s.sent_id in labels else s for s in sentences]
 
 
+def _read_utf8(path) -> str:
+    """The text of ``path``; a byte that is not UTF-8 raises ConlluError naming the file and line.
+
+    Line endings are left as they are: every parser splits with ``splitlines``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConlluError(line, f"{path} is not UTF-8 text (byte {data[exc.start]:#04x})") from None
+
+
 def load_corpus(path, labels_path=None, errors: list[ConlluError] | None = None) -> list[Sentence]:
     """Load a ``.conllu`` file (by extension) or plain text, plus optional sidecar labels."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_utf8(path)
     if str(path).endswith(".conllu"):
         sentences = parse_conllu(text, errors=errors)
     else:
         sentences = parse_plain_text(text)
     if labels_path is not None:
-        with open(labels_path, encoding="utf-8") as fh:
-            sentences = attach_labels(sentences, read_labels_tsv(fh.read()))
+        sentences = attach_labels(sentences, read_labels_tsv(_read_utf8(labels_path)))
     return sentences
 
 
@@ -283,15 +295,6 @@ def rare_token_count(n):
     return np.maximum(1, np.ceil(0.10 * np.asarray(n))).astype(np.int64)
 
 
-def rare_token_indices(sentence: Sentence, vocab: Vocabulary) -> set[int]:
-    """0-based positions of the top-10%-IDF tokens; ties go to earlier positions.
-
-    :func:`masks.rare_columns` on a batch of this one sentence.
-    """
-    valid = np.ones((1, len(sentence)), dtype=bool)
-    return set(np.flatnonzero(masks_mod.rare_columns(sentence.tokens, vocab, valid)[0]).tolist())
-
-
 # ---------------------------------------------------------------------------
 # Batching
 # ---------------------------------------------------------------------------
@@ -305,9 +308,7 @@ class Batch:
     boolean block from ``masks.build_batch_masks``, ``n = lengths.max()``:
     True where a query may attend to a key. ``token_ids`` stay padded to
     ``max_len``; ``model.forward_stages`` computes on :meth:`cropped`, which
-    cuts them to ``n``. Its dropout still draws at ``max_len`` and keeps the
-    cropped block, so a sentence's noise does not depend on how long its
-    batch-mates are.
+    cuts them to ``n``.
 
     :attr:`role_masks` and :attr:`pad_mask` give the same masks as additive
     ``{0, -inf}`` float grids padded to the width of ``token_ids``, built

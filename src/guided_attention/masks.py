@@ -53,7 +53,7 @@ MAJOR_RELATIONS = frozenset({"nsubj", "dobj", "obj", "amod", "advmod"})
 @dataclass
 class RoleMask:
     role: str
-    values: np.ndarray  # (n, n) float64 over {0, -inf}; (B, n, n) boolean while a batch is built
+    values: np.ndarray  # (n, n) float64 over {0, -inf}
 
     @property
     def n(self) -> int:
@@ -65,47 +65,17 @@ class RoleMask:
         return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
 
 
-def rare_words_mask(sentence, vocab) -> RoleMask:
-    """Open the columns of the sentence's rarest (highest-IDF) token positions."""
-    return build_role_mask(ROLE_RARE_WORDS, sentence, vocab)
+def apply_fallback(allowed: np.ndarray, n_valid) -> np.ndarray:
+    """``allowed`` with the diagonal of every fully-closed valid query row opened.
 
-
-def separator_mask(sentence) -> RoleMask:
-    """Open separator/punctuation columns; diagonal fallback when none exist."""
-    return build_role_mask(ROLE_SEPARATOR, sentence)
-
-
-def dep_syntax_mask(sentence) -> RoleMask:
-    """Undirected parse adjacency: token attends to its head and dependents."""
-    return build_role_mask(ROLE_DEP_SYNTAX, sentence)
-
-
-def major_relations_mask(sentence) -> RoleMask:
-    """Parse adjacency restricted to nsubj/dobj(obj)/amod/advmod edges."""
-    return build_role_mask(ROLE_MAJOR_RELATIONS, sentence)
-
-
-def relative_position_mask(n: int) -> RoleMask:
-    """Centered window of size 3: (i, j) open iff |i - j| <= 1."""
-    if n < 1:
-        raise ShapeMismatchError(f"mask size must be >= 1, got {n}")
-    return RoleMask(ROLE_RELATIVE_POSITION, np.where(_band(n), 0.0, NEG_INF))
-
-
-def apply_fallback(mask: RoleMask, n_valid) -> RoleMask:
-    """A new mask in which every fully-closed valid query row opens its diagonal.
-
-    ``mask.values`` is ``(..., n, n)``, open where True if boolean and where
-    0.0 if float; ``n_valid`` counts each grid's valid rows, as one int or an
-    array over the leading axes. ``mask`` is left as it is.
+    ``allowed`` is a boolean ``(..., n, n)`` array, left as it is; ``n_valid``
+    counts each grid's valid rows, as one int or an array over the leading axes.
     """
-    values = mask.values.copy()
-    boolean = values.dtype == bool
-    is_open = values if boolean else values == 0.0
-    valid_rows = np.arange(values.shape[-1]) < np.asarray(n_valid)[..., None]
-    *grid, rows = np.nonzero(valid_rows & ~is_open.any(axis=-1))
-    values[(*grid, rows, rows)] = True if boolean else 0.0
-    return RoleMask(mask.role, values)
+    allowed = allowed.copy()
+    valid_rows = np.arange(allowed.shape[-1]) < np.asarray(n_valid)[..., None]
+    *grid, rows = np.nonzero(valid_rows & ~allowed.any(axis=-1))
+    allowed[(*grid, rows, rows)] = True
+    return allowed
 
 
 def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:
@@ -126,7 +96,7 @@ def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:
             out[role] = np.repeat(key_valid, valid.shape[1], axis=1)
             continue
         block = key_valid & (_pattern(role, tokens, vocab, valid) | row_padded)
-        out[role] = apply_fallback(RoleMask(role, block), lengths).values
+        out[role] = apply_fallback(block, lengths)
     return out
 
 
@@ -173,8 +143,7 @@ def rare_columns(tokens, vocab, valid: np.ndarray) -> np.ndarray:
 
     ``tokens`` holds one token per True of ``valid``, the ``(B, n)`` grid of
     token positions, in row order; the result is a boolean grid shaped like
-    ``valid``. This is the one home of the rare-token rule:
-    ``corpus.rare_token_indices`` is it on one sentence.
+    ``valid``. This is the one home of the rare-token rule.
 
     IDF = log(total_docs / df) falls strictly as df rises, so ranking by df
     ascending ranks by IDF descending, ties included, with no log per token.
@@ -220,20 +189,3 @@ def dump_record(sent_id: str, mask: RoleMask) -> str:
     lines.extend(f"{i} {j}" for i, j in mask.zero_coordinates())
     lines.append("")
     return "\n".join(lines)
-
-
-def parse_dump(text: str) -> list[tuple[str, str, int, list[tuple[int, int]]]]:
-    """Inverse of :func:`dump_record` over a concatenated dump file."""
-    records = []
-    current = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("sentence="):
-            fields = dict(part.split("=", 1) for part in line.split())
-            current = (fields["sentence"], fields["role"], int(fields["n"]), [])
-            records.append(current)
-        else:
-            i, j = line.split()
-            current[3].append((int(i), int(j)))
-    return records

@@ -272,14 +272,9 @@ def forward_stages(
     role's boolean block becomes one additive {0, -inf} float block, shared
     by every layer and head that uses the role; padding and regular heads
     share one ``(B, 1, n)`` row that closes the padded key columns. Dropout
-    still draws at the padded size (``(B, max_len, max_len)`` per head,
-    ``(B, max_len, ff_width)`` in the feed-forward) and keeps the cropped
-    block: a sentence's noise, and the RNG stream, do not depend on the
-    lengths of its batch-mates.
+    draws at the computed size: ``(H, B, n, n)`` attention weights and
+    ``(B, n, ff_width)`` feed-forward units per layer.
     """
-    b, max_len = batch.token_ids.shape
-    attn_draw = (b, max_len, max_len)
-    ff_draw = (b, max_len, cfg.ff_width)
     batch = batch.cropped()
     for role in cfg.guided_roles:
         if role not in batch.allowed:
@@ -304,7 +299,6 @@ def forward_stages(
             masks,
             dropout_rate=rate,
             rng=rng,
-            draw_shape=attn_draw,
         )
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
@@ -313,7 +307,7 @@ def forward_stages(
         yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
         if rate > 0.0:
-            hidden = ad.dropout(hidden, rate, rng, ff_draw)
+            hidden = ad.dropout(hidden, rate, rng)
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
         yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(

@@ -9,9 +9,11 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
+from guided_attention.corpus import Sentence, Token, truncate
 
 NEG_INF = float("-inf")
 
@@ -123,12 +125,12 @@ def concat_last(tensors) -> Tensor:
     return ad._record(Tensor(np.concatenate([t.data for t in tensors], axis=-1)), tuple(tensors), backward)
 
 
-def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None, draw_shape=None):
+def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
     """The guided multi-head layer composed head by head from autodiff primitives.
 
     Head ``h`` projects ``x`` with its own matrices ``wq[h]``, ``wk[h]`` and
     ``wv[h]`` and runs matmul, transpose, add ``masks[h]``, scale,
-    ``softmax_rows``, dropout drawn in ``draw_shape`` and a matmul with V, on
+    ``softmax_rows``, dropout and a matmul with V, on
     the tape one op at a time; the concatenated heads are projected by ``wo``.
     """
     outputs = []
@@ -139,7 +141,7 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None, dr
         scores = ad.add(ad.matmul(q, transpose_last(k)), Tensor(mask))
         attn = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
         if dropout_rate > 0.0:
-            attn = ad.dropout(attn, dropout_rate, rng, draw_shape)
+            attn = ad.dropout(attn, dropout_rate, rng)
         outputs.append(ad.matmul(attn, v))
     return ad.matmul(concat_last(outputs), wo)
 
@@ -311,8 +313,6 @@ def make_batches_per_sentence(sentences, vocab, batch_size, max_len, roles, seed
     key columns on every row, and each role grid is a copy of it with the
     sentence's :func:`role_mask_per_sentence` written into its top-left block.
     """
-    from guided_attention.corpus import truncate
-
     order = np.random.default_rng(seed).permutation(len(sentences)) if shuffle else range(len(sentences))
     kept = [truncate(sentences[i], max_len) for i in order]
     batches = []
@@ -340,3 +340,48 @@ def make_batches_per_sentence(sentences, vocab, batch_size, max_len, roles, seed
             )
         )
     return batches
+
+
+# ---------------------------------------------------------------------------
+# Random sentences and the mask dump format
+# ---------------------------------------------------------------------------
+
+DEPRELS = ["nsubj", "obj", "dobj", "amod", "advmod", "det", "case", "root", None]
+
+
+@st.composite
+def sentences(draw, forms, max_tokens):
+    """A sentence of random forms: unparsed, or a random tree with random relations."""
+    n = draw(st.integers(1, max_tokens))
+    words = draw(st.lists(st.sampled_from(forms), min_size=n, max_size=n))
+    heads = [None] * n
+    deprels = [None] * n
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(1, n + 1)))
+        heads[order[0] - 1] = 0
+        for k in range(1, n):
+            heads[order[k] - 1] = order[draw(st.integers(0, k - 1))]
+        deprels = draw(st.lists(st.sampled_from(DEPRELS), min_size=n, max_size=n))
+    label = draw(st.sampled_from(["pos", "neg", None]))
+    return Sentence(
+        [Token(f, i + 1, h, d) for i, (f, h, d) in enumerate(zip(words, heads, deprels))],
+        label=label,
+        sent_id=draw(st.sampled_from([None, "x", "y"])),
+    )
+
+
+def parse_dump(text: str) -> list[tuple[str, str, int, list[tuple[int, int]]]]:
+    """Inverse of ``masks.dump_record`` over a concatenated dump file."""
+    records = []
+    current = None
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("sentence="):
+            fields = dict(part.split("=", 1) for part in line.split())
+            current = (fields["sentence"], fields["role"], int(fields["n"]), [])
+            records.append(current)
+        else:
+            i, j = line.split()
+            current[3].append((int(i), int(j)))
+    return records

@@ -10,13 +10,18 @@ from hypothesis import strategies as st
 import guided_attention.autodiff as ad
 from guided_attention.attention import multi_head
 from guided_attention.autodiff import Tensor
-from guided_attention.corpus import make_batches
+from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
-from guided_attention.masks import GUIDED_ROLES, relative_position_mask
+from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
 from oracles import attention_naive, multi_head_per_head, tensor_sum
 
 NEG_INF = float("-inf")
+
+
+def relpos_mask(n: int) -> np.ndarray:
+    """The ``relpos`` {0, -inf} mask of an n-token sentence."""
+    return build_role_mask("relpos", Sentence([Token("w", i + 1) for i in range(n)])).values
 
 
 def random_projections(rng, d_model):
@@ -87,7 +92,7 @@ class TestMaskedAttention:
     def test_tridiagonal_matches_restricted_softmax_oracle(self):
         rng = np.random.default_rng(3)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        mask = relative_position_mask(4).values
+        mask = relpos_mask(4)
         out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
         exp_out, exp_w = attention_naive(q, k, v, mask)
         npt.assert_allclose(out.data, exp_out, atol=1e-12)
@@ -165,14 +170,12 @@ class TestMultiHead:
         d_model, n = 4, 3
         x = Tensor(rng.normal(size=(n, d_model)))
         wq, wk, wv, wo = random_projections(rng, d_model)
-        mask = relative_position_mask(n).values
+        mask = relpos_mask(n)
         out, _ = multi_head(x, wq, wk, wv, wo, [mask])
         direct, _ = attention_naive(x.data @ wq.data, x.data @ wk.data, x.data @ wv.data, mask)
         npt.assert_allclose(out.data, direct @ wo.data, rtol=0, atol=1e-12)
 
     def test_full_role_assignment_head_supports(self, twenty, twenty_vocab):
-        from guided_attention.masks import build_role_mask
-
         rng = np.random.default_rng(11)
         s = next(x for x in twenty if x.sent_id == "s10")
         n, d_model = len(s), 12
@@ -187,7 +190,7 @@ class TestMultiHead:
     def test_batched_input(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(2, 4, 6)))
-        relpos = np.stack([relative_position_mask(4).values] * 2)
+        relpos = np.stack([relpos_mask(4)] * 2)
         pad = np.zeros((2, 4, 4))
         out, head_w = multi_head(x, *random_projections(rng, 6), [relpos, pad, pad])
         assert out.shape == (2, 4, 6)
@@ -216,7 +219,7 @@ class TestMultiHead:
         batch = make_batches(twenty[:4], twenty_vocab, 4, 12, GUIDED_ROLES, shuffle=False)[0]
         cropped = batch.cropped()
         n = cropped.token_ids.shape[1]
-        assert n < 12  # the dropout draw is larger than the computed block
+        assert n < 12  # the batch is computed, and its dropout drawn, cropped
         masks = [cropped.role_masks[r] for r in GUIDED_ROLES] + [cropped.pad_mask]
         rng = np.random.default_rng(15)
         per_head = [[rng.normal(size=(12, 2)) for _ in range(6)] for _ in "qkv"]
@@ -229,7 +232,7 @@ class TestMultiHead:
             x = Tensor(x_data, requires_grad=True)
             wo_t = Tensor(wo, requires_grad=True)
             gen = np.random.default_rng(99)
-            out = layer(x, *projections, wo_t, masks, dropout_rate=0.3, rng=gen, draw_shape=batch.pad_mask.shape)
+            out = layer(x, *projections, wo_t, masks, dropout_rate=0.3, rng=gen)
             ad.backward(tensor_sum(ad.mul(out, Tensor(upstream))))
             return out.data, [x.grad, wo_t.grad], gen.bit_generator.state
 

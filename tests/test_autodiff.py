@@ -276,22 +276,6 @@ class TestElementwiseOps:
         x = Tensor(np.ones((2, 2)))
         assert ad.dropout(x, 0.0, None) is x
 
-    def test_dropout_draw_shape_keeps_the_leading_block(self):
-        data = np.random.default_rng(26).normal(size=(3, 5, 7))
-        full = ad.dropout(Tensor(data), 0.3, np.random.default_rng(1))
-        rng = np.random.default_rng(1)
-        cropped = ad.dropout(Tensor(data[:, :2, :4]), 0.3, rng, draw_shape=(3, 5, 7))
-        npt.assert_array_equal(cropped.data, full.data[:, :2, :4])
-        reference = np.random.default_rng(1)
-        reference.random(3 * 5 * 7)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    def test_dropout_draw_shape_must_cover_the_input(self):
-        x = Tensor(np.ones((2, 4)))
-        for shape in [(2, 3), (2, 4, 1), (8,)]:
-            with pytest.raises(ShapeMismatchError, match="does not cover"):
-                ad.dropout(x, 0.5, np.random.default_rng(0), draw_shape=shape)
-
 
 class TestAttention:
     """``ad.attention``: all heads of a layer as one tape node."""

@@ -10,9 +10,8 @@ import pytest
 from guided_attention.checkpoint import load_checkpoint, save_checkpoint
 from guided_attention.cli import main
 from guided_attention.corpus import build_vocab, parse_plain_text
-from guided_attention.masks import parse_dump
 from guided_attention.synthetic import generate_local_pattern_task, write_plain_with_labels
-from oracles import tridiagonal_pairs
+from oracles import parse_dump, tridiagonal_pairs
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = str(REPO_ROOT / "tests" / "fixtures" / "twenty.conllu")
@@ -358,6 +357,26 @@ class TestJobs:
         )
         assert line == f"error: --jobs must be >= 1, got {jobs}"
         assert not (tmp_path / "out").exists()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("flag", ["--data", "--labels", "--config"])
+    def test_rejected_with_one_error_line(self, toy_files, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b c\n\xff\xfe bad\n")
+        files = {"--data": toy_files["train"][0], "--labels": toy_files["train"][1], "--config": toy_files["config"]}
+        files[flag] = str(bad)
+        code = main([
+            "train", *(arg for pair in files.items() for arg in pair),
+            "--dev", toy_files["dev"][0], "--dev-labels", toy_files["dev"][1], "--out", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(bad) in line and "not UTF-8" in line
+        if flag != "--config":
+            assert line.startswith("error: line 2: ")
 
 
 class TestEntryPoint:

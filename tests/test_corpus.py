@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from guided_attention.corpus import (
     Sentence,
@@ -15,7 +17,6 @@ from guided_attention.corpus import (
     parse_conllu,
     parse_plain_text,
     rare_token_count,
-    rare_token_indices,
     read_labels_tsv,
     serialize_conllu,
     truncate,
@@ -24,8 +25,8 @@ from guided_attention.corpus import (
 )
 from guided_attention.errors import ConlluError, ShapeMismatchError
 from guided_attention import masks as masks_mod
-from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask
-from oracles import TWENTY_TOKEN_COUNTS, rare_columns_bruteforce
+from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask, rare_columns
+from oracles import TWENTY_TOKEN_COUNTS, rare_columns_bruteforce, sentences
 
 
 def sent(forms, label=None):
@@ -107,6 +108,16 @@ class TestParseConllu:
             assert a.tokens == b.tokens
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sentences(["the", "cat", ",", "naïve", "日本", "[SEP]", "a_b", "#"], 12), max_size=5))
+def test_conllu_round_trip_over_random_trees(corpus):
+    again = parse_conllu(serialize_conllu(corpus))
+    assert [s.tokens for s in again] == [s.tokens for s in corpus]
+    assert [s.label for s in again] == [s.label for s in corpus]
+    # A sentence without an id gets its 1-based ordinal.
+    assert [s.sent_id for s in again] == [s.sent_id or str(i) for i, s in enumerate(corpus, start=1)]
+
+
 class TestPlainText:
     def test_tokenization_and_ids(self):
         sentences = parse_plain_text("hello world\n\nsecond line here\n")
@@ -160,7 +171,13 @@ class TestVocabulary:
         fwd = build_vocab(twenty)
         rev = build_vocab(list(reversed(twenty)))
         assert fwd.doc_freq == rev.doc_freq
-        assert rare_token_indices(twenty[3], fwd) == rare_token_indices(twenty[3], rev)
+        assert rare_positions(twenty[3], fwd) == rare_positions(twenty[3], rev)
+
+
+def rare_positions(sentence, vocab) -> set[int]:
+    """0-based positions that ``rare_columns`` picks in a batch of this one sentence."""
+    valid = np.ones((1, len(sentence)), dtype=bool)
+    return set(np.flatnonzero(rare_columns(sentence.tokens, vocab, valid)[0]).tolist())
 
 
 class TestRareTokens:
@@ -168,29 +185,29 @@ class TestRareTokens:
         vocab = build_vocab([sent(["a"]), sent(["a", "b"]), sent(["a", "b", "c", "d", "e"])])
         s = sent(["a", "b", "c", "d", "e"])
         # c, d, e tie at df = 1; k = 1 and the earliest position wins
-        assert rare_token_indices(s, vocab) == {2}
+        assert rare_positions(s, vocab) == {2}
 
     def test_k_two_for_twenty_tokens(self):
         assert rare_token_count(20) == 2
         vocab = build_vocab([sent([f"t{i}" for i in range(20)]), sent(["t0"] * 3)])
         s = sent([f"t{i}" for i in range(20)])
-        picked = rare_token_indices(s, vocab)
+        picked = rare_positions(s, vocab)
         assert len(picked) == 2
         assert 0 not in picked  # t0 is the only common token
 
     def test_tie_break_earlier_position(self):
         vocab = build_vocab([sent(["x", "y", "x", "y"])])
         s = sent(["x", "y", "x", "y"])  # all idf 0, k = 1
-        assert rare_token_indices(s, vocab) == {0}
+        assert rare_positions(s, vocab) == {0}
 
     def test_duplicated_rare_token_ranking(self, twenty, twenty_vocab):
         for s in twenty:
-            assert rare_token_indices(s, twenty_vocab) == rare_columns_bruteforce(s, twenty_vocab)
+            assert rare_positions(s, twenty_vocab) == rare_columns_bruteforce(s, twenty_vocab)
 
     def test_count_invariant(self, twenty, twenty_vocab):
         for s in twenty:
             k = rare_token_count(len(s))
-            assert len(rare_token_indices(s, twenty_vocab)) == k == max(1, math.ceil(0.1 * len(s)))
+            assert len(rare_positions(s, twenty_vocab)) == k == max(1, math.ceil(0.1 * len(s)))
 
 
 class TestBatches:

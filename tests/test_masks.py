@@ -14,13 +14,7 @@ from guided_attention.masks import (
     RoleMask,
     apply_fallback,
     build_role_mask,
-    dep_syntax_mask,
     dump_record,
-    major_relations_mask,
-    parse_dump,
-    rare_words_mask,
-    relative_position_mask,
-    separator_mask,
 )
 from oracles import (
     columns_to_pairs,
@@ -28,7 +22,9 @@ from oracles import (
     make_batches_per_sentence,
     mask_zero_pairs,
     pairs_with_fallback,
+    parse_dump,
     rare_columns_bruteforce,
+    sentences,
     separator_columns_bruteforce,
     tridiagonal_pairs,
 )
@@ -51,6 +47,11 @@ def batch_of(sentences, max_len, roles):
     return batch, vocab
 
 
+def open_pairs(allowed: np.ndarray) -> set[tuple[int, int]]:
+    """0-based (query, key) pairs where a boolean ``(n, n)`` mask is True."""
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(allowed))}
+
+
 def assert_binary(mask: RoleMask):
     assert np.all((mask.values == 0.0) | (mask.values == NEG_INF))
 
@@ -61,20 +62,20 @@ class TestRareWordsMask:
             [sent(["a", "b", "c", "d", "rare"])]
             + [sent(["a", "b", "c", "d"]) for _ in range(3)]
         )
-        mask = rare_words_mask(sent(["a", "b", "rare", "c", "d"]), vocab)
+        mask = build_role_mask("rarew", sent(["a", "b", "rare", "c", "d"]), vocab)
         assert np.all(mask.values[:, 2] == 0.0)
         other = np.delete(mask.values, 2, axis=1)
         assert np.all(other == NEG_INF)
 
     def test_all_identical_tokens_tie_break(self):
         vocab = build_vocab([sent(["x", "x", "x"])])
-        mask = rare_words_mask(sent(["x", "x", "x"]), vocab)
+        mask = build_role_mask("rarew", sent(["x", "x", "x"]), vocab)
         assert np.all(mask.values[:, 0] == 0.0)
         assert np.all(mask.values[:, 1:] == NEG_INF)
 
     def test_fixture_matches_bruteforce(self, twenty, twenty_vocab):
         for s in twenty:
-            mask = rare_words_mask(s, twenty_vocab)
+            mask = build_role_mask("rarew", s, twenty_vocab)
             expected = columns_to_pairs(rare_columns_bruteforce(s, twenty_vocab), len(s))
             assert mask_zero_pairs(mask.values) == expected
             assert_binary(mask)
@@ -82,22 +83,22 @@ class TestRareWordsMask:
 
 class TestSeparatorMask:
     def test_hello_comma_world_dot(self):
-        mask = separator_mask(sent(["Hello", ",", "world", "."]))
+        mask = build_role_mask("seprat", sent(["Hello", ",", "world", "."]))
         for col, open_ in [(0, False), (1, True), (2, False), (3, True)]:
             assert np.all((mask.values[:, col] == 0.0) == open_)
 
     def test_no_punctuation_falls_back_to_diagonal(self):
-        mask = separator_mask(sent(["just", "plain", "words"]))
+        mask = build_role_mask("seprat", sent(["just", "plain", "words"]))
         npt.assert_array_equal(mask.values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
 
     def test_question_mark_mid_sentence(self, twenty):
         s17 = next(s for s in twenty if s.sent_id == "s17")
-        mask = separator_mask(s17)
+        mask = build_role_mask("seprat", s17)
         assert s17.tokens[6].form == "?"
         assert np.all(mask.values[:, 6] == 0.0)
 
     def test_reserved_markers_count(self):
-        mask = separator_mask(sent(["[START]", "body", "[SEP]", "tail", "[END]"]))
+        mask = build_role_mask("seprat", sent(["[START]", "body", "[SEP]", "tail", "[END]"]))
         for col in (0, 2, 4):
             assert np.all(mask.values[:, col] == 0.0)
         for col in (1, 3):
@@ -106,13 +107,13 @@ class TestSeparatorMask:
     def test_fixture_matches_bruteforce(self, twenty):
         for s in twenty:
             expected = columns_to_pairs(separator_columns_bruteforce(s), len(s))
-            assert mask_zero_pairs(separator_mask(s).values) == expected
+            assert mask_zero_pairs(build_role_mask("seprat", s).values) == expected
 
 
 class TestDependencyMasks:
     def test_single_edge_symmetric(self):
         s = sent(["She", "runs"], heads=[2, 0], deprels=["nsubj", "root"])
-        mask = dep_syntax_mask(s)
+        mask = build_role_mask("depsyn", s)
         assert mask.values[0, 1] == 0.0
         assert mask.values[1, 0] == 0.0
         # both rows feasible via the edge, so diagonals stay closed
@@ -120,40 +121,40 @@ class TestDependencyMasks:
         assert mask.values[1, 1] == NEG_INF
 
     def test_single_token_diagonal_fallback(self):
-        mask = dep_syntax_mask(sent(["Run"], heads=[0], deprels=["root"]))
+        mask = build_role_mask("depsyn", sent(["Run"], heads=[0], deprels=["root"]))
         npt.assert_array_equal(mask.values, [[0.0]])
 
     def test_root_edge_contributes_nothing(self):
         s = sent(["a", "b"], heads=[0, 1], deprels=["root", "obj"])
-        mask = dep_syntax_mask(s)
+        mask = build_role_mask("depsyn", s)
         assert mask_zero_pairs(mask.values) == {(0, 1), (1, 0)}
 
     def test_fixture_matches_edge_list_oracle(self, twenty):
         for s in twenty:
             expected = pairs_with_fallback(edge_pairs_bruteforce(s), len(s))
-            assert mask_zero_pairs(dep_syntax_mask(s).values) == expected
+            assert mask_zero_pairs(build_role_mask("depsyn", s).values) == expected
 
     def test_majrel_qualifying_edge(self):
         s = sent(["She", "runs"], heads=[2, 0], deprels=["nsubj", "root"])
-        mask = major_relations_mask(s)
+        mask = build_role_mask("majrel", s)
         assert mask.values[0, 1] == 0.0 and mask.values[1, 0] == 0.0
 
     def test_majrel_non_qualifying_edge_all_fallback(self):
         s = sent(["the", "cat"], heads=[2, 0], deprels=["det", "root"])
-        mask = major_relations_mask(s)
+        mask = build_role_mask("majrel", s)
         npt.assert_array_equal(mask.values, np.where(np.eye(2, dtype=bool), 0.0, NEG_INF))
 
     def test_majrel_accepts_obj_and_dobj(self, twenty):
         s02 = next(s for s in twenty if s.sent_id == "s02")  # uses obj
         s11 = next(s for s in twenty if s.sent_id == "s11")  # uses dobj
-        assert (2, 4) in mask_zero_pairs(major_relations_mask(s02).values)
-        assert (2, 4) in mask_zero_pairs(major_relations_mask(s11).values)
+        assert (2, 4) in mask_zero_pairs(build_role_mask("majrel", s02).values)
+        assert (2, 4) in mask_zero_pairs(build_role_mask("majrel", s11).values)
 
     def test_fixture_majrel_matches_filtered_oracle(self, twenty):
         rel = {"nsubj", "dobj", "obj", "amod", "advmod"}
         for s in twenty:
             expected = pairs_with_fallback(edge_pairs_bruteforce(s, rel), len(s))
-            assert mask_zero_pairs(major_relations_mask(s).values) == expected
+            assert mask_zero_pairs(build_role_mask("majrel", s).values) == expected
 
     def test_majrel_subset_of_depsyn_prefallback(self, twenty):
         rel = {"nsubj", "dobj", "obj", "amod", "advmod"}
@@ -162,8 +163,8 @@ class TestDependencyMasks:
 
     def test_unparsed_sentence_degrades_to_diagonal(self):
         s = sent(["no", "parse", "here"])
-        for build in (dep_syntax_mask, major_relations_mask):
-            npt.assert_array_equal(build(s).values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
+        for role in ("depsyn", "majrel"):
+            npt.assert_array_equal(build_role_mask(role, s).values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
 
     def test_symmetry_and_subset_on_random_trees(self):
         # head != index and edges never touch the diagonal, so removing the
@@ -182,8 +183,8 @@ class TestDependencyMasks:
                 )
             s = Sentence(tokens)
             diagonal = {(i, i) for i in range(n)}
-            dep_zeros = mask_zero_pairs(dep_syntax_mask(s).values)
-            maj_zeros = mask_zero_pairs(major_relations_mask(s).values)
+            dep_zeros = mask_zero_pairs(build_role_mask("depsyn", s).values)
+            maj_zeros = mask_zero_pairs(build_role_mask("majrel", s).values)
             dep_edges = dep_zeros - diagonal
             maj_edges = maj_zeros - diagonal
             assert {(j, i) for i, j in dep_edges} == dep_edges
@@ -193,17 +194,17 @@ class TestDependencyMasks:
 
 class TestRelativePositionMask:
     def test_n4_tridiagonal(self):
-        mask = relative_position_mask(4)
+        mask = build_role_mask("relpos", sent(["w"] * 4))
         assert mask_zero_pairs(mask.values) == tridiagonal_pairs(4)
 
     def test_n1_single_entry(self):
-        npt.assert_array_equal(relative_position_mask(1).values, [[0.0]])
+        npt.assert_array_equal(build_role_mask("relpos", sent(["w"] * 1)).values, [[0.0]])
 
     def test_n10_zero_count_formula(self):
-        assert len(mask_zero_pairs(relative_position_mask(10).values)) == 3 * 10 - 2
+        assert len(mask_zero_pairs(build_role_mask("relpos", sent(["w"] * 10)).values)) == 3 * 10 - 2
 
     def test_symmetric(self):
-        values = relative_position_mask(7).values
+        values = build_role_mask("relpos", sent(["w"] * 7)).values
         npt.assert_array_equal(values, values.T)
 
 
@@ -222,49 +223,44 @@ class TestPaddingMask:
 
 class TestFallbackAndCombine:
     def test_full_fallback_gives_identity_diagonal(self):
-        mask = RoleMask("seprat", np.full((3, 3), NEG_INF))
-        out = apply_fallback(mask, 3)
-        npt.assert_array_equal(out.values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
+        out = apply_fallback(np.zeros((3, 3), dtype=bool), 3)
+        npt.assert_array_equal(out, np.eye(3, dtype=bool))
 
     def test_feasible_mask_unchanged(self):
-        values = np.where(np.eye(3, dtype=bool), 0.0, NEG_INF)
-        out = apply_fallback(RoleMask("relpos", values.copy()), 3)
-        npt.assert_array_equal(out.values, values)
+        allowed = np.eye(3, dtype=bool)
+        out = apply_fallback(allowed.copy(), 3)
+        npt.assert_array_equal(out, allowed)
 
     def test_only_infeasible_rows_gain_diagonal(self):
-        values = np.full((4, 4), NEG_INF)
-        values[0, 2] = 0.0
-        values[3, 1] = 0.0
-        out = apply_fallback(RoleMask("depsyn", values), 4)
-        assert mask_zero_pairs(out.values) == {(0, 2), (3, 1), (1, 1), (2, 2)}
+        allowed = np.zeros((4, 4), dtype=bool)
+        allowed[0, 2] = True
+        allowed[3, 1] = True
+        out = apply_fallback(allowed, 4)
+        assert open_pairs(out) == {(0, 2), (3, 1), (1, 1), (2, 2)}
 
     def test_batched_rows_use_their_own_valid_count(self):
-        values = np.full((2, 3, 3), NEG_INF)
-        values[0, 0, 1] = 0.0
-        out = apply_fallback(RoleMask("depsyn", values), np.array([3, 1]))
-        assert mask_zero_pairs(out.values[0]) == {(0, 1), (1, 1), (2, 2)}
-        assert mask_zero_pairs(out.values[1]) == {(0, 0)}
+        allowed = np.zeros((2, 3, 3), dtype=bool)
+        allowed[0, 0, 1] = True
+        out = apply_fallback(allowed, np.array([3, 1]))
+        assert open_pairs(out[0]) == {(0, 1), (1, 1), (2, 2)}
+        assert open_pairs(out[1]) == {(0, 0)}
 
     def test_input_mask_left_unchanged(self):
-        values = np.full((2, 3, 3), NEG_INF)
-        mask = RoleMask("seprat", values)
-        out = apply_fallback(mask, np.array([3, 2]))
-        assert out is not mask and out.values is not values
-        assert np.all(values == NEG_INF)
-        assert mask_zero_pairs(out.values[1]) == {(0, 0), (1, 1)}
+        allowed = np.zeros((2, 3, 3), dtype=bool)
+        out = apply_fallback(allowed, np.array([3, 2]))
+        assert out is not allowed
+        assert not allowed.any()
+        assert open_pairs(out[1]) == {(0, 0), (1, 1)}
 
-    @pytest.mark.parametrize("open_value, closed_value", [(True, False), (0.0, NEG_INF)], ids=["bool", "float"])
-    def test_boolean_and_float_values(self, open_value, closed_value):
-        values = np.full((2, 3, 3), closed_value)
-        values[0, 0, 1] = open_value  # a valid row that is already open
-        values[1, 2, 0] = open_value  # a padded row of the second grid, which has one valid row
-        before = values.copy()
-        out = apply_fallback(RoleMask("depsyn", values), np.array([3, 1]))
-        assert out.values.dtype == values.dtype
-        npt.assert_array_equal(values, before)
-        opened = [{(int(i), int(j)) for i, j in zip(*np.nonzero(grid == open_value))} for grid in out.values]
-        assert opened == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
-        assert np.all((out.values == open_value) | (out.values == closed_value))
+    def test_open_and_padded_rows_kept_as_they_are(self):
+        allowed = np.zeros((2, 3, 3), dtype=bool)
+        allowed[0, 0, 1] = True  # a valid row that is already open
+        allowed[1, 2, 0] = True  # a padded row of the second grid, which has one valid row
+        before = allowed.copy()
+        out = apply_fallback(allowed, np.array([3, 1]))
+        assert out.dtype == bool
+        npt.assert_array_equal(allowed, before)
+        assert [open_pairs(grid) for grid in out] == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
 
     def test_batches_get_the_fallback_only_from_apply_fallback(self, monkeypatch):
         monkeypatch.setattr(masks_mod, "apply_fallback", lambda mask, n_valid: mask)
@@ -275,7 +271,8 @@ class TestFallbackAndCombine:
 
     def test_all_zero_pad_is_identity(self):
         batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
-        npt.assert_array_equal(batch.role_masks["relpos"][0], relative_position_mask(4).values)
+        relpos = build_role_mask("relpos", sent(["w"] * 4))
+        npt.assert_array_equal(batch.role_masks["relpos"][0], relpos.values)
 
     def test_random_combine_matches_set_intersection(self):
         rng = np.random.default_rng(0)
@@ -323,8 +320,8 @@ class TestPurityAndStructure:
 
     def test_column_constant_roles(self, twenty, twenty_vocab):
         for s in twenty:
-            for build in (lambda x: rare_words_mask(x, twenty_vocab), separator_mask):
-                values = build(s).values
+            for role in ("rarew", "seprat"):
+                values = build_role_mask(role, s, twenty_vocab).values
                 if len(s) > 1 and not np.all(values == np.where(np.eye(len(s), dtype=bool), 0.0, NEG_INF)):
                     npt.assert_array_equal(values, np.tile(values[0], (len(s), 1)))
 
@@ -342,35 +339,13 @@ class TestDumpFormat:
         assert pairs == mask.zero_coordinates()
 
     def test_coordinates_sorted_one_based(self):
-        mask = relative_position_mask(3)
+        mask = build_role_mask("relpos", sent(["w"] * 3))
         assert mask.zero_coordinates() == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 # Forms the vocabulary sees, and forms it never sees (scored as maximally rare).
 KNOWN_FORMS = ["the", "cat", "dog", "runs", "fast", ",", ".", "?", "[SEP]"]
 UNKNOWN_FORMS = ["zebra", "!", ";"]
-DEPRELS = ["nsubj", "obj", "dobj", "amod", "advmod", "det", "case", "root", None]
-
-
-@st.composite
-def sentences(draw, forms, max_tokens):
-    """A sentence of random forms: unparsed, or a random tree with random relations."""
-    n = draw(st.integers(1, max_tokens))
-    words = draw(st.lists(st.sampled_from(forms), min_size=n, max_size=n))
-    heads = [None] * n
-    deprels = [None] * n
-    if draw(st.booleans()):
-        order = draw(st.permutations(range(1, n + 1)))
-        heads[order[0] - 1] = 0
-        for k in range(1, n):
-            heads[order[k] - 1] = order[draw(st.integers(0, k - 1))]
-        deprels = draw(st.lists(st.sampled_from(DEPRELS), min_size=n, max_size=n))
-    label = draw(st.sampled_from(["pos", "neg", None]))
-    return Sentence(
-        [Token(f, i + 1, h, d) for i, (f, h, d) in enumerate(zip(words, heads, deprels))],
-        label=label,
-        sent_id=draw(st.sampled_from([None, "x", "y"])),
-    )
 
 
 @st.composite
