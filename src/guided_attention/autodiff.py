@@ -6,9 +6,9 @@ loss walks it once in reverse topological order and accumulates gradients
 into every reachable tensor that has ``requires_grad`` set.
 
 The only non-finite value that may legally appear in a forward pass is
-``-inf``, introduced by additive attention masks. :func:`softmax_rows`
-and :func:`attention` map ``-inf`` entries to exactly 0, which in turn
-makes the gradient through masked positions exactly 0.
+``-inf``, introduced by additive attention masks. :func:`attention`, the
+one softmax of the runtime, maps ``-inf`` entries to exactly 0, which in
+turn makes the gradient through masked positions exactly 0.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
@@ -157,52 +154,26 @@ def relu(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax over the last axis with exact ``-inf`` handling.
-
-    The stabilizing row maximum is taken over finite entries only, so masked
-    (``-inf``) entries map to exactly 0. A row with no finite entry is a
-    caller bug (a mask without fallback) and raises :class:`DegenerateRowError`
-    rather than producing NaN.
-    """
-    x = as_tensor(x)
-    data = x.data
-    finite = np.isfinite(data)
-    row_max = np.max(data, axis=-1, keepdims=True, initial=NEG_INF, where=finite)
-    if not np.all(np.isfinite(row_max)):
-        bad = np.argwhere(~np.isfinite(row_max[..., 0]))
-        raise DegenerateRowError(f"softmax row(s) with all entries masked at index {tuple(bad[0])}")
-    exps = np.exp(data - row_max)
-    y = exps / exps.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - inner))
-
-    return _record(out, (x,), backward)
-
-
 def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
     ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
     with the heads packed along the last axis, and ``masks`` holds one
     additive {0, -inf} mask per head, each broadcastable to (..., n, m).
-    Head ``h`` computes ``softmax_rows((Q_h K_hᵀ + masks[h]) / sqrt(d_k)) V_h``;
-    ``keep``, an (H, ..., n, m) multiplier from :func:`dropout_keep`, scales
-    the weights before they meet ``V_h``.
+    Head ``h`` computes ``softmax((Q_h K_hᵀ + masks[h]) / sqrt(d_k)) V_h``
+    over the last axis; ``keep``, an (H, ..., n, m) multiplier from
+    :func:`dropout_keep`, scales the weights before they meet ``V_h``.
 
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
 
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
-    ``p -= row_max``, ``exp`` and normalisation, which gives the weights of
-    :func:`softmax_rows` bit for bit: an open entry minus the row maximum is
-    at most 0, and a masked entry is ``-inf`` whatever its score, so ``exp``
-    maps it to exactly 0 without overflow. A row whose maximum is not finite
-    (every key masked, or a NaN or +inf score) is left to :func:`softmax_rows`
-    itself, which raises :class:`DegenerateRowError` or propagates the value.
+    ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
+    maximum is at most 0, and a masked entry is ``-inf`` whatever its finite
+    score, so ``exp`` maps it to exactly 0 without overflow. A row whose
+    maximum is ``-inf`` (every key masked) raises :class:`DegenerateRowError`
+    naming the head and the row; a row holding a NaN or +inf score, open or
+    masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     heads = len(masks)
@@ -236,12 +207,13 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
         except ValueError as exc:
             raise ShapeMismatchError(f"mask shape {mask.shape} does not broadcast to {p.shape}") from exc
         row_max = p.max(axis=-1, keepdims=True)
-        if np.all(np.isfinite(row_max)):
-            p -= row_max
-            np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-        else:
-            p[...] = softmax_rows(p).data
+        closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
+        if closed.any():
+            row = tuple(int(i) for i in np.argwhere(closed)[0])
+            raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
+        p -= row_max
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p if keep is None else p * keep[h], v.data[..., vh], out=out[..., vh])
 
     def backward(g):

@@ -4,7 +4,8 @@ Subcommands: ``masks`` (dump role masks), ``inspect`` (render one sentence's
 masks), ``train``, ``eval``, ``grid`` and ``ablate``. The config file is
 authoritative; individual keys can be overridden with ``--seed`` or repeated
 ``--set key=value`` flags, and the fully resolved config is always written
-to the run manifest. No environment variables are consulted.
+to the run manifest. Each subcommand takes only the flags it reads. No
+environment variables are consulted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from . import masks as masks_mod
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import build_vocab, load_corpus
-from .errors import ConfigError, GuidedAttentionError
+from .errors import ConfigError, ConlluError, GuidedAttentionError
 from .harness import (
     DatasetSplits,
     ExperimentSpec,
@@ -57,33 +58,39 @@ def build_parser() -> argparse.ArgumentParser:
         "mask dumps, training, evaluation, grid search, and drop-one-role ablation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    optional = {
+        "--out": {"help": "output directory for artifacts"},
+        "--seed": {"type": int, "help": "override the config seed"},
+        "--roles": {"help": "comma-separated role list (default: all five)"},
+        "--format": {"choices": ("text", "csv"), "default": "text"},
+    }
 
-    def common(p):
+    def command(name, fn, help, *flags):
+        """A subcommand reading a corpus, with only the ``optional`` flags it reads."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--data", required=True, help="input corpus (.conllu or plain text)")
         p.add_argument("--labels", help="sidecar TSV: sentence-id<TAB>label")
-        p.add_argument("--out", help="output directory for artifacts")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--roles", help="comma-separated role list (default: all five)")
-        p.add_argument("--format", choices=("text", "csv"), default="text")
+        for flag in flags:
+            p.add_argument(flag, **optional[flag])
+        p.set_defaults(func=fn)
+        return p
 
-    p = sub.add_parser("masks", help="dump sparse role masks for a corpus")
-    common(p)
-    p.set_defaults(func=cmd_masks)
-
-    p = sub.add_parser("inspect", help="render one sentence's masks as a grid")
-    common(p)
+    command("masks", cmd_masks, "dump sparse role masks for a corpus", "--out", "--roles")
+    p = command("inspect", cmd_inspect, "render one sentence's masks as a grid", "--roles")
     p.add_argument("sentence_id", help="sentence id to render")
-    p.set_defaults(func=cmd_inspect)
 
     for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("grid", cmd_grid), ("ablate", cmd_ablate)):
-        p = sub.add_parser(name, help=f"{name} a model")
-        common(p)
+        if name == "eval":
+            p = command(name, fn, "eval a model", "--out", "--format")
+            p.add_argument("--ckpt", required=True, help="checkpoint file to evaluate")
+            continue
+        flags = ("--out", "--seed", "--roles") + (() if name == "train" else ("--format",))
+        p = command(name, fn, f"{name} a model", *flags)
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        if name in ("train", "grid", "ablate"):
-            p.add_argument("--dev", required=True, help="dev split corpus")
-            p.add_argument("--dev-labels", help="sidecar labels for the dev split")
+        p.add_argument("--dev", required=True, help="dev split corpus")
+        p.add_argument("--dev-labels", help="sidecar labels for the dev split")
         if name in ("grid", "ablate"):
             p.add_argument("--test", required=True, help="test split corpus")
             p.add_argument("--test-labels", help="sidecar labels for the test split")
@@ -96,9 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ablate", help="subset of roles to drop (default: all enabled)")
             p.add_argument("--no-baseline", action="store_true",
                            help="skip the unguided reference runs")
-        if name == "eval":
-            p.add_argument("--ckpt", required=True, help="checkpoint file to evaluate")
-        p.set_defaults(func=fn)
     return parser
 
 
@@ -123,7 +127,12 @@ def _role_list(flag: str, raw: str) -> tuple[str, ...]:
 
 
 def _load(path: str, labels: str | None, roles: tuple[str, ...] = ()):
-    sentences = load_corpus(path, labels_path=labels)
+    """The sentences of ``path``; a malformed CoNLL-U block fails the command instead of being skipped."""
+    errors: list[ConlluError] = []
+    sentences = load_corpus(path, labels_path=labels, errors=errors)
+    if errors:
+        first = errors[0]
+        raise ConlluError(first.line_number, f"{first.message} (first of {len(errors)} malformed block(s))")
     if not sentences:
         raise ConfigError(f"no sentences found in {path}")
     if not any(s.has_parse for s in sentences):
@@ -230,7 +239,7 @@ def render_grid(sentence, mask) -> str:
     lines = [f"role={mask.role} sentence={sentence.sent_id} n={n}"]
     lines.append(" " * (width + 1) + " ".join(f"{j + 1:>2d}" for j in range(n)))
     for i in range(n):
-        cells = " ".join(" ." if mask.values[i, j] == 0.0 else " #" for j in range(n))
+        cells = " ".join(" ." if mask.values[i, j] else " #" for j in range(n))
         lines.append(f"{sentence.tokens[i].form:>{width}} {cells}")
     return "\n".join(lines) + "\n"
 
@@ -255,9 +264,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.config or args.set:
-        print("warning: --config/--set are ignored by eval; the checkpoint config governs",
-              file=sys.stderr)
     ckpt = load_checkpoint(args.ckpt)
     sentences = _load(args.data, args.labels, ckpt.config.guided_roles)
     metrics = evaluate(ckpt, sentences)

@@ -216,14 +216,26 @@ def _read_utf8(path) -> str:
 
 
 def load_corpus(path, labels_path=None, errors: list[ConlluError] | None = None) -> list[Sentence]:
-    """Load a ``.conllu`` file (by extension) or plain text, plus optional sidecar labels."""
+    """Load a ``.conllu`` file (by extension) or plain text, plus optional sidecar labels.
+
+    Every error names its file, ``line N: <path>: …``: the skipped blocks'
+    errors appended to ``errors`` and a malformed label row's, which raises.
+    """
     text = _read_utf8(path)
     if str(path).endswith(".conllu"):
-        sentences = parse_conllu(text, errors=errors)
+        found: list[ConlluError] = []
+        sentences = parse_conllu(text, errors=found)
+        if errors is not None:
+            errors.extend(err.in_file(path) for err in found)
     else:
         sentences = parse_plain_text(text)
     if labels_path is not None:
-        sentences = attach_labels(sentences, read_labels_tsv(_read_utf8(labels_path)))
+        text = _read_utf8(labels_path)
+        try:
+            labels = read_labels_tsv(text)
+        except ConlluError as err:
+            raise err.in_file(labels_path) from None
+        sentences = attach_labels(sentences, labels)
     return sentences
 
 
@@ -253,9 +265,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(RESERVED_FORMS) + len(self.doc_freq)
 
-    def __contains__(self, form: str) -> bool:
-        return form in self.doc_freq
-
     def df(self, form: str) -> int:
         return self.doc_freq.get(form, 1)
 
@@ -267,9 +276,6 @@ class Vocabulary:
 
     def form(self, token_id: int) -> str:
         return self._forms[token_id]
-
-    def entries(self) -> dict[str, tuple[int, float]]:
-        return {form: (df, math.log(self.total_docs / df)) for form, df in self.doc_freq.items()}
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:

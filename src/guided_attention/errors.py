@@ -19,6 +19,11 @@ class ConlluError(GuidedAttentionError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+        self.message = message
+
+    def in_file(self, path) -> "ConlluError":
+        """The same error, naming the file it was read from."""
+        return ConlluError(self.line_number, f"{path}: {self.message}")
 
 
 class ConfigError(GuidedAttentionError):

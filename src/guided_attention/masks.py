@@ -1,9 +1,11 @@
-"""Construction of the five role-specific additive attention masks.
+"""Construction of the five role-specific attention masks.
 
-A mask is indexed query row x key column. A batch carries each role's
-mask as a boolean block (True = attend); a single sentence's
-:class:`RoleMask` is a float64 grid whose entries are exactly 0.0 (attend)
-or ``-inf`` (ignore). Each role opens:
+A mask is indexed query row x key column and is boolean, True where the
+query may attend to the key: a batch carries each role's mask as a
+``(B, n, n)`` block, and a single sentence's :class:`RoleMask` holds an
+``(n, n)`` one. ``model.forward_stages`` turns each block into the
+additive {0, -inf} form that the attention kernel adds to its scores.
+Each role opens:
 
 * ``rarew``  - columns of the top-10%-IDF token positions,
 * ``seprat`` - columns of separator/punctuation tokens,
@@ -17,7 +19,7 @@ one pass, as boolean blocks at the batch's longest sentence: only the
 valid key columns open, and a padded query row opens all of them. A valid
 query row left with no open key would make softmax undefined, so
 :func:`apply_fallback` opens its diagonal. :func:`build_role_mask` is the
-same pass on a batch of one sentence, turned into a {0, -inf} grid.
+same pass on a batch of one sentence.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ MAJOR_RELATIONS = frozenset({"nsubj", "dobj", "obj", "amod", "advmod"})
 @dataclass
 class RoleMask:
     role: str
-    values: np.ndarray  # (n, n) float64 over {0, -inf}
+    values: np.ndarray  # (n, n) bool, True = attend
 
     @property
     def n(self) -> int:
         return self.values.shape[-1]
 
-    def zero_coordinates(self) -> list[tuple[int, int]]:
+    def open_coordinates(self) -> list[tuple[int, int]]:
         """Sorted 1-based (query, key) coordinates of allowed positions."""
-        rows, cols = np.nonzero(self.values == 0.0)
+        rows, cols = np.nonzero(self.values)
         return [(int(i) + 1, int(j) + 1) for i, j in zip(rows, cols)]
 
 
@@ -101,13 +103,12 @@ def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:
 
 
 def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
-    """One role's ``(n, n)`` {0, -inf} mask for one sentence at its own length: a batch of one.
+    """One role's boolean ``(n, n)`` mask for one sentence at its own length: a batch of one.
 
     The ``padding`` pseudo-role places no restriction of its own; it opens
     every key, which is how an ablated head is given "just the padding mask".
     """
-    block = build_batch_masks((role,), [sentence], vocab)[role][0]
-    return RoleMask(role, np.where(block, 0.0, NEG_INF))
+    return RoleMask(role, build_batch_masks((role,), [sentence], vocab)[role][0])
 
 
 def _pattern(role: str, tokens, vocab, valid: np.ndarray) -> np.ndarray:
@@ -186,6 +187,6 @@ def _band(n: int) -> np.ndarray:
 def dump_record(sent_id: str, mask: RoleMask) -> str:
     """One diffable record: header line, then sorted 1-based ``i j`` pairs."""
     lines = [f"sentence={sent_id} role={mask.role} n={mask.n}"]
-    lines.extend(f"{i} {j}" for i, j in mask.zero_coordinates())
+    lines.extend(f"{i} {j}" for i, j in mask.open_coordinates())
     lines.append("")
     return "\n".join(lines)

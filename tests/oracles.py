@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, truncate
+from guided_attention.errors import DegenerateRowError
 
 NEG_INF = float("-inf")
 
@@ -93,6 +94,31 @@ def attention_naive(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def softmax_rows(x) -> Tensor:
+    """Row-wise softmax over the last axis with exact ``-inf`` handling, on the tape.
+
+    The reference for ``autodiff.attention``'s weights. The stabilizing row
+    maximum is taken over finite entries only, so masked (``-inf``) entries
+    map to exactly 0. A row with no finite entry raises
+    :class:`DegenerateRowError`.
+    """
+    x = ad.as_tensor(x)
+    data = x.data
+    finite = np.isfinite(data)
+    row_max = np.max(data, axis=-1, keepdims=True, initial=NEG_INF, where=finite)
+    if not np.all(np.isfinite(row_max)):
+        bad = np.argwhere(~np.isfinite(row_max[..., 0]))
+        raise DegenerateRowError(f"softmax row(s) with all entries masked at index {tuple(bad[0])}")
+    exps = np.exp(data - row_max)
+    y = exps / exps.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        ad._accumulate(x, y * (g - inner))
+
+    return ad._record(Tensor(y), (x,), backward)
+
+
 def tensor_sum(x) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = ad.as_tensor(x)
@@ -139,7 +165,7 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
         k = ad.matmul(x, wk[h])
         v = ad.matmul(x, wv[h])
         scores = ad.add(ad.matmul(q, transpose_last(k)), Tensor(mask))
-        attn = ad.softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
+        attn = softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
         if dropout_rate > 0.0:
             attn = ad.dropout(attn, dropout_rate, rng)
         outputs.append(ad.matmul(attn, v))
@@ -270,8 +296,9 @@ def pairs_with_fallback(pairs: set[tuple[int, int]], n: int) -> set[tuple[int, i
     return out
 
 
-def mask_zero_pairs(values: np.ndarray) -> set[tuple[int, int]]:
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(values == 0.0))}
+def mask_open_pairs(allowed: np.ndarray) -> set[tuple[int, int]]:
+    """The 0-based (query, key) pairs of a boolean mask's True entries."""
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(allowed))}
 
 
 # ---------------------------------------------------------------------------

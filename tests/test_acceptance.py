@@ -29,7 +29,7 @@ from oracles import (
     columns_to_pairs,
     edge_pairs_bruteforce,
     finite_difference_grad,
-    mask_zero_pairs,
+    mask_open_pairs,
     pairs_with_fallback,
     rare_columns_bruteforce,
     relative_error,
@@ -105,7 +105,7 @@ def test_criterion_1_mask_construction_suite(twenty, twenty_vocab):
             }
             for role in GUIDED_ROLES:
                 mask = build_role_mask(role, s, twenty_vocab)
-                assert mask_zero_pairs(mask.values) == expected[role], (s.sent_id, role)
+                assert mask_open_pairs(mask.values) == expected[role], (s.sent_id, role)
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"mask suite took {elapsed:.3f}s"
 

@@ -14,14 +14,19 @@ from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
-from oracles import attention_naive, multi_head_per_head, tensor_sum
+from oracles import attention_naive, multi_head_per_head, softmax_rows, tensor_sum
 
 NEG_INF = float("-inf")
 
 
+def additive(allowed: np.ndarray) -> np.ndarray:
+    """The {0, -inf} form of a boolean mask, which the kernel adds to its scores."""
+    return np.where(allowed, 0.0, NEG_INF)
+
+
 def relpos_mask(n: int) -> np.ndarray:
     """The ``relpos`` {0, -inf} mask of an n-token sentence."""
-    return build_role_mask("relpos", Sentence([Token("w", i + 1) for i in range(n)])).values
+    return additive(build_role_mask("relpos", Sentence([Token("w", i + 1) for i in range(n)])).values)
 
 
 def random_projections(rng, d_model):
@@ -74,7 +79,7 @@ class TestMaskedAttention:
     def test_zero_mask_bitwise_equals_unmasked(self):
         rng = np.random.default_rng(1)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
-        base_w = ad.softmax_rows(Tensor((q @ k.T) * (1.0 / math.sqrt(3)))).data
+        base_w = softmax_rows(Tensor((q @ k.T) * (1.0 / math.sqrt(3)))).data
         masked_out, (masked_w,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((4, 4))])
         npt.assert_array_equal(masked_w, base_w)
         npt.assert_array_equal(masked_out.data, base_w @ v)
@@ -179,7 +184,7 @@ class TestMultiHead:
         rng = np.random.default_rng(11)
         s = next(x for x in twenty if x.sent_id == "s10")
         n, d_model = len(s), 12
-        role_masks = [build_role_mask(r, s, twenty_vocab).values for r in GUIDED_ROLES]
+        role_masks = [additive(build_role_mask(r, s, twenty_vocab).values) for r in GUIDED_ROLES]
         x = Tensor(rng.normal(size=(n, d_model)))
         _, head_weights = multi_head(x, *random_projections(rng, d_model), [*role_masks, np.zeros((n, n))])
         assert head_weights.shape == (6, n, n)
@@ -278,7 +283,7 @@ def test_attention_weights_are_softmax_rows(lead, n, m, heads, d_k, magnitude, o
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
         scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)
-        expected = ad.softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
+        expected = softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
         npt.assert_array_equal(weights[h], expected)
     assert np.all(weights[~is_open] == 0.0)
     npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)

@@ -18,6 +18,7 @@ from oracles import (
     layer_norm_naive,
     matmul_naive,
     relative_error,
+    softmax_rows,
     softmax_rows_naive,
     tensor_sum,
     transpose_last,
@@ -82,20 +83,22 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """``oracles.softmax_rows``, the reference that ``autodiff.attention``'s weights are checked against."""
+
     def test_symmetric_row(self):
-        npt.assert_array_equal(ad.softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
+        npt.assert_array_equal(softmax_rows(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]])
 
     def test_single_allowed_entry(self):
-        out = ad.softmax_rows(Tensor([[5.0, NEG_INF]]))
+        out = softmax_rows(Tensor([[5.0, NEG_INF]]))
         npt.assert_array_equal(out.data, [[1.0, 0.0]])
 
     def test_matches_exp_sum_oracle(self):
         x = np.array([[1.0, 2.0, 3.0]])
-        npt.assert_allclose(ad.softmax_rows(Tensor(x)).data, softmax_rows_naive(x), atol=1e-12)
+        npt.assert_allclose(softmax_rows(Tensor(x)).data, softmax_rows_naive(x), atol=1e-12)
 
     def test_all_masked_row_raises(self):
         with pytest.raises(DegenerateRowError):
-            ad.softmax_rows(Tensor([[1.0, 2.0], [NEG_INF, NEG_INF]]))
+            softmax_rows(Tensor([[1.0, 2.0], [NEG_INF, NEG_INF]]))
 
     def test_rows_sum_to_one_and_bounded(self):
         rng = np.random.default_rng(11)
@@ -103,19 +106,19 @@ class TestSoftmax:
             x = rng.normal(size=(4, 5)) * rng.integers(1, 40)
             x[rng.random(size=(4, 5)) < 0.3] = NEG_INF
             x[:, 0] = 0.0  # keep rows feasible
-            y = ad.softmax_rows(Tensor(x)).data
+            y = softmax_rows(Tensor(x)).data
             npt.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all((y >= 0.0) & (y <= 1.0))
             assert np.all(y[x == NEG_INF] == 0.0)
 
     def test_masked_entries_exactly_zero(self):
-        y = ad.softmax_rows(Tensor([[2.0, NEG_INF, 1.0]])).data
+        y = softmax_rows(Tensor([[2.0, NEG_INF, 1.0]])).data
         assert y[0, 1] == 0.0
 
     def test_grad(self):
         rng = np.random.default_rng(12)
         check_grads(
-            lambda x: random_weighted_sum(ad.softmax_rows(x), np.random.default_rng(3)),
+            lambda x: random_weighted_sum(softmax_rows(x), np.random.default_rng(3)),
             [rng.normal(size=(4, 5))],
         )
 
@@ -125,7 +128,7 @@ class TestSoftmax:
         x[0, 2] = NEG_INF
         x[2, 0] = NEG_INF
         check_grads(
-            lambda t: random_weighted_sum(ad.softmax_rows(t), np.random.default_rng(4)), [x]
+            lambda t: random_weighted_sum(softmax_rows(t), np.random.default_rng(4)), [x]
         )
 
 
@@ -293,7 +296,7 @@ class TestAttention:
     def reference_weights(q, k, masks, h, d_k):
         cols = slice(h * d_k, (h + 1) * d_k)
         scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)
-        return ad.softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
+        return softmax_rows(Tensor((scores + masks[h]) * (1.0 / math.sqrt(d_k)))).data
 
     def test_grad_with_masks_and_dropout(self):
         rng = np.random.default_rng(30)
@@ -329,33 +332,40 @@ class TestAttention:
 
     @pytest.mark.parametrize("case", ["nan_key", "inf_key", "nan_query", "all_masked"])
     def test_nonfinite_rows_behave_as_softmax_rows(self, case):
+        """Row by row: every key masked raises, a NaN or +inf score gives a NaN row, any other row is the oracle's."""
         rng = np.random.default_rng(36)
         q, k, v, masks = self.packed_inputs(rng, lead=(), n=3, m=3, heads=1, d_k=2, d_v=2)
         q = np.abs(q) + 0.5
+        nan_rows = [0, 1, 2]
         if case == "nan_key":
             k[1, 0] = np.nan  # one NaN score in every row
         elif case == "inf_key":
-            k[1] = [np.inf, 0.0]  # one +inf score in every row
-            masks[0][:, 1] = 0.0
+            k[1] = [np.inf, 0.0]  # one +inf score in every row,
+            masks[0][:, 1] = [0.0, 0.0, NEG_INF]  # open in rows 0 and 1, masked in row 2
         elif case == "nan_query":
             q[2, 1] = np.nan  # a whole row of NaN scores
+            nan_rows = [2]
         else:
             masks[0][1] = NEG_INF
+            with pytest.raises(DegenerateRowError, match=r"head 0: every key of row \(1,\) is masked"):
+                ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+            return
 
-        def outcome(compute):
-            try:
-                with np.errstate(invalid="ignore"):
-                    return compute()
-            except DegenerateRowError:
-                return DegenerateRowError
+        with np.errstate(invalid="ignore"):
+            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+        assert np.all(np.isnan(weights[nan_rows]))
+        finite = [i for i in range(3) if i not in nan_rows]
+        expected = self.reference_weights(q[finite], k, [masks[0][finite]], 0, 2)
+        npt.assert_array_equal(weights[finite], expected)
 
-        fused = outcome(lambda: ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)[1][0])
-        expected = outcome(lambda: self.reference_weights(q, k, masks, 0, 2))
-        if case in ("nan_query", "all_masked"):
-            assert fused is expected is DegenerateRowError
-        else:
-            assert not np.all(np.isfinite(expected))
-            npt.assert_array_equal(fused, expected)
+    def test_closed_row_raises_beside_a_nan_row(self):
+        """A NaN row maximum, which would hide a ``-inf`` one from ``min``, does not hide the closed row."""
+        rng = np.random.default_rng(37)
+        q, k, v, masks = self.packed_inputs(rng, lead=(), n=3, m=3, heads=2, d_k=2, d_v=2)
+        q[0, 2] = np.nan  # head 1 scores row 0 NaN throughout
+        masks[1][2] = NEG_INF  # and masks every key of row 2
+        with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(2,\) is masked"):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
 
     def test_closed_key_with_an_overflowing_score_gets_zero_weight(self):
         """A masked key whose score would overflow ``exp`` if it were open weighs exactly 0, silently."""
@@ -448,7 +458,7 @@ class TestBackward:
         def build_and_backward():
             x = ad.embedding(table, ids)
             scores = ad.add(ad.matmul(x, transpose_last(x)), Tensor(mask))
-            attended = ad.matmul(ad.softmax_rows(ad.mul(scores, 0.5)), x)
+            attended = ad.matmul(softmax_rows(ad.mul(scores, 0.5)), x)
             keep = ad.dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
             fused, _ = ad.attention(x, x, x, [mask, mask], keep)
             joined = ad.matmul(concat_last([attended, ad.relu(fused)]), proj)

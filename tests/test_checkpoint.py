@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from guided_attention.checkpoint import MAGIC, MAGIC_V1, load_checkpoint, save_checkpoint
 from guided_attention.cli import main
@@ -79,14 +81,20 @@ class TestCheckpointFile:
         save_checkpoint(ckpt, path)
         assert path.read_bytes()[:8] == MAGIC
 
-    def test_corruption_detected(self, trained, tmp_path):
+    # The one file is rewritten in full by every example, so sharing tmp_path is safe.
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corruption_detected(self, trained, tmp_path, data):
+        """XOR-ing any one byte with any value from 1 to 255 makes the load fail."""
         ckpt, _ = trained
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
+        at = data.draw(st.integers(0, len(blob) - 1), label="byte")
+        blob[at] ^= data.draw(st.integers(1, 255), label="xor")
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="checksum"):
+        # A flipped magic byte may be refused as a bad magic before the checksum is read.
+        with pytest.raises(CheckpointError, match="checksum" if at >= len(MAGIC) else None):
             load_checkpoint(path)
 
     def test_truncation_detected(self, trained, tmp_path):

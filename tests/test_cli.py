@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from guided_attention.checkpoint import load_checkpoint, save_checkpoint
-from guided_attention.cli import main
+from guided_attention.cli import build_parser, main
 from guided_attention.corpus import build_vocab, parse_plain_text
 from guided_attention.synthetic import generate_local_pattern_task, write_plain_with_labels
 from oracles import parse_dump, tridiagonal_pairs
@@ -81,6 +82,19 @@ class TestMasksCommand:
         code = main(["masks", "--data", FIXTURE, "--out", str(tmp_path / "o"), "--roles", "coref"])
         assert code == 1
         assert "unknown role" in capsys.readouterr().err
+
+    def test_malformed_block_fails_without_a_dump(self, tmp_path, capsys):
+        good = "# sent_id = a\n1\tok\t_\t_\t_\t_\t0\troot\t_\t_\n"
+        data = tmp_path / "bad.conllu"
+        data.write_text(good + "\n# sent_id = b\n1\tno\t_\t_\t_\t_\tzz\troot\t_\t_\n")
+        out = tmp_path / "dumps"
+        assert main(["masks", "--data", str(data), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: line 5: {data}: non-integer HEAD 'zz' (first of 1 malformed block(s))\n"
+        )
+        assert "wrote" not in captured.out
+        assert not list(out.glob("masks_*.txt"))
 
 
 class TestInspectCommand:
@@ -395,7 +409,32 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "masks_relpos.txt").exists()
 
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["masks", "--data", FIXTURE, "--out", "x", "--bogus"])
-        assert excinfo.value.code == 2
+    def test_unknown_flag_rejected(self, capsys):
+        """A flag the command would not read is rejected like a made-up one, not ignored."""
+        masks = ["masks", "--data", FIXTURE, "--out", "x"]
+        inspect = ["inspect", "--data", FIXTURE, "s01"]
+        train = ["train", "--data", FIXTURE, "--dev", FIXTURE, "--out", "x"]
+        evaluate = ["eval", "--ckpt", "x.ckpt", "--data", FIXTURE]
+        for argv in (
+            [*masks, "--bogus"], [*masks, "--seed", "1"], [*masks, "--format", "csv"],
+            [*inspect, "--out", "x"], [*inspect, "--seed", "1"], [*inspect, "--format", "csv"],
+            [*train, "--format", "csv"],
+            [*evaluate, "--seed", "9"], [*evaluate, "--roles", "relpos"],
+            [*evaluate, "--config", "model.cfg"], [*evaluate, "--set", "seed=9"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_readme_cli_examples_parse():
+    """Each ``guided-attn`` line of README's CLI block, continuation lines joined, parses with today's flags."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("guided-attn ")]
+    assert {argv[0] for argv in commands} == {"masks", "inspect", "train", "eval", "grid", "ablate"}
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]  # a flag the parser lacks exits with 2

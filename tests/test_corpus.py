@@ -13,6 +13,7 @@ from guided_attention.corpus import (
     attach_labels,
     build_vocab,
     label_index,
+    load_corpus,
     make_batches,
     parse_conllu,
     parse_plain_text,
@@ -134,6 +135,31 @@ class TestPlainText:
     def test_bad_sidecar_row(self):
         with pytest.raises(ConlluError):
             read_labels_tsv("1 pos\n")
+
+
+class TestLoadCorpusErrorsNameTheirFile:
+    """``load_corpus`` errors say which file they come from, as ``line N: <path>: …``."""
+
+    GOOD = "# sent_id = a\n1\tok\t_\t_\t_\t_\t0\troot\t_\t_\n"
+
+    def test_corpus_block_error(self, tmp_path):
+        data = tmp_path / "bad.conllu"
+        data.write_text(self.GOOD + "\n# sent_id = b\n1\tno\t_\t_\t_\t_\tzz\troot\t_\t_\n")
+        errors: list[ConlluError] = []
+        sentences = load_corpus(data, errors=errors)
+        assert [s.sent_id for s in sentences] == ["a"]  # the malformed block is still skipped
+        (err,) = errors
+        assert err.line_number == 5
+        assert str(err) == f"line 5: {data}: non-integer HEAD 'zz'"
+
+    def test_sidecar_row_error(self, tmp_path):
+        data, labels = tmp_path / "ok.conllu", tmp_path / "q.tsv"
+        data.write_text(self.GOOD)
+        labels.write_text("a\tpos\nb\n")
+        with pytest.raises(ConlluError) as excinfo:
+            load_corpus(data, labels_path=labels)
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value) == f"line 2: {labels}: label row needs exactly 2 tab-separated fields, got 1"
 
 
 class TestVocabulary:
@@ -295,7 +321,7 @@ class TestBatchMaskLayout:
             n = len(cut)
             for role in ALL_ROLES:
                 expected = batch.pad_mask[row].copy()
-                expected[:n, :n] = build_role_mask(role, cut, twenty_vocab).values
+                expected[:n, :n] = np.where(build_role_mask(role, cut, twenty_vocab).values, 0.0, -np.inf)
                 npt.assert_array_equal(batch.role_masks[role][row], expected)
 
     def test_masks_are_boolean_blocks_at_the_batch_width(self, twenty, twenty_vocab):

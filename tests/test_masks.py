@@ -20,7 +20,7 @@ from oracles import (
     columns_to_pairs,
     edge_pairs_bruteforce,
     make_batches_per_sentence,
-    mask_zero_pairs,
+    mask_open_pairs,
     pairs_with_fallback,
     parse_dump,
     rare_columns_bruteforce,
@@ -47,13 +47,8 @@ def batch_of(sentences, max_len, roles):
     return batch, vocab
 
 
-def open_pairs(allowed: np.ndarray) -> set[tuple[int, int]]:
-    """0-based (query, key) pairs where a boolean ``(n, n)`` mask is True."""
-    return {(int(i), int(j)) for i, j in zip(*np.nonzero(allowed))}
-
-
 def assert_binary(mask: RoleMask):
-    assert np.all((mask.values == 0.0) | (mask.values == NEG_INF))
+    assert mask.values.dtype == bool and mask.values.shape == (mask.n, mask.n)
 
 
 class TestRareWordsMask:
@@ -63,21 +58,21 @@ class TestRareWordsMask:
             + [sent(["a", "b", "c", "d"]) for _ in range(3)]
         )
         mask = build_role_mask("rarew", sent(["a", "b", "rare", "c", "d"]), vocab)
-        assert np.all(mask.values[:, 2] == 0.0)
+        assert np.all(mask.values[:, 2])
         other = np.delete(mask.values, 2, axis=1)
-        assert np.all(other == NEG_INF)
+        assert not np.any(other)
 
     def test_all_identical_tokens_tie_break(self):
         vocab = build_vocab([sent(["x", "x", "x"])])
         mask = build_role_mask("rarew", sent(["x", "x", "x"]), vocab)
-        assert np.all(mask.values[:, 0] == 0.0)
-        assert np.all(mask.values[:, 1:] == NEG_INF)
+        assert np.all(mask.values[:, 0])
+        assert not np.any(mask.values[:, 1:])
 
     def test_fixture_matches_bruteforce(self, twenty, twenty_vocab):
         for s in twenty:
             mask = build_role_mask("rarew", s, twenty_vocab)
             expected = columns_to_pairs(rare_columns_bruteforce(s, twenty_vocab), len(s))
-            assert mask_zero_pairs(mask.values) == expected
+            assert mask_open_pairs(mask.values) == expected
             assert_binary(mask)
 
 
@@ -85,76 +80,76 @@ class TestSeparatorMask:
     def test_hello_comma_world_dot(self):
         mask = build_role_mask("seprat", sent(["Hello", ",", "world", "."]))
         for col, open_ in [(0, False), (1, True), (2, False), (3, True)]:
-            assert np.all((mask.values[:, col] == 0.0) == open_)
+            assert np.all(mask.values[:, col] == open_)
 
     def test_no_punctuation_falls_back_to_diagonal(self):
         mask = build_role_mask("seprat", sent(["just", "plain", "words"]))
-        npt.assert_array_equal(mask.values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
+        npt.assert_array_equal(mask.values, np.eye(3, dtype=bool))
 
     def test_question_mark_mid_sentence(self, twenty):
         s17 = next(s for s in twenty if s.sent_id == "s17")
         mask = build_role_mask("seprat", s17)
         assert s17.tokens[6].form == "?"
-        assert np.all(mask.values[:, 6] == 0.0)
+        assert np.all(mask.values[:, 6])
 
     def test_reserved_markers_count(self):
         mask = build_role_mask("seprat", sent(["[START]", "body", "[SEP]", "tail", "[END]"]))
         for col in (0, 2, 4):
-            assert np.all(mask.values[:, col] == 0.0)
+            assert np.all(mask.values[:, col])
         for col in (1, 3):
-            assert np.all(mask.values[:, col] == NEG_INF)
+            assert not np.any(mask.values[:, col])
 
     def test_fixture_matches_bruteforce(self, twenty):
         for s in twenty:
             expected = columns_to_pairs(separator_columns_bruteforce(s), len(s))
-            assert mask_zero_pairs(build_role_mask("seprat", s).values) == expected
+            assert mask_open_pairs(build_role_mask("seprat", s).values) == expected
 
 
 class TestDependencyMasks:
     def test_single_edge_symmetric(self):
         s = sent(["She", "runs"], heads=[2, 0], deprels=["nsubj", "root"])
         mask = build_role_mask("depsyn", s)
-        assert mask.values[0, 1] == 0.0
-        assert mask.values[1, 0] == 0.0
+        assert mask.values[0, 1]
+        assert mask.values[1, 0]
         # both rows feasible via the edge, so diagonals stay closed
-        assert mask.values[0, 0] == NEG_INF
-        assert mask.values[1, 1] == NEG_INF
+        assert not mask.values[0, 0]
+        assert not mask.values[1, 1]
 
     def test_single_token_diagonal_fallback(self):
         mask = build_role_mask("depsyn", sent(["Run"], heads=[0], deprels=["root"]))
-        npt.assert_array_equal(mask.values, [[0.0]])
+        npt.assert_array_equal(mask.values, [[True]])
 
     def test_root_edge_contributes_nothing(self):
         s = sent(["a", "b"], heads=[0, 1], deprels=["root", "obj"])
         mask = build_role_mask("depsyn", s)
-        assert mask_zero_pairs(mask.values) == {(0, 1), (1, 0)}
+        assert mask_open_pairs(mask.values) == {(0, 1), (1, 0)}
 
     def test_fixture_matches_edge_list_oracle(self, twenty):
         for s in twenty:
             expected = pairs_with_fallback(edge_pairs_bruteforce(s), len(s))
-            assert mask_zero_pairs(build_role_mask("depsyn", s).values) == expected
+            assert mask_open_pairs(build_role_mask("depsyn", s).values) == expected
 
     def test_majrel_qualifying_edge(self):
         s = sent(["She", "runs"], heads=[2, 0], deprels=["nsubj", "root"])
         mask = build_role_mask("majrel", s)
-        assert mask.values[0, 1] == 0.0 and mask.values[1, 0] == 0.0
+        assert mask.values[0, 1] and mask.values[1, 0]
 
     def test_majrel_non_qualifying_edge_all_fallback(self):
         s = sent(["the", "cat"], heads=[2, 0], deprels=["det", "root"])
         mask = build_role_mask("majrel", s)
-        npt.assert_array_equal(mask.values, np.where(np.eye(2, dtype=bool), 0.0, NEG_INF))
+        npt.assert_array_equal(mask.values, np.eye(2, dtype=bool))
 
     def test_majrel_accepts_obj_and_dobj(self, twenty):
         s02 = next(s for s in twenty if s.sent_id == "s02")  # uses obj
         s11 = next(s for s in twenty if s.sent_id == "s11")  # uses dobj
-        assert (2, 4) in mask_zero_pairs(build_role_mask("majrel", s02).values)
-        assert (2, 4) in mask_zero_pairs(build_role_mask("majrel", s11).values)
+        assert (2, 4) in mask_open_pairs(build_role_mask("majrel", s02).values)
+        assert (2, 4) in mask_open_pairs(build_role_mask("majrel", s11).values)
 
     def test_fixture_majrel_matches_filtered_oracle(self, twenty):
         rel = {"nsubj", "dobj", "obj", "amod", "advmod"}
         for s in twenty:
             expected = pairs_with_fallback(edge_pairs_bruteforce(s, rel), len(s))
-            assert mask_zero_pairs(build_role_mask("majrel", s).values) == expected
+            assert mask_open_pairs(build_role_mask("majrel", s).values) == expected
 
     def test_majrel_subset_of_depsyn_prefallback(self, twenty):
         rel = {"nsubj", "dobj", "obj", "amod", "advmod"}
@@ -164,11 +159,11 @@ class TestDependencyMasks:
     def test_unparsed_sentence_degrades_to_diagonal(self):
         s = sent(["no", "parse", "here"])
         for role in ("depsyn", "majrel"):
-            npt.assert_array_equal(build_role_mask(role, s).values, np.where(np.eye(3, dtype=bool), 0.0, NEG_INF))
+            npt.assert_array_equal(build_role_mask(role, s).values, np.eye(3, dtype=bool))
 
     def test_symmetry_and_subset_on_random_trees(self):
         # head != index and edges never touch the diagonal, so removing the
-        # diagonal recovers the pre-fallback zero set exactly
+        # diagonal recovers the pre-fallback open set exactly
         rng = np.random.default_rng(7)
         deprels = ["nsubj", "obj", "det", "amod", "advmod", "case", "conj"]
         for _ in range(100):
@@ -183,10 +178,10 @@ class TestDependencyMasks:
                 )
             s = Sentence(tokens)
             diagonal = {(i, i) for i in range(n)}
-            dep_zeros = mask_zero_pairs(build_role_mask("depsyn", s).values)
-            maj_zeros = mask_zero_pairs(build_role_mask("majrel", s).values)
-            dep_edges = dep_zeros - diagonal
-            maj_edges = maj_zeros - diagonal
+            dep_open = mask_open_pairs(build_role_mask("depsyn", s).values)
+            maj_open = mask_open_pairs(build_role_mask("majrel", s).values)
+            dep_edges = dep_open - diagonal
+            maj_edges = maj_open - diagonal
             assert {(j, i) for i, j in dep_edges} == dep_edges
             assert {(j, i) for i, j in maj_edges} == maj_edges
             assert maj_edges <= dep_edges
@@ -195,13 +190,13 @@ class TestDependencyMasks:
 class TestRelativePositionMask:
     def test_n4_tridiagonal(self):
         mask = build_role_mask("relpos", sent(["w"] * 4))
-        assert mask_zero_pairs(mask.values) == tridiagonal_pairs(4)
+        assert mask_open_pairs(mask.values) == tridiagonal_pairs(4)
 
     def test_n1_single_entry(self):
-        npt.assert_array_equal(build_role_mask("relpos", sent(["w"] * 1)).values, [[0.0]])
+        npt.assert_array_equal(build_role_mask("relpos", sent(["w"] * 1)).values, [[True]])
 
     def test_n10_zero_count_formula(self):
-        assert len(mask_zero_pairs(build_role_mask("relpos", sent(["w"] * 10)).values)) == 3 * 10 - 2
+        assert len(mask_open_pairs(build_role_mask("relpos", sent(["w"] * 10)).values)) == 3 * 10 - 2
 
     def test_symmetric(self):
         values = build_role_mask("relpos", sent(["w"] * 7)).values
@@ -236,21 +231,21 @@ class TestFallbackAndCombine:
         allowed[0, 2] = True
         allowed[3, 1] = True
         out = apply_fallback(allowed, 4)
-        assert open_pairs(out) == {(0, 2), (3, 1), (1, 1), (2, 2)}
+        assert mask_open_pairs(out) == {(0, 2), (3, 1), (1, 1), (2, 2)}
 
     def test_batched_rows_use_their_own_valid_count(self):
         allowed = np.zeros((2, 3, 3), dtype=bool)
         allowed[0, 0, 1] = True
         out = apply_fallback(allowed, np.array([3, 1]))
-        assert open_pairs(out[0]) == {(0, 1), (1, 1), (2, 2)}
-        assert open_pairs(out[1]) == {(0, 0)}
+        assert mask_open_pairs(out[0]) == {(0, 1), (1, 1), (2, 2)}
+        assert mask_open_pairs(out[1]) == {(0, 0)}
 
     def test_input_mask_left_unchanged(self):
         allowed = np.zeros((2, 3, 3), dtype=bool)
         out = apply_fallback(allowed, np.array([3, 2]))
         assert out is not allowed
         assert not allowed.any()
-        assert open_pairs(out[1]) == {(0, 0), (1, 1)}
+        assert mask_open_pairs(out[1]) == {(0, 0), (1, 1)}
 
     def test_open_and_padded_rows_kept_as_they_are(self):
         allowed = np.zeros((2, 3, 3), dtype=bool)
@@ -260,7 +255,7 @@ class TestFallbackAndCombine:
         out = apply_fallback(allowed, np.array([3, 1]))
         assert out.dtype == bool
         npt.assert_array_equal(allowed, before)
-        assert [open_pairs(grid) for grid in out] == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
+        assert [mask_open_pairs(grid) for grid in out] == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
 
     def test_batches_get_the_fallback_only_from_apply_fallback(self, monkeypatch):
         monkeypatch.setattr(masks_mod, "apply_fallback", lambda mask, n_valid: mask)
@@ -272,7 +267,7 @@ class TestFallbackAndCombine:
     def test_all_zero_pad_is_identity(self):
         batch, _ = batch_of([sent(["a", "b", "c", "d"])], 4, ("relpos",))
         relpos = build_role_mask("relpos", sent(["w"] * 4))
-        npt.assert_array_equal(batch.role_masks["relpos"][0], relpos.values)
+        npt.assert_array_equal(batch.role_masks["relpos"][0] == 0.0, relpos.values)
 
     def test_random_combine_matches_set_intersection(self):
         rng = np.random.default_rng(0)
@@ -287,13 +282,13 @@ class TestFallbackAndCombine:
             batch, vocab = batch_of(sentences, n, roles)
             for row, sentence in enumerate(sentences):
                 n_valid = len(sentence)
-                pad_pairs = mask_zero_pairs(batch.pad_mask[row])
+                pad_pairs = mask_open_pairs(batch.pad_mask[row] == 0.0)
                 assert pad_pairs == {(i, j) for i in range(n) for j in range(n_valid)}
                 for role in roles:
-                    role_pairs = mask_zero_pairs(build_role_mask(role, sentence, vocab).values)
+                    role_pairs = mask_open_pairs(build_role_mask(role, sentence, vocab).values)
                     padded_rows = {(i, j) for i in range(n_valid, n) for j in range(n_valid)}
                     placed = batch.role_masks[role][row]
-                    assert mask_zero_pairs(placed) == (role_pairs | padded_rows) & pad_pairs
+                    assert mask_open_pairs(placed == 0.0) == (role_pairs | padded_rows) & pad_pairs
                     assert np.all((placed == 0.0).any(axis=1))
 
     def test_expand_then_combine_keeps_pad_rows_feasible(self):
@@ -316,13 +311,13 @@ class TestPurityAndStructure:
             for role in GUIDED_ROLES:
                 mask = build_role_mask(role, s, twenty_vocab)
                 assert_binary(mask)
-                assert np.all((mask.values == 0.0).any(axis=1))
+                assert np.all(mask.values.any(axis=1))
 
     def test_column_constant_roles(self, twenty, twenty_vocab):
         for s in twenty:
             for role in ("rarew", "seprat"):
                 values = build_role_mask(role, s, twenty_vocab).values
-                if len(s) > 1 and not np.all(values == np.where(np.eye(len(s), dtype=bool), 0.0, NEG_INF)):
+                if len(s) > 1 and not np.all(values == np.eye(len(s), dtype=bool)):
                     npt.assert_array_equal(values, np.tile(values[0], (len(s), 1)))
 
     def test_unknown_role_rejected(self, twenty, twenty_vocab):
@@ -336,11 +331,11 @@ class TestDumpFormat:
         mask = build_role_mask("majrel", s, twenty_vocab)
         ((sid, role, n, pairs),) = parse_dump(dump_record(s.sent_id, mask))
         assert (sid, role, n) == (s.sent_id, "majrel", len(s))
-        assert pairs == mask.zero_coordinates()
+        assert pairs == mask.open_coordinates()
 
     def test_coordinates_sorted_one_based(self):
         mask = build_role_mask("relpos", sent(["w"] * 3))
-        assert mask.zero_coordinates() == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
+        assert mask.open_coordinates() == [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
 
 
 # Forms the vocabulary sees, and forms it never sees (scored as maximally rare).
