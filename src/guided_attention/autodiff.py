@@ -197,15 +197,14 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     weights = np.empty((heads, *lead, n, m))
     out = np.empty((*lead, n, heads * d_v))
     for h in range(heads):
-        mask = np.asarray(masks[h], dtype=np.float64)
         qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
         p = weights[h]
         np.matmul(q.data[..., qk], np.swapaxes(k.data[..., qk], -1, -2), out=p)
         p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
         try:
-            p += mask
+            p += masks[h]
         except ValueError as exc:
-            raise ShapeMismatchError(f"mask shape {mask.shape} does not broadcast to {p.shape}") from exc
+            raise ShapeMismatchError(f"mask shape {np.shape(masks[h])} does not broadcast to {p.shape}") from exc
         row_max = p.max(axis=-1, keepdims=True)
         closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
         if closed.any():

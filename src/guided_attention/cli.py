@@ -2,18 +2,16 @@
 
 Subcommands: ``masks`` (dump role masks), ``inspect`` (render one sentence's
 masks), ``train``, ``eval``, ``grid`` and ``ablate``. The config file is
-authoritative; individual keys can be overridden with ``--seed`` or repeated
-``--set key=value`` flags, and the fully resolved config is always written
-to the run manifest. Each subcommand takes only the flags it reads. No
-environment variables are consulted.
+authoritative; ``--roles``, repeated ``--set key=value`` flags and ``--seed``
+override single keys in that order, and the fully resolved config is always
+written to the run manifest. Each subcommand takes only the flags it reads;
+``--out`` is required except by ``eval``, and is made only once the corpora
+have loaded. No environment variables are consulted.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from pathlib import Path
 
@@ -26,15 +24,18 @@ from .harness import (
     ExperimentSpec,
     ablation_rows_csv,
     check_jobs,
+    csv_table,
     emit_metrics,
+    fixed,
     reject_repeats,
     result_rows_csv,
     run_ablation,
     run_grid,
     run_manifest,
+    write_manifest,
 )
 from .masks import GUIDED_ROLES
-from .model import ModelConfig, config_from_strings, evaluate, parse_config, train
+from .model import ModelConfig, evaluate, parse_config, train
 
 PARSE_DEPENDENT_ROLES = (masks_mod.ROLE_DEP_SYNTAX, masks_mod.ROLE_MAJOR_RELATIONS)
 
@@ -43,10 +44,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GuidedAttentionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GuidedAttentionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -59,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     optional = {
-        "--out": {"help": "output directory for artifacts"},
+        "--out": {"required": True, "help": "output directory for artifacts"},
         "--seed": {"type": int, "help": "override the config seed"},
         "--roles": {"help": "comma-separated role list (default: all five)"},
         "--format": {"choices": ("text", "csv"), "default": "text"},
@@ -81,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn in (("train", cmd_train), ("eval", cmd_eval), ("grid", cmd_grid), ("ablate", cmd_ablate)):
         if name == "eval":
-            p = command(name, fn, "eval a model", "--out", "--format")
+            p = command(name, fn, "eval a model", "--format")
+            p.add_argument("--out", help="output directory for eval.csv")
             p.add_argument("--ckpt", required=True, help="checkpoint file to evaluate")
             continue
         flags = ("--out", "--seed", "--roles") + (() if name == "train" else ("--format",))
@@ -146,55 +145,30 @@ def _load(path: str, labels: str | None, roles: tuple[str, ...] = ()):
     return sentences
 
 
-def _out_dir(args) -> Path:
-    if not args.out:
-        raise ConfigError("--out is required for this command")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _resolve_config(args, roles: tuple[str, ...] | None) -> ModelConfig:
-    """Config file first, then --roles / --set / --seed flag overrides."""
+    """Config file first, then the --roles / --set / --seed flag overrides in that order."""
+    text = ""
     if args.config:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {args.config} is not UTF-8 text: {exc.reason}") from None
-        cfg = parse_config(text)
-    else:
-        cfg = ModelConfig()
-    raw = _as_strings(cfg)
-    if roles is not None:
-        raw["guided_roles"] = ",".join(roles)
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-    if args.seed is not None:
-        raw["seed"] = str(args.seed)
-    cfg = config_from_strings(raw)
+    cfg = parse_config(text, _overrides(args, roles))
     cfg.validate()
     return cfg
 
 
-def _as_strings(cfg: ModelConfig) -> dict[str, str]:
-    raw = {}
-    for key, value in cfg.to_dict().items():
-        raw[key] = ",".join(value) if key == "guided_roles" else str(value)
-    return raw
-
-
-def _history_csv(history: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("epoch", "train_loss", "dev_loss", "dev_acc"))
-    for row in history:
-        writer.writerow(
-            (row["epoch"], f"{row['train_loss']:.6f}", f"{row['dev_loss']:.6f}", f"{row['dev_acc']:.6f}")
-        )
-    return buf.getvalue()
+def _overrides(args, roles: tuple[str, ...] | None):
+    """The flag overrides as ``(key, value)`` strings; read lazily, after the config file's values."""
+    if roles is not None:
+        yield "guided_roles", ",".join(roles)
+    for item in args.set:
+        if "=" not in item:
+            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+        key, _, value = item.partition("=")
+        yield key.strip(), value.strip()
+    if args.seed is not None:
+        yield "seed", str(args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +178,10 @@ def _history_csv(history: list[dict]) -> str:
 
 def cmd_masks(args) -> int:
     roles = _roles(args) or GUIDED_ROLES
-    out = _out_dir(args)
     sentences = _load(args.data, args.labels, roles)
     vocab = build_vocab(sentences)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for role in roles:
         records = [
             masks_mod.dump_record(s.sent_id or str(i + 1), masks_mod.build_role_mask(role, s, vocab))
@@ -222,8 +197,7 @@ def cmd_inspect(args) -> int:
     sentences = _load(args.data, args.labels, roles)
     matches = [s for s in sentences if s.sent_id == args.sentence_id]
     if not matches:
-        print(f"error: no sentence with id {args.sentence_id!r}", file=sys.stderr)
-        return 1
+        raise ConfigError(f"no sentence with id {args.sentence_id!r}")
     sentence = matches[0]
     vocab = build_vocab(sentences)
     for role in roles:
@@ -246,19 +220,21 @@ def render_grid(sentence, mask) -> str:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args, _roles(args))
-    out = _out_dir(args)
     train_sentences = _load(args.data, args.labels, cfg.guided_roles)
     dev_sentences = _load(args.dev, args.dev_labels, cfg.guided_roles)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
-    manifest = run_manifest("train", Path(args.data).stem, cfg, cfg.seed)
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_manifest(out / "manifest.json", run_manifest("train", Path(args.data).stem, cfg, cfg.seed))
     ckpt = train(cfg, train_sentences, dev_sentences)
     save_checkpoint(ckpt, out / "model.ckpt")
-    (out / "history.csv").write_text(_history_csv(ckpt.metadata["history"]), encoding="utf-8")
+    history = ckpt.metadata["history"]
+    rows = ([r["epoch"], fixed(r["train_loss"]), fixed(r["dev_loss"]), fixed(r["dev_acc"])] for r in history)
+    (out / "history.csv").write_text(
+        csv_table(("epoch", "train_loss", "dev_loss", "dev_acc"), rows), encoding="utf-8"
+    )
     best = ckpt.metadata["best_epoch"]
-    best_row = next(r for r in ckpt.metadata["history"] if r["epoch"] == best)
+    best_row = next(r for r in history if r["epoch"] == best)
     print(f"trained {cfg.epochs} epoch(s); best epoch {best} dev_acc {best_row['dev_acc']:.2f}")
     return 0
 
@@ -267,9 +243,9 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     sentences = _load(args.data, args.labels, ckpt.config.guided_roles)
     metrics = evaluate(ckpt, sentences)
-    csv_text = (
-        "accuracy,loss,correct,total\n"
-        f"{metrics.accuracy:.6f},{metrics.loss:.6f},{metrics.correct},{metrics.total}\n"
+    csv_text = csv_table(
+        ("accuracy", "loss", "correct", "total"),
+        [(fixed(metrics.accuracy), fixed(metrics.loss), metrics.correct, metrics.total)],
     )
     if args.format == "csv":
         sys.stdout.write(csv_text)
@@ -279,7 +255,9 @@ def cmd_eval(args) -> int:
             f"loss {metrics.loss:.4f}\n"
         )
     if args.out:
-        (_out_dir(args) / "eval.csv").write_text(csv_text, encoding="utf-8")
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "eval.csv").write_text(csv_text, encoding="utf-8")
     return 0
 
 
@@ -309,10 +287,9 @@ def _spec(args, cfg: ModelConfig, **fields) -> ExperimentSpec:
     """The grid or ablation of ``args``; the splits are read last, once every flag has been checked."""
     check_jobs("--jobs", args.jobs)
     seeds = _int_list("--seeds", args.seeds)
-    out = _out_dir(args)
     return ExperimentSpec(
         datasets=[_splits(args, cfg.guided_roles)], base_config=cfg, roles=cfg.guided_roles,
-        seeds=seeds, out_dir=out, jobs=args.jobs, **fields,
+        seeds=seeds, out_dir=Path(args.out), jobs=args.jobs, **fields,
     )
 
 
@@ -341,10 +318,7 @@ def _print_grid(report, fmt: str) -> None:
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args, _roles(args))
     ablate_roles = _role_list("--ablate", args.ablate) if args.ablate else None
-    spec = _spec(
-        args, cfg, layers_grid=(cfg.layers,), extra_heads_grid=(cfg.extra_regular_heads,),
-        ablate_roles=ablate_roles, include_baseline=not args.no_baseline,
-    )
+    spec = _spec(args, cfg, ablate_roles=ablate_roles, include_baseline=not args.no_baseline)
     report = run_ablation(spec)
     emit_metrics(spec.out_dir, grid_rows=report.runs, ablation=report)
     if args.format == "csv":

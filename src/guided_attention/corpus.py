@@ -296,11 +296,6 @@ def build_vocab(sentences: list[Sentence]) -> Vocabulary:
     return Vocabulary(doc_freq, total_docs=len(sentences))
 
 
-def rare_token_count(n):
-    """How many of ``n`` tokens count as rare: 10%, rounded up, at least one; elementwise on arrays."""
-    return np.maximum(1, np.ceil(0.10 * np.asarray(n))).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Batching
 # ---------------------------------------------------------------------------

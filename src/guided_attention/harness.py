@@ -151,8 +151,7 @@ def run_manifest(run_id: str, dataset: str, config: ModelConfig, seed: int) -> d
     return {"run_id": run_id, "dataset": dataset, "seed": seed, "config": config.to_dict()}
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> None:
-    path = out_dir / f"{manifest['run_id']}.manifest.json"
+def write_manifest(path: Path, manifest: dict) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -173,7 +172,7 @@ def run_single(
     manifest = run_manifest(run_id, splits.name, config, config.seed)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(out_dir, manifest)
+        write_manifest(out_dir / f"{run_id}.manifest.json", manifest)
     started = time.perf_counter()
     try:
         ckpt = train(config, splits.train, splits.dev)
@@ -316,13 +315,15 @@ def run_ablation(spec: ExperimentSpec) -> AblationReport:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value, places: int = 6) -> str:
+def fixed(value, places: int = 6) -> str:
+    """``value`` with ``places`` decimals; None is the empty cell."""
     if value is None:
         return ""
     return f"{value:.{places}f}"
 
 
-def _csv(columns: tuple[str, ...], rows) -> str:
+def csv_table(columns: tuple[str, ...], rows) -> str:
+    """A header line of ``columns``, then one line per row."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -331,25 +332,25 @@ def _csv(columns: tuple[str, ...], rows) -> str:
 
 
 def result_rows_csv(rows: list[RunResult]) -> str:
-    return _csv(RESULT_COLUMNS, (
+    return csv_table(RESULT_COLUMNS, (
         [
             r.run_id, r.dataset, r.config.layers, r.config.heads, r.config.guided_heads,
-            "+".join(r.config.guided_roles), r.seed, _fmt(r.dev_acc), _fmt(r.test_acc),
-            r.config.epochs, _fmt(r.wall_seconds, 3),
+            "+".join(r.config.guided_roles), r.seed, fixed(r.dev_acc), fixed(r.test_acc),
+            r.config.epochs, fixed(r.wall_seconds, 3),
         ]
         for r in rows
     ))
 
 
 def ablation_rows_csv(rows: list[AblationRow]) -> str:
-    return _csv(
+    return csv_table(
         ABLATION_COLUMNS,
-        ([r.role, r.dataset, r.seed, _fmt(r.full_acc), _fmt(r.ablated_acc), _fmt(r.drop)] for r in rows),
+        ([r.role, r.dataset, r.seed, fixed(r.full_acc), fixed(r.ablated_acc), fixed(r.drop)] for r in rows),
     )
 
 
 def ablation_summary_csv(report: AblationReport) -> str:
-    return _csv(SUMMARY_COLUMNS, ([role, _fmt(mean), _fmt(std)] for role, mean, std in report.per_role()))
+    return csv_table(SUMMARY_COLUMNS, ([role, fixed(mean), fixed(std)] for role, mean, std in report.per_role()))
 
 
 def emit_metrics(

@@ -139,6 +139,11 @@ def _scatter(valid: np.ndarray, values: list, fill) -> np.ndarray:
     return out
 
 
+def rare_token_count(n):
+    """How many of ``n`` tokens count as rare: 10%, rounded up, at least one; elementwise on arrays."""
+    return np.maximum(1, np.ceil(0.10 * np.asarray(n))).astype(np.int64)
+
+
 def rare_columns(tokens, vocab, valid: np.ndarray) -> np.ndarray:
     """Each row's top-10%-IDF positions; a stable sort sends ties to the earlier position.
 
@@ -149,8 +154,6 @@ def rare_columns(tokens, vocab, valid: np.ndarray) -> np.ndarray:
     IDF = log(total_docs / df) falls strictly as df rises, so ranking by df
     ascending ranks by IDF descending, ties included, with no log per token.
     """
-    from .corpus import rare_token_count
-
     df = _scatter(valid, [vocab.df(t.form) for t in tokens], vocab.total_docs + 1)
     order = np.argsort(df, axis=1, kind="stable")
     ranked_in = np.arange(valid.shape[1]) < rare_token_count(valid.sum(axis=1))[:, None]

@@ -103,14 +103,18 @@ class ModelConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for f in fields(cls):
-            value = d.get(f.name)
-            kinds = {"int": (int,), "float": (int, float)}.get(f.type)
-            if f.name in d and kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+            value, kind = d.get(f.name), _KINDS.get(f.type)
+            if f.name in d and kind and (isinstance(value, bool) or not isinstance(value, (int, kind))):
                 raise ConfigError(f"config key {f.name!r} expects {f.type}, got {value!r}")
         kwargs = dict(d)
         if "guided_roles" in kwargs:
             kwargs["guided_roles"] = tuple(kwargs["guided_roles"])
         return cls(**kwargs)
+
+
+# Field annotation -> the type of its value; an int also serves as a float.
+_KINDS = {"int": int, "float": float}
+_FIELDS = {f.name: f for f in fields(ModelConfig)}
 
 
 def format_config(cfg: ModelConfig) -> str:
@@ -124,9 +128,14 @@ def format_config(cfg: ModelConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_config(text: str) -> ModelConfig:
-    """Parse the ``key = value`` config format (``#`` starts a comment)."""
-    raw: dict[str, str] = {}
+def parse_config(text: str, overrides: Iterable[tuple[str, str]] | None = None) -> ModelConfig:
+    """Parse the ``key = value`` config format (``#`` starts a comment), then apply ``overrides``.
+
+    Each value is converted as it is read: first the lines of ``text``, then
+    the ``(key, value)`` string pairs of ``overrides`` in order, the last
+    value of a key winning. A bad value fails even when a later one replaces it.
+    """
+    values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -134,29 +143,19 @@ def parse_config(text: str) -> ModelConfig:
         if "=" not in stripped:
             raise ConfigError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
-    return config_from_strings(raw)
+        values[key.strip()] = _typed(key.strip(), value.strip())
+    for key, value in overrides or ():
+        values[key] = _typed(key, value)
+    return ModelConfig(**values)
 
 
-def config_from_strings(raw: dict[str, str]) -> ModelConfig:
-    """Build a config from string values, e.g. parsed files or CLI overrides."""
-    typed: dict[str, object] = {}
-    by_name = {f.name: f for f in fields(ModelConfig)}
-    for key, value in raw.items():
-        if key not in by_name:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key == "guided_roles":
-            typed[key] = tuple(r.strip() for r in value.split(",") if r.strip()) if value else ()
-        elif by_name[key].type in ("int", int):
-            typed[key] = _number(int, key, value)
-        elif by_name[key].type in ("float", float):
-            typed[key] = _number(float, key, value)
-        else:
-            typed[key] = value
-    return ModelConfig(**typed)
-
-
-def _number(kind: type, key: str, value: str):
+def _typed(key: str, value: str):
+    """The config value that the string ``value`` of ``key`` stands for."""
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    if key == "guided_roles":
+        return tuple(r.strip() for r in value.split(",") if r.strip())
+    kind = _KINDS[_FIELDS[key].type]
     try:
         return kind(value)
     except ValueError:

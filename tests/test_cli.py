@@ -84,9 +84,7 @@ class TestMasksCommand:
         assert "unknown role" in capsys.readouterr().err
 
     def test_malformed_block_fails_without_a_dump(self, tmp_path, capsys):
-        good = "# sent_id = a\n1\tok\t_\t_\t_\t_\t0\troot\t_\t_\n"
-        data = tmp_path / "bad.conllu"
-        data.write_text(good + "\n# sent_id = b\n1\tno\t_\t_\t_\t_\tzz\troot\t_\t_\n")
+        data = _malformed_corpus(tmp_path)
         out = tmp_path / "dumps"
         assert main(["masks", "--data", str(data), "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -94,7 +92,27 @@ class TestMasksCommand:
             f"error: line 5: {data}: non-integer HEAD 'zz' (first of 1 malformed block(s))\n"
         )
         assert "wrote" not in captured.out
-        assert not list(out.glob("masks_*.txt"))
+        assert not out.exists()
+
+
+def _malformed_corpus(tmp_path) -> Path:
+    """A CoNLL-U file whose second block has a non-integer HEAD on its line 5."""
+    good = "# sent_id = a\n1\tok\t_\t_\t_\t_\t0\troot\t_\t_\n"
+    data = tmp_path / "bad.conllu"
+    data.write_text(good + "\n# sent_id = b\n1\tno\t_\t_\t_\t_\tzz\troot\t_\t_\n")
+    return data
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "ablate"])
+def test_malformed_training_corpus_leaves_no_output_directory(tmp_path, capsys, command):
+    data = _malformed_corpus(tmp_path)
+    splits = ["--dev", FIXTURE] + ([] if command == "train" else ["--test", FIXTURE])
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), *splits, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 5: {data}: non-integer HEAD 'zz' (first of 1 malformed block(s))\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestInspectCommand:
@@ -157,6 +175,44 @@ class TestGoldenBytes:
         assert main(["inspect", "--data", FIXTURE, "s02"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "7d85ed426b0690784fcfefbe2a283f2462335078680212401244ef9c5d5aaefc"
+
+
+class TestGoldenRunBytes:
+    """SHA-256 of the tables and manifest that ``train``, ``eval`` and ``ablate`` write for a small run on the fixture."""
+
+    SMALL = [
+        "--set", "d_model=12", "--set", "ff_width=16", "--set", "epochs=2",
+        "--set", "dropout=0.0", "--set", "max_len=12", "--set", "batch_size=8",
+    ]
+    DIGESTS = {
+        "history.csv": "dc6bee7e8391725f9b99d4abd92e7690e21e839982d04808540887c366f50f0b",
+        "manifest.json": "927bf7ba90cbf390bc68aedc7c8eea0e7d5173e84be1f8e44a0531cf18db2465",
+        "eval.csv": "95f4d33e908fb9775fdd430089939ee05b319f72d00ea11d9648e4273ca23323",
+        "eval --format csv": "95f4d33e908fb9775fdd430089939ee05b319f72d00ea11d9648e4273ca23323",
+        "ablation.csv": "5e700cce5b7257adfeb1c6ca8c2f459deadcfabd352fe59ef4dcd9eb72721fff",
+        "ablation_summary.csv": "7d8aac4f6a7d2c9f1e7a05086a4d575d128bfc15915dcd15819a837a2dde758a",
+    }
+
+    def test_run_tables_match_the_golden_digests(self, tmp_path, capsys):
+        run, ev, abl = tmp_path / "run", tmp_path / "eval", tmp_path / "ablate"
+        assert main(["train", "--data", FIXTURE, "--dev", FIXTURE, "--out", str(run), *self.SMALL]) == 0
+        capsys.readouterr()
+        ckpt = str(run / "model.ckpt")
+        assert main(["eval", "--ckpt", ckpt, "--data", FIXTURE, "--format", "csv", "--out", str(ev)]) == 0
+        stdout = capsys.readouterr().out
+        code = main([
+            "ablate", "--data", FIXTURE, "--dev", FIXTURE, "--test", FIXTURE,
+            "--out", str(abl), "--no-baseline", *self.SMALL,
+        ])
+        assert code == 0
+        files = {
+            "history.csv": run / "history.csv", "manifest.json": run / "manifest.json",
+            "eval.csv": ev / "eval.csv", "ablation.csv": abl / "ablation.csv",
+            "ablation_summary.csv": abl / "ablation_summary.csv",
+        }
+        got = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files.items()}
+        got["eval --format csv"] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert got == self.DIGESTS
 
 
 class TestTrainEval:
@@ -340,8 +396,9 @@ class TestNonNumericValues:
     def test_config_file_value_rejected_without_traceback(self, toy_files, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = ten"))
-        last = self._error_line(capsys, toy_files, tmp_path, "train", str(bad), [])
-        assert last == "error: config key 'epochs' expects int, got 'ten'"
+        for extra in ([], ["--set", "epochs=2"]):  # a flag replacing the bad value does not hide it
+            last = self._error_line(capsys, toy_files, tmp_path, "train", str(bad), extra)
+            assert last == "error: config key 'epochs' expects int, got 'ten'"
 
 
 class TestRepeatedValues:
@@ -391,6 +448,7 @@ class TestNonUtf8Input:
         assert line.startswith("error: ") and str(bad) in line and "not UTF-8" in line
         if flag != "--config":
             assert line.startswith("error: line 2: ")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:
@@ -426,6 +484,15 @@ class TestEntryPoint:
                 main(argv)
             assert excinfo.value.code == 2, argv
             assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("command", ["masks", "train", "grid", "ablate"])
+    def test_missing_out_rejected_like_a_missing_data(self, capsys, command):
+        """Every command that writes artifacts requires --out; the parser exits 2 before anything runs."""
+        splits = {"masks": [], "train": ["--dev", FIXTURE]}.get(command, ["--dev", FIXTURE, "--test", FIXTURE])
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--data", FIXTURE, *splits])
+        assert excinfo.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_readme_cli_examples_parse():

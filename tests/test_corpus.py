@@ -17,7 +17,6 @@ from guided_attention.corpus import (
     make_batches,
     parse_conllu,
     parse_plain_text,
-    rare_token_count,
     read_labels_tsv,
     serialize_conllu,
     truncate,
@@ -26,7 +25,7 @@ from guided_attention.corpus import (
 )
 from guided_attention.errors import ConlluError, ShapeMismatchError
 from guided_attention import masks as masks_mod
-from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask, rare_columns
+from guided_attention.masks import ALL_ROLES, GUIDED_ROLES, build_role_mask, rare_columns, rare_token_count
 from oracles import TWENTY_TOKEN_COUNTS, rare_columns_bruteforce, sentences
 
 

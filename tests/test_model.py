@@ -114,6 +114,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("unknown_key = 3\n")
 
+    def test_overrides_apply_in_order_after_the_text(self):
+        overrides = [("epochs", "5"), ("guided_roles", "relpos, seprat"), ("epochs", "7")]
+        cfg = parse_config("epochs = 3\nseed = 1\n", overrides)
+        assert (cfg.epochs, cfg.seed, cfg.guided_roles) == (7, 1, ("relpos", "seprat"))
+        with pytest.raises(ConfigError, match="'epochs' expects int, got 'ten'"):
+            parse_config("epochs = ten\n", [("epochs", "2")])
+        with pytest.raises(ConfigError, match="unknown config key 'epoch'"):
+            parse_config("", [("epoch", "2")])
+
     def test_empty_roles_round_trip(self):
         cfg = ModelConfig(guided_roles=(), extra_regular_heads=6)
         assert parse_config(format_config(cfg)).guided_roles == ()
