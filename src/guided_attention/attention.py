@@ -28,6 +28,7 @@ def multi_head(
     masks: list[np.ndarray],
     dropout_rate: float = 0.0,
     rng=None,
+    valid: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
@@ -38,10 +39,13 @@ def multi_head(
     of valid key columns for a regular head. Attention dropout is one
     (H, ..., n, n) draw, head after head. Returns the layer output and the
     (H, ..., n, n) attention weights before dropout, off the tape.
+    With a (B, n) boolean ``valid``, ``x`` and the output are packed rows
+    instead (see ``autodiff.attention``); dropout and weights stay (H, B, n, n).
     """
     x = ad.as_tensor(x)
     heads = len(masks)
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    keep = ad.dropout_keep((heads, *x.shape[:-1], x.shape[-2]), dropout_rate, rng)
-    out, weights = ad.attention(q, k, v, masks, keep)
+    lead = x.shape[:-1] if valid is None else valid.shape
+    keep = ad.dropout_keep((heads, *lead, lead[-1]), dropout_rate, rng)
+    out, weights = ad.attention(q, k, v, masks, keep, valid)
     return ad.matmul(out, wo), weights

@@ -154,7 +154,9 @@ def relu(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(
+    q, k, v, masks, keep: np.ndarray | None = None, valid: np.ndarray | None = None
+) -> tuple[Tensor, np.ndarray]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
     ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
@@ -167,6 +169,10 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
 
+    With a (B, n) boolean ``valid``, q, k, v, the output and the gradients
+    are instead packed (T, ·) rows of its True positions in row-major order;
+    the node lays them out at (B, n, ·), zeros elsewhere, only inside itself.
+
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
     maximum is at most 0, and a masked entry is ``-inf`` whatever its finite
@@ -176,21 +182,23 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    at = None if valid is None else np.flatnonzero(valid)
+    qd, kd, vd = (t.data if at is None else _padded(t.data, at, valid.shape) for t in (q, k, v))
     heads = len(masks)
-    if heads < 1 or q.ndim < 2 or k.ndim < 2 or v.ndim < 2:
+    if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
         raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
-    if q.shape[-1] != k.shape[-1] or q.shape[-1] % heads or v.shape[-1] % heads:
+    if qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % heads or vd.shape[-1] % heads:
         raise ShapeMismatchError(
             f"attention cannot split query/key/value {q.shape}, {k.shape}, {v.shape} into {heads} heads"
         )
-    if k.shape[-2] != v.shape[-2]:
+    if kd.shape[-2] != vd.shape[-2]:
         raise ShapeMismatchError(f"key/value length mismatch: {k.shape} vs {v.shape}")
     try:
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        lead = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
     except ValueError as exc:
         raise ShapeMismatchError(f"attention cannot broadcast {q.shape}, {k.shape}, {v.shape}") from exc
-    d_k, d_v = q.shape[-1] // heads, v.shape[-1] // heads
-    n, m = q.shape[-2], k.shape[-2]
+    d_k, d_v = qd.shape[-1] // heads, vd.shape[-1] // heads
+    n, m = qd.shape[-2], kd.shape[-2]
     if keep is not None and keep.shape != (heads, *lead, n, m):
         raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
     scale = 1.0 / math.sqrt(d_k)
@@ -199,7 +207,7 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
     for h in range(heads):
         qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
         p = weights[h]
-        np.matmul(q.data[..., qk], np.swapaxes(k.data[..., qk], -1, -2), out=p)
+        np.matmul(qd[..., qk], np.swapaxes(kd[..., qk], -1, -2), out=p)
         p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
         try:
             p += masks[h]
@@ -213,28 +221,46 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None) -> tuple[Tensor, n
         p -= row_max
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p if keep is None else p * keep[h], v.data[..., vh], out=out[..., vh])
+        np.matmul(p if keep is None else p * keep[h], vd[..., vh], out=out[..., vh])
 
     def backward(g):
-        dq = np.empty((*lead, n, q.shape[-1]))
-        dk = np.empty((*lead, m, k.shape[-1]))
-        dv = np.empty((*lead, m, v.shape[-1]))
+        if at is not None:
+            g = _padded(g, at, valid.shape)
+        dq = np.empty((*lead, n, qd.shape[-1]))
+        dk = np.empty((*lead, m, kd.shape[-1]))
+        dv = np.empty((*lead, m, vd.shape[-1]))
         for h in range(heads):
             qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
             p, g_h = weights[h], g[..., vh]
             np.matmul(np.swapaxes(p if keep is None else p * keep[h], -1, -2), g_h, out=dv[..., vh])
-            dp = g_h @ np.swapaxes(v.data[..., vh], -1, -2)
+            dp = g_h @ np.swapaxes(vd[..., vh], -1, -2)
             if keep is not None:
                 dp *= keep[h]
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
             ds *= scale
-            np.matmul(ds, k.data[..., qk], out=dq[..., qk])
-            np.matmul(np.swapaxes(ds, -1, -2), q.data[..., qk], out=dk[..., qk])
-        _accumulate(q, dq)
-        _accumulate(k, dk)
-        _accumulate(v, dv)
+            np.matmul(ds, kd[..., qk], out=dq[..., qk])
+            np.matmul(np.swapaxes(ds, -1, -2), qd[..., qk], out=dk[..., qk])
+        for t, grad in ((q, dq), (k, dk), (v, dv)):
+            _accumulate(t, grad if at is None else _packed(grad, at))
 
-    return _record(Tensor(out), (q, k, v), backward), weights
+    return _record(Tensor(out if at is None else _packed(out, at)), (q, k, v), backward), weights
+
+
+def _padded(rows: np.ndarray, at: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """(T, c) ``rows`` at flat positions ``at`` of a zeroed (*shape, c) array; a reshape if ``at`` is all."""
+    if rows.ndim != 2 or rows.shape[0] != at.size:
+        raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {at.size} valid positions")
+    if at.size == math.prod(shape):
+        return rows.reshape(*shape, rows.shape[1])
+    out = np.zeros((math.prod(shape), rows.shape[1]))
+    out[at] = rows
+    return out.reshape(*shape, rows.shape[1])
+
+
+def _packed(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The (T, c) rows at flat positions ``at`` of (..., c) ``padded``; a reshape if ``at`` is all."""
+    flat = padded.reshape(-1, padded.shape[-1])
+    return flat if at.size == flat.shape[0] else flat.take(at, axis=0)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -285,22 +311,23 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _record(out, (table,), backward)
 
 
-def masked_mean(x, valid: np.ndarray) -> Tensor:
-    """Mean of ``x`` over axis -2, restricted to rows where ``valid`` is 1.
+def packed_mean(x, lengths: np.ndarray) -> Tensor:
+    """Mean of each sentence's rows of packed (T, d) ``x``, giving (B, d).
 
-    ``x`` is (..., n, d) and ``valid`` (..., n) with at least one 1 per row set.
+    Sentence ``i`` owns the ``lengths[i]`` rows after those of sentences
+    ``0..i-1``; every length must be at least 1 and they must sum to T.
     """
     x = as_tensor(x)
-    valid = np.asarray(valid, dtype=np.float64)
-    if valid.shape != x.shape[:-1]:
-        raise ShapeMismatchError(f"masked_mean valid shape {valid.shape} vs x {x.shape}")
-    counts = valid.sum(axis=-1, keepdims=True)
-    if np.any(counts == 0):
-        raise ShapeMismatchError("masked_mean: an example has no valid positions")
-    out = Tensor((x.data * valid[..., None]).sum(axis=-2) / counts)
+    lengths = np.asarray(lengths)
+    if x.ndim != 2 or lengths.ndim != 1 or lengths.sum() != x.shape[0]:
+        raise ShapeMismatchError(f"packed_mean lengths {lengths.tolist()} vs rows {x.shape}")
+    if np.any(lengths < 1):  # reduceat would give an empty segment the next row
+        raise ShapeMismatchError("packed_mean: an example has no valid positions")
+    counts = lengths[:, None].astype(np.float64)
+    out = Tensor(np.add.reduceat(x.data, np.cumsum(lengths) - lengths, axis=0) / counts)
 
     def backward(g):
-        _accumulate(x, g[..., None, :] * valid[..., None] / counts[..., None])
+        _accumulate(x, np.repeat(g / counts, lengths, axis=0))
 
     return _record(out, (x,), backward)
 
@@ -342,20 +369,6 @@ def dropout_keep(
     if rng is None:
         raise ShapeMismatchError("dropout with rate > 0 needs a random generator")
     return (rng.random(tuple(shape)) >= rate) / (1.0 - rate)
-
-
-def dropout(x, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout with the multiplier of :func:`dropout_keep`; identity when rate == 0."""
-    x = as_tensor(x)
-    keep = dropout_keep(x.shape, rate, rng)
-    if keep is None:
-        return x
-    out = Tensor(x.data * keep)
-
-    def backward(g):
-        _accumulate(x, g * keep)
-
-    return _record(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

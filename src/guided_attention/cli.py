@@ -115,6 +115,13 @@ def _roles(args) -> tuple[str, ...] | None:
     return None if args.roles is None else _role_list("--roles", args.roles)
 
 
+def _printed_roles(args) -> tuple[str, ...]:
+    """The roles ``masks`` and ``inspect`` print: --roles, or all of them without the flag."""
+    if (roles := _roles(args)) == ():
+        raise ConfigError("--roles: no role given; omit the flag to print every role")
+    return roles or GUIDED_ROLES
+
+
 def _role_list(flag: str, raw: str) -> tuple[str, ...]:
     """Parse a comma-separated list of role names given to ``flag``."""
     roles = tuple(r.strip() for r in raw.split(",") if r.strip())
@@ -177,7 +184,7 @@ def _overrides(args, roles: tuple[str, ...] | None):
 
 
 def cmd_masks(args) -> int:
-    roles = _roles(args) or GUIDED_ROLES
+    roles = _printed_roles(args)
     sentences = _load(args.data, args.labels, roles)
     vocab = build_vocab(sentences)
     out = Path(args.out)
@@ -193,7 +200,7 @@ def cmd_masks(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    roles = _roles(args) or GUIDED_ROLES
+    roles = _printed_roles(args)
     sentences = _load(args.data, args.labels, roles)
     matches = [s for s in sentences if s.sent_id == args.sentence_id]
     if not matches:

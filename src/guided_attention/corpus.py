@@ -308,8 +308,7 @@ class Batch:
     ``allowed`` maps each requested role, in order, to its ``(B, n, n)``
     boolean block from ``masks.build_batch_masks``, ``n = lengths.max()``:
     True where a query may attend to a key. ``token_ids`` stay padded to
-    ``max_len``; ``model.forward_stages`` computes on :meth:`cropped`, which
-    cuts them to ``n``.
+    ``max_len``; ``model.embed`` reads only the valid positions.
 
     :attr:`role_masks` and :attr:`pad_mask` give the same masks as additive
     ``{0, -inf}`` float grids padded to the width of ``token_ids``, built
@@ -346,14 +345,6 @@ class Batch:
             grid[:, :n, :n] = np.where(block, 0.0, masks_mod.NEG_INF)
             grids[role] = grid
         return grids
-
-    def cropped(self) -> "Batch":
-        """This batch with ``token_ids`` cut to its longest sentence, as a view.
-
-        Only padded positions are dropped, and no valid position reads them:
-        their key columns are closed in every mask.
-        """
-        return replace(self, token_ids=self.token_ids[:, : int(self.lengths.max())])
 
 
 def truncate(sentence: Sentence, max_len: int) -> Sentence:

@@ -2,9 +2,10 @@
 
 The encoder is a stack of post-norm layers (guided multi-head attention,
 add & norm, position-wise feed-forward, add & norm) over learned token
-embeddings plus fixed sinusoidal position encodings. Classification pools
-the encoder output with a masked mean over valid positions and applies an
-affine map. Training is plain Adam with a fixed learning rate; everything
+embeddings plus fixed sinusoidal position encodings. Every stage but
+attention computes on the batch's valid tokens only, packed as rows.
+Classification pools each sentence's rows with a mean and applies an affine
+map. Training is plain Adam with a fixed learning rate; everything
 is deterministic under a fixed seed.
 """
 
@@ -240,17 +241,19 @@ def sinusoidal_encoding(n: int, d_model: int) -> np.ndarray:
 
 
 def embed(batch: Batch, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Scaled token embeddings plus sinusoidal position encodings."""
-    tok = ad.embedding(params["embed.token"], batch.token_ids)
+    """Scaled token embeddings plus sinusoidal position encodings, as packed rows.
+
+    One (T, d_model) row per valid token, T = ``lengths.sum()``, sentence after sentence."""
+    n = int(batch.lengths.max())
+    rows, positions = np.nonzero(np.arange(n) < batch.lengths[:, None])
+    tok = ad.embedding(params["embed.token"], batch.token_ids[rows, positions])
     scaled = ad.mul(tok, math.sqrt(cfg.d_model))
-    return ad.add(scaled, Tensor(sinusoidal_encoding(batch.token_ids.shape[1], cfg.d_model)))
+    return ad.add(scaled, Tensor(sinusoidal_encoding(n, cfg.d_model)[positions]))
 
 
 def classify(encoded: Tensor, lengths: np.ndarray, params: dict[str, Tensor]) -> Tensor:
-    """Masked mean over valid positions, then affine map to class scores."""
-    n = encoded.shape[-2]
-    valid = (np.arange(n)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-    pooled = ad.masked_mean(encoded, valid)
+    """Mean of each sentence's packed rows, then affine map to class scores."""
+    pooled = ad.packed_mean(encoded, lengths)
     return ad.add(ad.matmul(pooled, params["classifier.w"]), params["classifier.b"])
 
 
@@ -266,20 +269,19 @@ def forward_stages(
     Stages: ``embed.output``; per layer ``i``, ``layer{i}.attention.output``,
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
 
-    The pass runs on ``batch.cropped()``, the batch cut to its longest
-    sentence, so outputs have that length, not ``max_len``. Each distinct
-    role's boolean block becomes one additive {0, -inf} float block, shared
-    by every layer and head that uses the role; padding and regular heads
-    share one ``(B, 1, n)`` row that closes the padded key columns. Dropout
-    draws at the computed size: ``(H, B, n, n)`` attention weights and
-    ``(B, n, ff_width)`` feed-forward units per layer.
+    Outputs but the logits are packed rows, one per valid token (see
+    :func:`embed`); only ``autodiff.attention`` lays them out at (B, n, ·), n
+    the longest sentence. Each distinct role's boolean block becomes one
+    additive {0, -inf} float block, shared by every layer and head of the
+    role; padding and regular heads share one ``(B, 1, n)`` row closing the
+    padded key columns. Dropout draws ``(H, B, n, n)`` attention weights and
+    ``(B, n, ff_width)`` feed-forward units per layer, as at (B, n, ·).
     """
-    batch = batch.cropped()
     for role in cfg.guided_roles:
         if role not in batch.allowed:
             raise ConfigError(f"batch carries no mask for guided role {role!r}")
-    n = batch.token_ids.shape[1]
-    key_row = np.where(np.arange(n) < batch.lengths[:, None], 0.0, NEG_INF)[:, None, :]
+    valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
+    key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
     additive = {
         role: key_row if role == ROLE_PADDING else np.where(batch.allowed[role], 0.0, NEG_INF)
         for role in cfg.mask_roles()
@@ -298,6 +300,7 @@ def forward_stages(
             masks,
             dropout_rate=rate,
             rng=rng,
+            valid=valid,
         )
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
@@ -306,7 +309,7 @@ def forward_stages(
         yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
         if rate > 0.0:
-            hidden = ad.dropout(hidden, rate, rng)
+            hidden = ad.mul(hidden, ad.dropout_keep((*valid.shape, cfg.ff_width), rate, rng)[valid])
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
         yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(

@@ -12,9 +12,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
+from guided_attention.attention import multi_head
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, truncate
 from guided_attention.errors import DegenerateRowError
+from guided_attention.model import sinusoidal_encoding
 
 NEG_INF = float("-inf")
 
@@ -151,6 +153,36 @@ def concat_last(tensors) -> Tensor:
     return ad._record(Tensor(np.concatenate([t.data for t in tensors], axis=-1)), tuple(tensors), backward)
 
 
+def dropout(x, rate: float, rng) -> Tensor:
+    """Inverted dropout with the multiplier of ``autodiff.dropout_keep``; identity when rate == 0."""
+    x = ad.as_tensor(x)
+    keep = ad.dropout_keep(x.shape, rate, rng)
+    if keep is None:
+        return x
+
+    def backward(g):
+        ad._accumulate(x, g * keep)
+
+    return ad._record(Tensor(x.data * keep), (x,), backward)
+
+
+def masked_mean(x, valid: np.ndarray) -> Tensor:
+    """Mean of ``x`` over axis -2, restricted to rows where ``valid`` is 1.
+
+    ``x`` is (..., n, d) and ``valid`` (..., n) with at least one 1 per row set:
+    the pooling of padded activations that ``autodiff.packed_mean`` replaced.
+    """
+    x = ad.as_tensor(x)
+    valid = np.asarray(valid, dtype=np.float64)
+    counts = valid.sum(axis=-1, keepdims=True)
+    assert valid.shape == x.shape[:-1] and np.all(counts > 0)
+
+    def backward(g):
+        ad._accumulate(x, g[..., None, :] * valid[..., None] / counts[..., None])
+
+    return ad._record(Tensor((x.data * valid[..., None]).sum(axis=-2) / counts), (x,), backward)
+
+
 def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
     """The guided multi-head layer composed head by head from autodiff primitives.
 
@@ -167,9 +199,42 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
         scores = ad.add(ad.matmul(q, transpose_last(k)), Tensor(mask))
         attn = softmax_rows(ad.mul(scores, 1.0 / math.sqrt(q.shape[-1])))
         if dropout_rate > 0.0:
-            attn = ad.dropout(attn, dropout_rate, rng)
+            attn = dropout(attn, dropout_rate, rng)
         outputs.append(ad.matmul(attn, v))
     return ad.matmul(concat_last(outputs), wo)
+
+
+def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
+    """Class scores of ``model.forward_batch`` with every stage on padded (B, n, ·) activations.
+
+    n is the batch's longest sentence. Padded positions carry the pad id's
+    embedding through every layer; their key columns are closed in every
+    mask and the pooling skips them. Dropout draws what the packed pass
+    draws, in the same order: the attention weights per layer, then the
+    ``(B, n, ff_width)`` feed-forward units.
+    """
+    n = int(batch.lengths.max())
+    valid = np.arange(n) < batch.lengths[:, None]
+    key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
+    blocks = {role: key_row if role == "padding" else np.where(block, 0.0, NEG_INF)
+              for role, block in batch.allowed.items()}
+    masks = [blocks[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
+    tok = ad.embedding(params["embed.token"], batch.token_ids[:, :n])
+    x = ad.add(ad.mul(tok, math.sqrt(cfg.d_model)), Tensor(sinusoidal_encoding(n, cfg.d_model)))
+    rate = cfg.dropout if training else 0.0
+    for i in range(cfg.layers):
+        p = {name: params[f"layer{i}.{name}"] for name in (
+            "attn.wq", "attn.wk", "attn.wv", "attn.wo", "norm1.gain", "norm1.bias",
+            "ff.w1", "ff.b1", "ff.w2", "ff.b2", "norm2.gain", "norm2.bias",
+        )}
+        attn_out, _ = multi_head(x, p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"], masks,
+                                 dropout_rate=rate, rng=rng)
+        x = ad.layer_norm(ad.add(x, attn_out), p["norm1.gain"], p["norm1.bias"])
+        hidden = dropout(ad.relu(ad.add(ad.matmul(x, p["ff.w1"]), p["ff.b1"])), rate, rng)
+        ff_out = ad.add(ad.matmul(hidden, p["ff.w2"]), p["ff.b2"])
+        x = ad.layer_norm(ad.add(x, ff_out), p["norm2.gain"], p["norm2.bias"])
+    pooled = masked_mean(x, valid)
+    return ad.add(ad.matmul(pooled, params["classifier.w"]), params["classifier.b"])
 
 
 def layer_norm_mean_var(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -222,10 +222,9 @@ class TestMultiHead:
     def test_matches_per_head_reference_with_dropout(self, twenty, twenty_vocab):
         """The packed layer equals the head-by-head composition in outputs, gradients and RNG use."""
         batch = make_batches(twenty[:4], twenty_vocab, 4, 12, GUIDED_ROLES, shuffle=False)[0]
-        cropped = batch.cropped()
-        n = cropped.token_ids.shape[1]
-        assert n < 12  # the batch is computed, and its dropout drawn, cropped
-        masks = [cropped.role_masks[r] for r in GUIDED_ROLES] + [cropped.pad_mask]
+        n = int(batch.lengths.max())
+        assert n < 12  # the batch is computed, and its dropout drawn, at its longest sentence
+        masks = [batch.role_masks[r][:, :n, :n] for r in GUIDED_ROLES] + [batch.pad_mask[:, :n, :n]]
         rng = np.random.default_rng(15)
         per_head = [[rng.normal(size=(12, 2)) for _ in range(6)] for _ in "qkv"]
         wo = rng.normal(size=(12, 12))

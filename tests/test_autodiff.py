@@ -13,9 +13,11 @@ from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
     concat_last,
+    dropout,
     finite_difference_grad,
     layer_norm_mean_var,
     layer_norm_naive,
+    masked_mean,
     matmul_naive,
     relative_error,
     softmax_rows,
@@ -244,17 +246,28 @@ class TestElementwiseOps:
         with pytest.raises(ShapeMismatchError):
             ad.embedding(Tensor(np.zeros((4, 2))), np.array([[4]]))
 
-    def test_masked_mean_matches_oracle(self):
+    def test_packed_mean_matches_oracle(self):
         rng = np.random.default_rng(23)
-        x = rng.normal(size=(2, 5, 3))
-        valid = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]], dtype=float)
-        out = ad.masked_mean(Tensor(x), valid)
-        expected = np.stack([x[0, :3].mean(axis=0), x[1].mean(axis=0)])
+        x = rng.normal(size=(8, 3))
+        lengths = np.array([3, 5])
+        out = ad.packed_mean(Tensor(x), lengths)
+        expected = np.stack([x[:3].mean(axis=0), x[3:].mean(axis=0)])
         npt.assert_allclose(out.data, expected, atol=1e-12)
+        padded = np.zeros((2, 5, 3))
+        valid = np.arange(5) < lengths[:, None]
+        padded[valid] = x
+        npt.assert_allclose(out.data, masked_mean(Tensor(padded), valid).data, rtol=0, atol=1e-12)
         check_grads(
-            lambda t: random_weighted_sum(ad.masked_mean(t, valid), np.random.default_rng(12)),
+            lambda t: random_weighted_sum(ad.packed_mean(t, lengths), np.random.default_rng(12)),
             [x],
         )
+
+    def test_packed_mean_rejects_a_sentence_without_rows(self):
+        # np.add.reduceat would give the empty run the next sentence's row, and 0 / 0 rows inf.
+        with pytest.raises(ShapeMismatchError, match="no valid positions"):
+            ad.packed_mean(Tensor(np.ones((3, 2))), np.array([2, 0, 1]))
+        with pytest.raises(ShapeMismatchError):
+            ad.packed_mean(Tensor(np.ones((4, 2))), np.array([2, 1]))
 
     def test_cross_entropy_value_and_grad(self):
         rng = np.random.default_rng(24)
@@ -270,14 +283,14 @@ class TestElementwiseOps:
     def test_dropout_backward_formula(self):
         rng = np.random.default_rng(25)
         x = Tensor(rng.normal(size=(50, 10)), requires_grad=True)
-        out = ad.dropout(x, 0.4, np.random.default_rng(0))
+        out = dropout(x, 0.4, np.random.default_rng(0))
         keep = out.data / np.where(x.data != 0, x.data, 1.0)
         ad.backward(tensor_sum(out))
         npt.assert_allclose(x.grad, keep, atol=1e-12)
 
     def test_dropout_rate_zero_is_identity(self):
         x = Tensor(np.ones((2, 2)))
-        assert ad.dropout(x, 0.0, None) is x
+        assert dropout(x, 0.0, None) is x
 
 
 class TestAttention:
@@ -310,6 +323,27 @@ class TestAttention:
             ),
             [q, k, v],
         )
+
+    def test_packed_rows_equal_the_valid_rows_of_the_padded_layout(self):
+        rng = np.random.default_rng(35)
+        valid = np.arange(4) < np.array([4, 1, 3])[:, None]
+        key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
+        padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
+        keep = ad.dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
+        upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
+        runs = []
+        for inputs, rows in ((padded, None), ([a[valid] for a in padded], valid)):
+            tensors = [Tensor(a, requires_grad=True) for a in inputs]
+            out, weights = ad.attention(*tensors, [key_row, key_row], keep, rows)
+            ad.backward(tensor_sum(ad.mul(out, upstream if rows is None else upstream[valid])))
+            runs.append((out.data, weights, [t.grad for t in tensors]))
+        (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
+        npt.assert_array_equal(packed_out, out[valid])
+        npt.assert_array_equal(packed_weights, weights)
+        for grad, packed_grad in zip(grads, packed_grads):
+            npt.assert_array_equal(packed_grad, grad[valid])
+        with pytest.raises(ShapeMismatchError, match="valid positions"):
+            ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], [key_row], None, valid)
 
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
@@ -452,7 +486,7 @@ class TestBackward:
         bias = Tensor(np.zeros(4), requires_grad=True)
         ids = np.array([[0, 3, 1], [2, 4, 0]])
         mask = np.where(np.eye(3, dtype=bool), NEG_INF, 0.0)
-        valid = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        valid = np.array([[True, True, False], [True, True, True]])
         proj = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
 
         def build_and_backward():
@@ -463,8 +497,10 @@ class TestBackward:
             fused, _ = ad.attention(x, x, x, [mask, mask], keep)
             joined = ad.matmul(concat_last([attended, ad.relu(fused)]), proj)
             h = ad.layer_norm(joined, gain, bias)
-            h = ad.dropout(h, 0.25, np.random.default_rng(0))
-            logits = ad.masked_mean(h, valid)
+            h = ad.mul(h, ad.dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
+            rows = ad.embedding(table, ids[valid])
+            packed, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid)
+            logits = ad.add(masked_mean(h, valid), ad.packed_mean(packed, valid.sum(axis=1)))
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))
             ad.backward(loss)
 

@@ -115,6 +115,19 @@ def test_malformed_training_corpus_leaves_no_output_directory(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("roles", [",", ""])
+@pytest.mark.parametrize("command", ["masks", "inspect"])
+def test_empty_role_list_rejected(tmp_path, capsys, command, roles):
+    """An empty --roles is an error, not every role (train, grid and ablate read it as no guided role)."""
+    out = tmp_path / "out"
+    argv = ["masks", "--out", str(out)] if command == "masks" else ["inspect", "s02"]
+    assert main([*argv, "--data", FIXTURE, "--roles", roles]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --roles: no role given; omit the flag to print every role\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestInspectCommand:
     def test_separator_columns_rendered(self, tmp_path, capsys):
         data = tmp_path / "tiny.txt"

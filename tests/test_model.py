@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention
@@ -34,7 +34,7 @@ from guided_attention.model import (
     train,
 )
 from guided_attention.synthetic import generate_local_pattern_task
-from oracles import AdamPerTensor, finite_difference_grad, relative_error, tensor_sum
+from oracles import AdamPerTensor, finite_difference_grad, forward_padded, relative_error, tensor_sum
 
 
 def sent(forms, label=None):
@@ -238,9 +238,9 @@ class TestEncoderAndClassifier:
         batch, params = self._batch_and_params(cfg, toy_separable(8))
         stages = list(forward_stages(batch, params, cfg))
         assert [stage for stage, _ in stages] == ["embed.output", "classifier.logits"]
-        # The pass runs on the batch cut to its longest sentence (4 of max_len 6 tokens).
-        x = embed(batch.cropped(), params, cfg)
-        assert x.shape[1] == 4 < cfg.max_len
+        # The pass runs on the valid tokens only, one row each (8 sentences of 4 of max_len 6 tokens).
+        x = embed(batch, params, cfg)
+        assert x.shape == (8 * 4, cfg.d_model)
         npt.assert_array_equal(stages[0][1].data, x.data)
         npt.assert_array_equal(stages[1][1].data, classify(x, batch.lengths, params).data)
 
@@ -267,7 +267,7 @@ class TestEncoderAndClassifier:
     def test_constant_encodings_pool_to_that_vector(self):
         rng = np.random.default_rng(4)
         vec = rng.normal(size=8)
-        encoded = Tensor(np.tile(vec, (2, 5, 1)))
+        encoded = Tensor(np.tile(vec, (5 + 2, 1)))
         params = {"classifier.w": Tensor(np.eye(8)[:, :2]), "classifier.b": Tensor(np.zeros(2))}
         scores = classify(encoded, np.array([5, 2]), params)
         npt.assert_allclose(scores.data[0], vec[:2], atol=1e-12)
@@ -275,20 +275,21 @@ class TestEncoderAndClassifier:
 
     def test_pad_positions_excluded_from_pool(self):
         rng = np.random.default_rng(5)
-        data = rng.normal(size=(1, 4, 8))
-        data[0, 1:] = 1e6  # garbage beyond the true length
+        data = rng.normal(size=(1 + 3, 8))
+        data[1:] = 1e6  # the next sentence's rows
         params = {"classifier.w": Tensor(np.eye(8)[:, :2]), "classifier.b": Tensor(np.zeros(2))}
-        scores = classify(Tensor(data), np.array([1]), params)
-        npt.assert_allclose(scores.data[0], data[0, 0, :2], atol=1e-12)
+        scores = classify(Tensor(data), np.array([1, 3]), params)
+        npt.assert_allclose(scores.data[0], data[0, :2], atol=1e-12)
 
     def test_pooled_matches_masked_mean_oracle(self):
         rng = np.random.default_rng(6)
-        data = rng.normal(size=(3, 5, 4))
         lengths = np.array([5, 3, 1])
+        data = rng.normal(size=(lengths.sum(), 4))
         params = {"classifier.w": Tensor(np.eye(4)), "classifier.b": Tensor(np.zeros(4))}
         scores = classify(Tensor(data), lengths, params)
-        for b, n in enumerate(lengths):
-            npt.assert_allclose(scores.data[b], data[b, :n].mean(axis=0), atol=1e-12)
+        starts = np.cumsum(lengths) - lengths
+        for b, (start, n) in enumerate(zip(starts, lengths)):
+            npt.assert_allclose(scores.data[b], data[start : start + n].mean(axis=0), atol=1e-12)
 
 
 class TestBatchCrop:
@@ -349,6 +350,64 @@ class TestBatchCrop:
 
         alone = np.concatenate([logits([s], 1) for s in chosen])
         npt.assert_allclose(logits(chosen, batch_size), alone, rtol=0, atol=1e-12)
+
+
+class TestPackedRows:
+    """Every stage but attention computes on the valid tokens only, packed as rows."""
+
+    CFG = TestBatchCrop.CFG
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        chosen=st.lists(st.integers(0, 19), min_size=1, max_size=20, unique=True),
+        batch_size=st.integers(min_value=1, max_value=8),
+        dropout=st.sampled_from([0.0, 0.2]),
+    )
+    @example(chosen=[1, 8, 10, 15], batch_size=4, dropout=0.0)  # s02, s09, s11, s16: 6 tokens each
+    @example(chosen=[4, 7, 0], batch_size=3, dropout=0.0)  # s08 is 1 token
+    def test_logits_and_gradients_equal_the_padded_forward(
+        self, twenty, twenty_vocab, chosen, batch_size, dropout
+    ):
+        cfg = replace(self.CFG, dropout=dropout)
+        params = init_params(cfg, len(twenty_vocab), np.random.default_rng(cfg.seed))
+        batches = make_batches([twenty[i] for i in chosen], twenty_vocab, batch_size, cfg.max_len,
+                               cfg.mask_roles(), shuffle=False)
+        for batch in batches:
+            labels = np.arange(batch.size) % cfg.num_classes
+            runs = []
+            for forward in (forward_batch, forward_padded):
+                ad.zero_grads(params)
+                rng = np.random.default_rng(21)
+                logits = forward(batch, params, cfg, rng=rng, training=True)
+                ad.backward(ad.cross_entropy(logits, labels), params)
+                runs.append((logits.data, {name: p.grad for name, p in params.items()}, rng.bit_generator.state))
+            (packed, packed_grads, packed_state), (padded, padded_grads, padded_state) = runs
+            npt.assert_allclose(packed, padded, rtol=0, atol=1e-12)
+            for name in params:
+                npt.assert_allclose(packed_grads[name], padded_grads[name], rtol=0, atol=1e-12, err_msg=name)
+            assert packed_state == padded_state  # feed-forward dropout keeps its (B, n, ff_width) draw
+
+    @pytest.mark.parametrize("sent_ids, dense", [(["s02", "s09", "s11", "s16"], True), (["s02", "s08"], False)])
+    def test_a_batch_without_padding_is_laid_out_without_copies(
+        self, twenty, twenty_vocab, monkeypatch, sent_ids, dense
+    ):
+        by_id = {s.sent_id: s for s in twenty}
+        cfg = self.CFG
+        batch = make_batches([by_id[i] for i in sent_ids], twenty_vocab, cfg.batch_size, cfg.max_len,
+                             cfg.mask_roles(), shuffle=False)[0]
+        assert np.all(batch.lengths == batch.lengths.max()) == dense
+        laid_out, padded = [], ad._padded
+
+        def spy(rows, at, shape):
+            laid_out.append((rows, padded(rows, at, shape)))
+            return laid_out[-1][1]
+
+        monkeypatch.setattr(ad, "_padded", spy)
+        forward_batch(batch, init_params(cfg, len(twenty_vocab), np.random.default_rng(0)), cfg)
+        assert len(laid_out) == 3 * cfg.layers  # q, k and v of each layer
+        for rows, out in laid_out:
+            assert out.shape == (batch.size, int(batch.lengths.max()), rows.shape[1])
+            assert np.shares_memory(out, rows) == dense
 
 
 class TestEndToEndGradients:
@@ -747,8 +806,8 @@ class TestGoldenTraining:
     @pytest.mark.parametrize(
         "dropout, expected",
         [
-            (0.1, "4ef96de48a2e9cc52671bae8733afeaf17932c587ce0e847bd497a0d572de4bd"),
-            (0.0, "49e6ba2ee8dbd9097d5b3ab0d6846dcaa4eaf99455b9c032431c413089fea664"),
+            (0.1, "a76b5324bf22e65af045ceb82042629a4adcdb7a89354181afa4db0c71d118ef"),
+            (0.0, "509b95cb42c9e0835071fba2236de9f1c2bee34d57e7bec3b352530cf9b69736"),
         ],
     )
     def test_parameters_history_and_evaluation_match_the_golden_digest(self, twenty, dropout, expected):
