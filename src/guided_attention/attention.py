@@ -39,6 +39,7 @@ def multi_head(
     of valid key columns for a regular head. Attention dropout is one
     (H, ..., n, n) draw, head after head. Returns the layer output and the
     (H, ..., n, n) attention weights before dropout, off the tape.
+
     With a (B, n) boolean ``valid``, ``x`` and the output are packed rows
     instead (see ``autodiff.attention``); dropout and weights stay (H, B, n, n).
     """
