@@ -18,6 +18,34 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
+# What a tier costs ``autodiff.attention`` beyond its score cells, in cells. Timing
+# the node's forward and backward passes (H = 6, d_k = 8) gave about 270-370 µs
+# per call and 0.14 µs per score cell (B·n²): a tier breaks even once it saves
+# some 2000-2900 cells.
+TIER_CELLS = 3000
+
+
+def tier_plan(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The batch rows of each attention tier for sentences of ``lengths``.
+
+    The rows, sorted by length stably, are cut into at most three tiers that
+    minimise Σ B_t·n_t² + ``TIER_CELLS`` per tier, tier t holding B_t rows of
+    at most n_t tokens, in length order. A lone tier, computed as the whole
+    batch, may list its rows in any order.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, top = len(lengths), int(lengths.max()) ** 2
+    # No split computes fewer than Σ l² cells, and any split adds a tier.
+    if b * top - int(lengths @ lengths) <= TIER_CELLS:
+        return (np.arange(b),)
+    order = np.argsort(lengths, kind="stable")
+    square = lengths[order] ** 2
+    i, j = np.triu_indices(b + 1)
+    i, j = i[i > 0], j[i > 0]  # tiers [0, i), [i, j) and [j, b), the empty ones dropped
+    cost = i * square[i - 1] + (j - i) * square[j - 1] + (b - j) * top + TIER_CELLS * (1 + (j > i) + (j < b))
+    best = int(np.argmin(cost))
+    return tuple(part for part in np.split(order, [i[best], j[best]]) if part.size)
+
 
 def multi_head(
     x,
@@ -29,6 +57,7 @@ def multi_head(
     dropout_rate: float = 0.0,
     rng=None,
     valid: np.ndarray | None = None,
+    tiers=(),
 ) -> tuple[Tensor, np.ndarray]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
@@ -41,12 +70,15 @@ def multi_head(
     (H, ..., n, n) attention weights before dropout, off the tape.
 
     With a (B, n) boolean ``valid``, ``x`` and the output are packed rows
-    instead (see ``autodiff.attention``); dropout and weights stay (H, B, n, n).
+    instead (see ``autodiff.attention``), computed per tier of
+    :func:`tier_plan` ``tiers``. Dropout and weights stay (H, B, n, n); under
+    two or more tiers, each row's weights outside its tier's ``[:n_t, :n_t]``
+    block are 0.
     """
     x = ad.as_tensor(x)
     heads = len(masks)
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
     lead = x.shape[:-1] if valid is None else valid.shape
     keep = ad.dropout_keep((heads, *lead, lead[-1]), dropout_rate, rng)
-    out, weights = ad.attention(q, k, v, masks, keep, valid)
+    out, weights = ad.attention(q, k, v, masks, keep, valid, tiers)
     return ad.matmul(out, wo), weights

@@ -155,7 +155,7 @@ def relu(x) -> Tensor:
 
 
 def attention(
-    q, k, v, masks, keep: np.ndarray | None = None, valid: np.ndarray | None = None
+    q, k, v, masks, keep: np.ndarray | None = None, valid: np.ndarray | None = None, tiers=()
 ) -> tuple[Tensor, np.ndarray]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
@@ -172,6 +172,10 @@ def attention(
     With a (B, n) boolean ``valid``, q, k, v, the output and the gradients
     are instead packed (T, ·) rows of its True positions in row-major order;
     the node lays them out at (B, n, ·), zeros elsewhere, only inside itself.
+    Two or more ``tiers`` of batch rows, from ``attention.tier_plan``, are each
+    laid out and computed at their longest sentence n_t, with the masks and
+    ``keep`` sliced ``[rows, :n_t, :n_t]``; the weights stay (H, B, n, n), each
+    row's ``[:n_t, :n_t]`` block in place and zeros elsewhere.
 
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
@@ -182,21 +186,35 @@ def attention(
     masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if valid is not None and len(tiers) > 1:
+        return _tiered(q, k, v, masks, keep, valid, tiers)
     at = None if valid is None else np.flatnonzero(valid)
     qd, kd, vd = (t.data if at is None else _padded(t.data, at, valid.shape) for t in (q, k, v))
+    out, weights, grads = _heads(qd, kd, vd, masks, keep)
+
+    def backward(g):
+        for t, grad in zip((q, k, v), grads(g if at is None else _padded(g, at, valid.shape))):
+            _accumulate(t, grad if at is None else _packed(grad, at))
+
+    return _record(Tensor(out if at is None else _packed(out, at)), (q, k, v), backward), weights
+
+
+def _heads(qd, kd, vd, masks, keep, rows=None):
+    """The per-head kernel of :func:`attention` on laid-out operands: its output, weights and the
+    map from the output's gradient to those of qd, kd and vd. Row (i, ...) is named (rows[i], ...)."""
     heads = len(masks)
     if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
         raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
     if qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % heads or vd.shape[-1] % heads:
         raise ShapeMismatchError(
-            f"attention cannot split query/key/value {q.shape}, {k.shape}, {v.shape} into {heads} heads"
+            f"attention cannot split query/key/value {qd.shape}, {kd.shape}, {vd.shape} into {heads} heads"
         )
     if kd.shape[-2] != vd.shape[-2]:
-        raise ShapeMismatchError(f"key/value length mismatch: {k.shape} vs {v.shape}")
+        raise ShapeMismatchError(f"key/value length mismatch: {kd.shape} vs {vd.shape}")
     try:
         lead = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
     except ValueError as exc:
-        raise ShapeMismatchError(f"attention cannot broadcast {q.shape}, {k.shape}, {v.shape}") from exc
+        raise ShapeMismatchError(f"attention cannot broadcast {qd.shape}, {kd.shape}, {vd.shape}") from exc
     d_k, d_v = qd.shape[-1] // heads, vd.shape[-1] // heads
     n, m = qd.shape[-2], kd.shape[-2]
     if keep is not None and keep.shape != (heads, *lead, n, m):
@@ -217,15 +235,15 @@ def attention(
         closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
         if closed.any():
             row = tuple(int(i) for i in np.argwhere(closed)[0])
+            if rows is not None:
+                row = (int(rows[row[0]]), *row[1:])
             raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
         p -= row_max
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p if keep is None else p * keep[h], vd[..., vh], out=out[..., vh])
 
-    def backward(g):
-        if at is not None:
-            g = _padded(g, at, valid.shape)
+    def grads(g):
         dq = np.empty((*lead, n, qd.shape[-1]))
         dk = np.empty((*lead, m, kd.shape[-1]))
         dv = np.empty((*lead, m, vd.shape[-1]))
@@ -240,10 +258,61 @@ def attention(
             ds *= scale
             np.matmul(ds, kd[..., qk], out=dq[..., qk])
             np.matmul(np.swapaxes(ds, -1, -2), qd[..., qk], out=dk[..., qk])
-        for t, grad in ((q, dq), (k, dk), (v, dv)):
-            _accumulate(t, grad if at is None else _packed(grad, at))
+        return dq, dk, dv
 
-    return _record(Tensor(out if at is None else _packed(out, at)), (q, k, v), backward), weights
+    return out, weights, grads
+
+
+def _tiered(q, k, v, masks, keep, valid, tiers):
+    """:func:`attention` on packed rows with each tier laid out at its own width, one after another.
+
+    ``at`` permutes the packed rows, so unlike :func:`_padded` no reshape stands in for a scatter."""
+    heads, (b, n) = len(masks), valid.shape
+    if keep is not None and keep.shape != (heads, b, n, n):
+        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
+    try:
+        blocks = {id(m): np.broadcast_to(m, (b, n, n)) for m in masks}
+    except ValueError as exc:
+        raise ShapeMismatchError(f"attention masks {[np.shape(m) for m in masks]} vs {(b, n, n)}") from exc
+    lengths = valid.sum(axis=1)
+    shapes = [(len(rows), int(lengths[rows].max())) for rows in tiers]
+    stops = np.cumsum([count * width for count, width in shapes])
+    first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
+    for rows, (count, width), stop in zip(tiers, shapes, stops):
+        first[rows] = stop - width * np.arange(count, 0, -1)
+    at = (first[:, None] + np.arange(n))[valid]
+
+    def laid_out(rows):
+        if rows.ndim != 2 or rows.shape[0] != at.size:
+            raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {at.size} valid positions")
+        out = np.zeros((int(stops[-1]), rows.shape[1]))
+        out[at] = rows
+        return out
+
+    qd, kd, vd = (laid_out(t.data) for t in (q, k, v))
+    weights = np.zeros((heads, b, n, n))
+    outs, parts = [], []
+    for rows, (count, width), stop in zip(tiers, shapes, stops):
+        span = slice(stop - count * width, stop)
+        sliced = {key: block[rows, :width, :width] for key, block in blocks.items()}
+        out, tier_weights, grads = _heads(
+            *(a[span].reshape(count, width, -1) for a in (qd, kd, vd)),
+            [sliced[id(m)] for m in masks],
+            None if keep is None else keep[:, rows, :width, :width],
+            rows,
+        )
+        weights[:, rows, :width, :width] = tier_weights
+        outs.append(out.reshape(-1, out.shape[-1]))
+        parts.append((span, out.shape, grads))
+
+    def backward(g):
+        g = laid_out(g)
+        tier_grads = [grads(g[span].reshape(shape)) for span, shape, grads in parts]
+        for i, t in enumerate((q, k, v)):
+            laid_out_grad = np.concatenate([d[i].reshape(-1, d[i].shape[-1]) for d in tier_grads])
+            _accumulate(t, laid_out_grad.take(at, axis=0))
+
+    return _record(Tensor(np.concatenate(outs).take(at, axis=0)), (q, k, v), backward), weights
 
 
 def _padded(rows: np.ndarray, at: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

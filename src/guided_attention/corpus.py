@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -245,7 +244,7 @@ def load_corpus(path, labels_path=None, errors: list[ConlluError] | None = None)
 
 
 class Vocabulary:
-    """Token form -> (document frequency, IDF); one sentence counts as one document.
+    """Token form -> document frequency; one sentence counts as one document.
 
     Ids 0 and 1 are reserved for padding and unknown forms. Unknown forms are
     treated as maximally rare (df = 1) when scored.
@@ -267,9 +266,6 @@ class Vocabulary:
 
     def df(self, form: str) -> int:
         return self.doc_freq.get(form, 1)
-
-    def idf(self, form: str) -> float:
-        return math.log(self.total_docs / self.df(form))
 
     def id(self, form: str) -> int:
         return self._ids.get(form, UNK_ID)

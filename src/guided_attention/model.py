@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .attention import multi_head
+from .attention import multi_head, tier_plan
 from .autodiff import Tensor
 from .corpus import (
     Batch,
@@ -116,17 +116,6 @@ class ModelConfig:
 # Field annotation -> the type of its value; an int also serves as a float.
 _KINDS = {"int": int, "float": float}
 _FIELDS = {f.name: f for f in fields(ModelConfig)}
-
-
-def format_config(cfg: ModelConfig) -> str:
-    """Render the human-editable ``key = value`` config file."""
-    lines = []
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name == "guided_roles":
-            value = ", ".join(value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str, overrides: Iterable[tuple[str, str]] | None = None) -> ModelConfig:
@@ -270,12 +259,13 @@ def forward_stages(
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
 
     Outputs but the logits are packed rows, one per valid token (see
-    :func:`embed`); only ``autodiff.attention`` lays them out at (B, n, ·), n
-    the longest sentence. Each distinct role's boolean block becomes one
-    additive {0, -inf} float block, shared by every layer and head of the
-    role; padding and regular heads share one ``(B, 1, n)`` row closing the
-    padded key columns. Dropout draws ``(H, B, n, n)`` attention weights and
-    ``(B, n, ff_width)`` feed-forward units per layer, as at (B, n, ·).
+    :func:`embed`); only ``autodiff.attention`` lays them out, at (B, n, ·)
+    or per tier of the pass's ``tier_plan``. Each distinct role's boolean
+    block becomes one additive {0, -inf} float block, shared by every layer
+    and head of the role; padding and regular heads share one ``(B, 1, n)``
+    row closing the padded key columns. Dropout draws ``(H, B, n, n)``
+    attention weights and ``(B, n, ff_width)`` feed-forward units per layer,
+    as at (B, n, ·).
     """
     for role in cfg.guided_roles:
         if role not in batch.allowed:
@@ -287,6 +277,7 @@ def forward_stages(
         for role in cfg.mask_roles()
     }
     masks = [additive[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
+    tiers = tier_plan(batch.lengths)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     rate = cfg.dropout if training else 0.0
@@ -301,6 +292,7 @@ def forward_stages(
             dropout_rate=rate,
             rng=rng,
             valid=valid,
+            tiers=tiers,
         )
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(

@@ -2,12 +2,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))  # make `oracles` importable
 
 from guided_attention.corpus import build_vocab, parse_conllu
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# One example's run time follows the load of the host more than its input, so
+# no property has a deadline; each keeps its own max_examples.
+settings.register_profile("no-deadline", deadline=None)
+settings.load_profile("no-deadline")
+
 
 @pytest.fixture(scope="session")
 def fixture_text() -> str:

@@ -6,6 +6,7 @@ checks.
 """
 
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -204,6 +205,19 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
     return ad.matmul(concat_last(outputs), wo)
 
 
+def tier_cost_bruteforce(lengths, tier_cells: int) -> int:
+    """Least Σ B_t·n_t² + ``tier_cells`` per tier over every cut of the sorted lengths into 1 to 3 tiers."""
+    ordered = sorted(lengths)
+    b = len(ordered)
+
+    def cost(cuts):
+        bounds = [0, *cuts, b]
+        return sum((hi - lo) * ordered[hi - 1] ** 2 + tier_cells for lo, hi in zip(bounds, bounds[1:]))
+
+    return min(cost(cuts) for cuts in [(), *[(i,) for i in range(1, b)],
+                                       *[(i, j) for i in range(1, b) for j in range(i + 1, b)]])
+
+
 def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
     """Class scores of ``model.forward_batch`` with every stage on padded (B, n, ·) activations.
 
@@ -235,6 +249,17 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
         x = ad.layer_norm(ad.add(x, ff_out), p["norm2.gain"], p["norm2.bias"])
     pooled = masked_mean(x, valid)
     return ad.add(ad.matmul(pooled, params["classifier.w"]), params["classifier.b"])
+
+
+def format_config(cfg) -> str:
+    """Render a ``ModelConfig`` in the ``key = value`` format that ``model.parse_config`` reads."""
+    lines = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name == "guided_roles":
+            value = ", ".join(value)
+        lines.append(f"{f.name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def layer_norm_mean_var(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -314,12 +339,17 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def idf(vocab, form: str) -> float:
+    """Inverse document frequency of ``form``; an unseen form counts as in one document."""
+    return math.log(vocab.total_docs / vocab.df(form))
+
+
 def rare_columns_bruteforce(sentence, vocab) -> set[int]:
     """Exhaustive sort by (idf desc, position asc), take ceil(10%) with k >= 1."""
     n = len(sentence)
     k = max(1, math.ceil(0.10 * n))
     ranked = sorted(
-        [(-vocab.idf(t.form), i) for i, t in enumerate(sentence.tokens)]
+        [(-idf(vocab, t.form), i) for i, t in enumerate(sentence.tokens)]
     )
     return {i for _, i in ranked[:k]}
 

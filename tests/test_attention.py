@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import multi_head
+from guided_attention.attention import TIER_CELLS, multi_head, tier_plan
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
-from oracles import attention_naive, multi_head_per_head, softmax_rows, tensor_sum
+from oracles import attention_naive, multi_head_per_head, softmax_rows, tensor_sum, tier_cost_bruteforce
 
 NEG_INF = float("-inf")
 
@@ -32,6 +32,50 @@ def relpos_mask(n: int) -> np.ndarray:
 def random_projections(rng, d_model):
     """Random packed ``wq``, ``wk`` and ``wv``, and ``wo``, all (d_model, d_model)."""
     return [Tensor(rng.normal(size=(d_model, d_model))) for _ in range(4)]
+
+
+class TestTierPlan:
+    """``tier_plan``: the tiers of batch rows ``autodiff.attention`` computes at their own widths."""
+
+    @staticmethod
+    def cost(lengths, tiers):
+        lengths = np.asarray(lengths)
+        return sum(len(rows) * int(lengths[rows].max()) ** 2 + TIER_CELLS for rows in tiers)
+
+    @settings(max_examples=150)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40))
+    def test_every_row_lands_in_one_tier_of_least_cost(self, lengths):
+        tiers = tier_plan(lengths)
+        assert 1 <= len(tiers) <= 3
+        assert sorted(np.concatenate(tiers).tolist()) == list(range(len(lengths)))
+        if len(tiers) > 1:  # tier after tier, each in length order, stably
+            ordered = np.concatenate(tiers)
+            assert ordered.tolist() == np.argsort(lengths, kind="stable").tolist()
+        assert self.cost(lengths, tiers) == tier_cost_bruteforce(lengths, TIER_CELLS)
+
+    @pytest.mark.parametrize("lengths", [[1], [5] * 32, [32] * 32])
+    def test_equal_lengths_give_one_tier(self, lengths):
+        (rows,) = tier_plan(lengths)
+        assert rows.tolist() == list(range(len(lengths)))
+
+    def test_no_search_below_one_tiers_cost(self, monkeypatch):
+        """With B·n² − Σ l² ≤ ``TIER_CELLS``, no split can pay for its tier, and none is searched for."""
+        assert 55**2 - 5**2 == TIER_CELLS
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("tier_plan searched for a split")
+
+        monkeypatch.setattr(np, "argsort", no_search)
+        assert [rows.tolist() for rows in tier_plan([55, 5])] == [[0, 1]]
+        monkeypatch.undo()
+        assert [rows.tolist() for rows in tier_plan([56, 5])] == [[1], [0]]  # saves 111 cells
+
+    def test_two_and_three_tiers(self):
+        assert [rows.tolist() for rows in tier_plan([1, 30, 1, 1, 30] + [1] * 7)] == [
+            [0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]
+        ]
+        lengths = [40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1]
+        assert [sorted({lengths[i] for i in rows}) for rows in tier_plan(lengths)] == [[1], [20], [40]]
 
 
 class TestHeadConfig:
@@ -256,7 +300,7 @@ class TestMultiHead:
         assert not np.allclose(plain.data, fused)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     lead=st.lists(st.integers(1, 3), max_size=2),
     n=st.integers(1, 8),

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
+from guided_attention.attention import multi_head, tier_plan
 from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
@@ -170,7 +171,7 @@ class TestLayerNorm:
             [rng.normal(size=(3, 4)), rng.normal(size=4) + 1.0, rng.normal(size=4)],
         )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         lead=st.lists(st.integers(1, 4), min_size=0, max_size=2),
         d=st.integers(1, 9),
@@ -438,6 +439,86 @@ class TestAttention:
             ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, np.ones((2, 3, 4)))
 
 
+class TestTieredAttention:
+    """Tiers of batch rows change only how ``ad.attention`` lays out packed rows, not what it computes."""
+
+    HEADS, D_K = 3, 2
+
+    @classmethod
+    def batch(cls, lengths, seed):
+        """Packed q, k and v rows, the (B, n) ``valid`` and masks that close padded keys, as a batch's do."""
+        rng = np.random.default_rng(seed)
+        lengths = np.asarray(lengths)
+        n = int(lengths.max())
+        valid = np.arange(n) < lengths[:, None]
+        allowed = (rng.random((len(lengths), n, n)) < 0.5) | np.eye(n, dtype=bool)
+        allowed = (allowed | ~valid[:, :, None]) & valid[:, None, :]  # a padded query sees every valid key
+        role, key_row = np.where(allowed, 0.0, NEG_INF), np.where(valid, 0.0, NEG_INF)[:, None, :]
+        rows = [rng.normal(size=(int(lengths.sum()), cls.HEADS * cls.D_K)) for _ in "qkv"]
+        return rows, valid, [role, key_row, role]
+
+    @settings(max_examples=60)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=16),
+        labels=st.lists(st.integers(0, 2), min_size=16, max_size=16),
+        rate=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[6] * 5, labels=[1] * 16, rate=0.3, seed=1)  # equal lengths: one tier
+    @example(lengths=[3, 1, 2], labels=[0, 1, 0] + [0] * 13, rate=0.3, seed=2)  # a 1-token sentence
+    @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, labels=[0] * 16, rate=0.3, seed=3)  # the plan's two tiers
+    @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], labels=[0] * 16, rate=0.3, seed=4)
+    def test_tiers_equal_the_one_tier_node(self, lengths, labels, rate, seed):
+        """Outputs, q/k/v gradients and weights at valid pairs equal the one-tier node's, for the plan's
+        tiers and for tiers drawn by ``labels``; weights outside a row's tier block are 0."""
+        rows, valid, masks = self.batch(lengths, seed)
+        (b, n), heads = valid.shape, self.HEADS
+        order = np.argsort(lengths, kind="stable")
+        label = np.asarray(labels[:b])[order]
+        drawn = tuple(part for part in (order[label == t] for t in range(3)) if part.size)
+        keep = ad.dropout_keep((heads, b, n, n), rate, np.random.default_rng(seed))
+        upstream = np.random.default_rng(seed + 1).normal(size=(rows[0].shape[0], heads * self.D_K))
+        pairs = valid[:, :, None] & valid[:, None, :]
+        runs = []
+        for tiers in ((), tier_plan(lengths), drawn):
+            tensors = [Tensor(a, requires_grad=True) for a in rows]
+            out, weights = ad.attention(*tensors, masks, keep, valid, tiers)
+            ad.backward(tensor_sum(ad.mul(out, upstream)))
+            runs.append((out.data, weights, [t.grad for t in tensors]))
+            if len(tiers) > 1:
+                block = np.zeros((b, n, n), dtype=bool)
+                for tier in tiers:
+                    width = int(valid[tier].sum(axis=1).max())
+                    block[tier, :width, :width] = True
+                assert np.all(weights[:, ~block] == 0.0)
+        (out, weights, grads), *tiered = runs
+        for tier_out, tier_weights, tier_grads in tiered:
+            npt.assert_allclose(tier_out, out, rtol=0, atol=1e-12)
+            npt.assert_allclose(tier_weights[:, pairs], weights[:, pairs], rtol=0, atol=1e-12)
+            for tier_grad, grad in zip(tier_grads, grads):
+                npt.assert_allclose(tier_grad, grad, rtol=0, atol=1e-12)
+
+        # Dropout draws the whole (H, B, n, n) block, head after head, whatever the tiers.
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = Tensor(np.random.default_rng(seed + 2).normal(size=(rows[0].shape[0], heads * self.D_K)))
+        projections = [Tensor(np.eye(heads * self.D_K)) for _ in "qkvo"]
+        multi_head(x, *projections, masks, dropout_rate=rate, rng=rng, valid=valid, tiers=drawn)
+        if rate > 0.0:
+            reference.random(heads * b * n * n)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_closed_row_is_named_by_its_batch_row(self):
+        lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]
+        rows, valid, masks = self.batch(lengths, 5)
+        tiers = tier_plan(lengths)
+        assert [tier.tolist() for tier in tiers] == [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]
+        closed = masks[1].repeat(30, axis=1)
+        closed[7, 4] = NEG_INF  # row 4 of batch row 7, which is row 1 of the second tier
+        for plan in ((), tiers):
+            with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(7, 4\) is masked"):
+                ad.attention(*rows, [masks[0], closed, masks[2]], None, valid, plan)
+
+
 class TestBackward:
     def test_linear_case_outer_product(self):
         rng = np.random.default_rng(26)
@@ -500,7 +581,9 @@ class TestBackward:
             h = ad.mul(h, ad.dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
             packed, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid)
-            logits = ad.add(masked_mean(h, valid), ad.packed_mean(packed, valid.sum(axis=1)))
+            tiered, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid, (np.array([0]), np.array([1])))
+            pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
+            logits = ad.add(masked_mean(h, valid), pooled)
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))
             ad.backward(loss)
 

@@ -82,7 +82,7 @@ class TestCheckpointFile:
         assert path.read_bytes()[:8] == MAGIC
 
     # The one file is rewritten in full by every example, so sharing tmp_path is safe.
-    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_corruption_detected(self, trained, tmp_path, data):
         """XOR-ing any one byte with any value from 1 to 255 makes the load fail."""

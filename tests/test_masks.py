@@ -361,7 +361,7 @@ def _arrays(batch):
     return {**arrays, **{f"role_masks[{r}]": m for r, m in batch.role_masks.items()}}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(batching_inputs())
 def test_batch_masks_equal_the_per_sentence_reference(inputs):
     corpus, vocab, kwargs = inputs

@@ -26,7 +26,6 @@ from guided_attention.model import (
     evaluate,
     forward_batch,
     forward_stages,
-    format_config,
     init_params,
     param_shapes,
     parse_config,
@@ -34,7 +33,7 @@ from guided_attention.model import (
     train,
 )
 from guided_attention.synthetic import generate_local_pattern_task
-from oracles import AdamPerTensor, finite_difference_grad, forward_padded, relative_error, tensor_sum
+from oracles import AdamPerTensor, finite_difference_grad, format_config, forward_padded, relative_error, tensor_sum
 
 
 def sent(forms, label=None):
@@ -154,7 +153,7 @@ def valid_configs(draw):
     return cfg
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(valid_configs())
 def test_config_file_round_trip(cfg):
     assert parse_config(format_config(cfg)) == cfg
@@ -333,7 +332,7 @@ class TestBatchCrop:
             reference.random(count)
             assert rng.bit_generator.state == reference.bit_generator.state, sent_ids
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         order=st.permutations(range(20)),
         size=st.integers(min_value=1, max_value=20),
@@ -357,7 +356,7 @@ class TestPackedRows:
 
     CFG = TestBatchCrop.CFG
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(
         chosen=st.lists(st.integers(0, 19), min_size=1, max_size=20, unique=True),
         batch_size=st.integers(min_value=1, max_value=8),
@@ -704,7 +703,7 @@ class TestAdam:
             opt.step()
         assert np.all(np.abs(p.data) < 1e-2)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         shapes=st.lists(
             st.lists(st.integers(0, 4), min_size=0, max_size=3).map(tuple), min_size=1, max_size=6
