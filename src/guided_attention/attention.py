@@ -54,8 +54,7 @@ def multi_head(
     wv: Tensor,
     wo: Tensor,
     masks: list[np.ndarray],
-    dropout_rate: float = 0.0,
-    rng=None,
+    keep: np.ndarray | None = None,
     valid: np.ndarray | None = None,
     tiers=(),
 ) -> tuple[Tensor, np.ndarray]:
@@ -65,20 +64,17 @@ def multi_head(
     ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``masks`` holds one
     additive {0, -inf} mask per head, broadcastable to (..., n, n): a guided
     head's role block (see ``model.forward_stages``), or the (..., 1, n) row
-    of valid key columns for a regular head. Attention dropout is one
-    (H, ..., n, n) draw, head after head. Returns the layer output and the
-    (H, ..., n, n) attention weights before dropout, off the tape.
+    of valid key columns for a regular head. ``keep``, an (H, ..., n, n)
+    inverted-dropout multiplier, scales the weights before they meet V; the
+    layer draws nothing. Returns the layer output and the (H, ..., n, n)
+    attention weights before dropout, off the tape.
 
     With a (B, n) boolean ``valid``, ``x`` and the output are packed rows
     instead (see ``autodiff.attention``), computed per tier of
-    :func:`tier_plan` ``tiers``. Dropout and weights stay (H, B, n, n); under
-    two or more tiers, each row's weights outside its tier's ``[:n_t, :n_t]``
-    block are 0.
+    :func:`tier_plan` ``tiers``. ``keep`` and the weights stay (H, B, n, n);
+    under two or more tiers, each row's weights outside its tier's
+    ``[:n_t, :n_t]`` block are 0.
     """
-    x = ad.as_tensor(x)
-    heads = len(masks)
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    lead = x.shape[:-1] if valid is None else valid.shape
-    keep = ad.dropout_keep((heads, *lead, lead[-1]), dropout_rate, rng)
     out, weights = ad.attention(q, k, v, masks, keep, valid, tiers)
     return ad.matmul(out, wo), weights

@@ -163,8 +163,8 @@ def attention(
     with the heads packed along the last axis, and ``masks`` holds one
     additive {0, -inf} mask per head, each broadcastable to (..., n, m).
     Head ``h`` computes ``softmax((Q_h K_hᵀ + masks[h]) / sqrt(d_k)) V_h``
-    over the last axis; ``keep``, an (H, ..., n, m) multiplier from
-    :func:`dropout_keep`, scales the weights before they meet ``V_h``.
+    over the last axis; ``keep``, an (H, ..., n, m) inverted-dropout multiplier
+    (0 or ``1 / (1 - rate)``), scales the weights before they meet ``V_h``.
 
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
@@ -421,23 +421,6 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
         _accumulate(logits, p * (g / n))
 
     return _record(out, (logits,), backward)
-
-
-def dropout_keep(
-    shape: tuple[int, ...], rate: float, rng: np.random.Generator | None
-) -> np.ndarray | None:
-    """Inverted-dropout multiplier (0 or ``1 / (1 - rate)``) for a tensor of ``shape``.
-
-    Returns None, and draws nothing, when rate == 0; otherwise draws exactly
-    ``prod(shape)`` uniforms from ``rng``.
-    """
-    if rate == 0.0:
-        return None
-    if not 0.0 <= rate < 1.0:
-        raise ShapeMismatchError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ShapeMismatchError("dropout with rate > 0 needs a random generator")
-    return (rng.random(tuple(shape)) >= rate) / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------------

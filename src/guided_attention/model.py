@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -81,8 +82,10 @@ class ModelConfig:
                 raise ConfigError(f"unknown role {role!r}; expected one of {GUIDED_ROLES}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.learning_rate < 0.0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.ff_width < 0:
+            raise ConfigError(f"ff_width must be >= 0, got {self.ff_width}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_len < 1 or self.num_classes < 2 or self.batch_size < 1:
@@ -250,7 +253,7 @@ def forward_stages(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    rng: np.random.Generator | None = None,
+    keeps: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     training: bool = False,
 ) -> Iterator[tuple[str, Tensor]]:
     """Run the forward pass, yielding ``(stage, output)`` as each stage finishes.
@@ -263,13 +266,20 @@ def forward_stages(
     or per tier of the pass's ``tier_plan``. Each distinct role's boolean
     block becomes one additive {0, -inf} float block, shared by every layer
     and head of the role; padding and regular heads share one ``(B, 1, n)``
-    row closing the padded key columns. Dropout draws ``(H, B, n, n)``
-    attention weights and ``(B, n, ff_width)`` feed-forward units per layer,
-    as at (B, n, ·).
+    row closing the padded key columns. A ``training`` pass under dropout
+    multiplies each layer's attention weights and feed-forward units by that
+    layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`;
+    any other pass ignores ``keeps``.
     """
     for role in cfg.guided_roles:
         if role not in batch.allowed:
             raise ConfigError(f"batch carries no mask for guided role {role!r}")
+    if not (training and cfg.dropout > 0.0):
+        keeps = [(None, None)] * cfg.layers
+    elif keeps is None or len(keeps) != cfg.layers:
+        raise ConfigError(
+            f"a training pass under dropout needs a pair of multipliers for each of {cfg.layers} layers"
+        )
     valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
     key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
     additive = {
@@ -280,8 +290,7 @@ def forward_stages(
     tiers = tier_plan(batch.lengths)
     x = embed(batch, params, cfg)
     yield "embed.output", x
-    rate = cfg.dropout if training else 0.0
-    for i in range(cfg.layers):
+    for i, (attn_keep, ff_keep) in enumerate(keeps):
         attn_out, _ = multi_head(
             x,
             params[f"layer{i}.attn.wq"],
@@ -289,8 +298,7 @@ def forward_stages(
             params[f"layer{i}.attn.wv"],
             params[f"layer{i}.attn.wo"],
             masks,
-            dropout_rate=rate,
-            rng=rng,
+            keep=attn_keep,
             valid=valid,
             tiers=tiers,
         )
@@ -300,8 +308,8 @@ def forward_stages(
         )
         yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
-        if rate > 0.0:
-            hidden = ad.mul(hidden, ad.dropout_keep((*valid.shape, cfg.ff_width), rate, rng)[valid])
+        if ff_keep is not None:
+            hidden = ad.mul(hidden, ff_keep)
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
         yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(
@@ -315,13 +323,53 @@ def forward_batch(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    rng: np.random.Generator | None = None,
+    keeps: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
     training: bool = False,
 ) -> Tensor:
     """Class scores of a batch: the last output of :func:`forward_stages`."""
-    for _, logits in forward_stages(batch, params, cfg, rng=rng, training=training):
+    for _, logits in forward_stages(batch, params, cfg, keeps, training=training):
         pass
     return logits
+
+
+def _draw_keeps(batch: Batch, cfg: ModelConfig, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The inverted-dropout multipliers (0 or ``1 / (1 - dropout)``) of a training pass over ``batch``.
+
+    Per layer, in this order: an ``(H, B, n, n)`` draw for the attention
+    weights, head after head, then a ``(B, n, ff_width)`` draw for the
+    feed-forward units, kept at the valid rows as the packed pass needs
+    them. A pass over padded (B, n, ·) activations would draw the same.
+    :func:`train` calls this on a worker thread, so it calls numpy only.
+    """
+    valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
+
+    def draw(shape):
+        return (rng.random(shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+
+    return [
+        (draw((cfg.heads, *valid.shape, valid.shape[1])), draw((*valid.shape, cfg.ff_width))[valid])
+        for _ in range(cfg.layers)
+    ]
+
+
+def _keeps_ahead(
+    batches: list[Batch], cfg: ModelConfig, rng: np.random.Generator, pool: ThreadPoolExecutor
+) -> Iterator[list[tuple[np.ndarray, np.ndarray]] | None]:
+    """The multipliers of each of ``batches`` in turn, None without dropout.
+
+    Under dropout ``pool`` draws the next batch's while the caller uses
+    these, one batch in flight at most, so ``rng`` is read in the order of
+    ``batches`` and the stream is that of drawing at each step.
+    """
+    if cfg.dropout == 0.0:
+        yield from (None for _ in batches)
+        return
+    pending = pool.submit(_draw_keeps, batches[0], cfg, rng)
+    for following in batches[1:]:
+        keeps = pending.result()
+        pending = pool.submit(_draw_keeps, following, cfg, rng)
+        yield keeps
+    yield pending.result()
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +496,13 @@ def train(
 
     Fully deterministic under ``cfg.seed``: one RNG stream drives parameter
     initialization and dropout, a second (derived from the same seed) drives
-    the batch shuffle. The dev batches are built once per call, from the dev
-    split in length order (see :func:`_forward_only_batches`); they only pick
-    the best epoch, so the order leaves the trained parameters unchanged.
+    the batch shuffle. Under dropout, one worker thread draws each batch's
+    multipliers (see :func:`_draw_keeps`) while the batch before it trains,
+    in the order of the steps, so the stream is the same as drawing them at
+    each step; the worker is joined before this returns or raises. The dev
+    batches are built once per call, from the dev split in length order (see
+    :func:`_forward_only_batches`); they only pick the best epoch, so the
+    order leaves the trained parameters unchanged.
     """
     cfg.validate()
     if not train_sentences or not dev_sentences:
@@ -480,35 +532,37 @@ def train(
 
     history: list[dict] = []
     best_acc, best_epoch, best_flat = -1.0, -1, None
-    for epoch in range(1, cfg.epochs + 1):
-        total_loss, total_examples = 0.0, 0
-        for batch in train_batches:
-            ad.zero_grads(params)
-            try:
-                logits = forward_batch(batch, params, cfg, rng=rng, training=True)
-                loss = ad.cross_entropy(logits, batch.labels)
-            except DegenerateRowError:
-                # batch masks are feasible by construction, so this is numeric blow-up
-                raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg)) from None
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg))
-            ad.backward(loss, params)
-            optimizer.step()
-            total_loss += loss.item() * batch.size
-            total_examples += batch.size
-        # Views of the live parameters without requires_grad: the dev pass records no tape.
-        dev = _evaluate_batches(dev_batches, {name: Tensor(p.data) for name, p in params.items()}, cfg)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": total_loss / total_examples,
-                "dev_loss": dev.loss,
-                "dev_acc": dev.accuracy,
-            }
-        )
-        if dev.accuracy > best_acc:
-            best_acc, best_epoch = dev.accuracy, epoch
-            best_flat = optimizer.flat.copy()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawn = _keeps_ahead(train_batches * cfg.epochs, cfg, rng, pool)
+        for epoch in range(1, cfg.epochs + 1):
+            total_loss, total_examples = 0.0, 0
+            for batch in train_batches:
+                ad.zero_grads(params)
+                try:
+                    logits = forward_batch(batch, params, cfg, next(drawn), training=True)
+                    loss = ad.cross_entropy(logits, batch.labels)
+                except DegenerateRowError:
+                    # batch masks are feasible by construction, so this is numeric blow-up
+                    raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg)) from None
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg))
+                ad.backward(loss, params)
+                optimizer.step()
+                total_loss += loss.item() * batch.size
+                total_examples += batch.size
+            # Views of the live parameters without requires_grad: the dev pass records no tape.
+            dev = _evaluate_batches(dev_batches, {name: Tensor(p.data) for name, p in params.items()}, cfg)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": total_loss / total_examples,
+                    "dev_loss": dev.loss,
+                    "dev_acc": dev.accuracy,
+                }
+            )
+            if dev.accuracy > best_acc:
+                best_acc, best_epoch = dev.accuracy, epoch
+                best_flat = optimizer.flat.copy()
 
     class_names = [name for name, _ in sorted(classes.items(), key=lambda kv: kv[1])]
     return Checkpoint(

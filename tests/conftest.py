@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,16 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # no property has a deadline; each keeps its own max_examples.
 settings.register_profile("no-deadline", deadline=None)
 settings.load_profile("no-deadline")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that returns with a thread running that it started."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"the test left {len(left)} thread(s) running: {left}")
 
 
 @pytest.fixture(scope="session")

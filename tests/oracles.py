@@ -154,10 +154,22 @@ def concat_last(tensors) -> Tensor:
     return ad._record(Tensor(np.concatenate([t.data for t in tensors], axis=-1)), tuple(tensors), backward)
 
 
+def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multiplier (0 or ``1 / (1 - rate)``) for a tensor of ``shape``.
+
+    Returns None, and draws nothing, when rate == 0; otherwise draws exactly
+    ``prod(shape)`` uniforms from ``rng``: the draws, one tensor at a time,
+    that ``model._draw_keeps`` must reproduce.
+    """
+    if rate == 0.0:
+        return None
+    return (rng.random(tuple(shape)) >= rate) / (1.0 - rate)
+
+
 def dropout(x, rate: float, rng) -> Tensor:
-    """Inverted dropout with the multiplier of ``autodiff.dropout_keep``; identity when rate == 0."""
+    """Inverted dropout with the multiplier of :func:`dropout_keep`; identity when rate == 0."""
     x = ad.as_tensor(x)
-    keep = ad.dropout_keep(x.shape, rate, rng)
+    keep = dropout_keep(x.shape, rate, rng)
     if keep is None:
         return x
 
@@ -223,9 +235,9 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
 
     n is the batch's longest sentence. Padded positions carry the pad id's
     embedding through every layer; their key columns are closed in every
-    mask and the pooling skips them. Dropout draws what the packed pass
-    draws, in the same order: the attention weights per layer, then the
-    ``(B, n, ff_width)`` feed-forward units.
+    mask and the pooling skips them. Dropout draws from ``rng`` one tensor
+    at a time with :func:`dropout_keep`, per layer the ``(H, B, n, n)``
+    attention weights, then the ``(B, n, ff_width)`` feed-forward units.
     """
     n = int(batch.lengths.max())
     valid = np.arange(n) < batch.lengths[:, None]
@@ -241,8 +253,8 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
             "attn.wq", "attn.wk", "attn.wv", "attn.wo", "norm1.gain", "norm1.bias",
             "ff.w1", "ff.b1", "ff.w2", "ff.b2", "norm2.gain", "norm2.bias",
         )}
-        attn_out, _ = multi_head(x, p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"], masks,
-                                 dropout_rate=rate, rng=rng)
+        keep = dropout_keep((cfg.heads, *valid.shape, n), rate, rng)
+        attn_out, _ = multi_head(x, p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"], masks, keep)
         x = ad.layer_norm(ad.add(x, attn_out), p["norm1.gain"], p["norm1.bias"])
         hidden = dropout(ad.relu(ad.add(ad.matmul(x, p["ff.w1"]), p["ff.b1"])), rate, rng)
         ff_out = ad.add(ad.matmul(hidden, p["ff.w2"]), p["ff.b2"])

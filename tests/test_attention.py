@@ -14,7 +14,7 @@ from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
-from oracles import attention_naive, multi_head_per_head, softmax_rows, tensor_sum, tier_cost_bruteforce
+from oracles import attention_naive, dropout_keep, multi_head_per_head, softmax_rows, tensor_sum, tier_cost_bruteforce
 
 NEG_INF = float("-inf")
 
@@ -280,15 +280,23 @@ class TestMultiHead:
             x = Tensor(x_data, requires_grad=True)
             wo_t = Tensor(wo, requires_grad=True)
             gen = np.random.default_rng(99)
-            out = layer(x, *projections, wo_t, masks, dropout_rate=0.3, rng=gen)
+            out = layer(x, *projections, wo_t, masks, gen)
             ad.backward(tensor_sum(ad.mul(out, Tensor(upstream))))
             return out.data, [x.grad, wo_t.grad], gen.bit_generator.state
 
+        def fused_layer(x, wq, wk, wv, wo, masks, gen):
+            """The packed layer, given one (H, B, n, n) draw for all its heads."""
+            return multi_head(x, wq, wk, wv, wo, masks, dropout_keep((6, 4, n, n), 0.3, gen))[0]
+
+        def reference_layer(x, wq, wk, wv, wo, masks, gen):
+            """The per-head layer, each head drawing its own (B, n, n) multiplier in turn."""
+            return multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.3, rng=gen)
+
         packed = [Tensor(np.concatenate(heads, axis=-1), requires_grad=True) for heads in per_head]
-        fused, fused_grads, fused_state = run(lambda *a, **kw: multi_head(*a, **kw)[0], packed)
+        fused, fused_grads, fused_state = run(fused_layer, packed)
         fused_grads += [t.grad for t in packed]
         split = [[Tensor(w, requires_grad=True) for w in heads] for heads in per_head]
-        ref, ref_grads, ref_state = run(multi_head_per_head, split)
+        ref, ref_grads, ref_state = run(reference_layer, split)
         ref_grads += [np.concatenate([t.grad for t in heads], axis=-1) for heads in split]
 
         npt.assert_allclose(fused, ref, rtol=0, atol=1e-12)

@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import multi_head, tier_plan
+from guided_attention.attention import tier_plan
 from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
     concat_last,
     dropout,
+    dropout_keep,
     finite_difference_grad,
     layer_norm_mean_var,
     layer_norm_naive,
@@ -316,7 +317,7 @@ class TestAttention:
         rng = np.random.default_rng(30)
         q, k, v, masks = self.packed_inputs(rng)
         assert any(np.any(mk == NEG_INF) for mk in masks)
-        keep = ad.dropout_keep((2, 2, 3, 4), 0.3, np.random.default_rng(31))
+        keep = dropout_keep((2, 2, 3, 4), 0.3, np.random.default_rng(31))
         assert np.any(keep == 0.0)
         check_grads(
             lambda q, k, v: random_weighted_sum(
@@ -330,7 +331,7 @@ class TestAttention:
         valid = np.arange(4) < np.array([4, 1, 3])[:, None]
         key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
-        keep = ad.dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
+        keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
         runs = []
         for inputs, rows in ((padded, None), ([a[valid] for a in padded], valid)):
@@ -349,7 +350,7 @@ class TestAttention:
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
         q, k, v, masks = self.packed_inputs(rng)
-        keep = ad.dropout_keep((2, 2, 3, 4), 0.5, np.random.default_rng(34))
+        keep = dropout_keep((2, 2, 3, 4), 0.5, np.random.default_rng(34))
         out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, keep)
         assert out.shape == (2, 3, 4) and weights.shape == (2, 2, 3, 4)
         for h in range(2):
@@ -476,7 +477,7 @@ class TestTieredAttention:
         order = np.argsort(lengths, kind="stable")
         label = np.asarray(labels[:b])[order]
         drawn = tuple(part for part in (order[label == t] for t in range(3)) if part.size)
-        keep = ad.dropout_keep((heads, b, n, n), rate, np.random.default_rng(seed))
+        keep = dropout_keep((heads, b, n, n), rate, np.random.default_rng(seed))
         upstream = np.random.default_rng(seed + 1).normal(size=(rows[0].shape[0], heads * self.D_K))
         pairs = valid[:, :, None] & valid[:, None, :]
         runs = []
@@ -497,15 +498,6 @@ class TestTieredAttention:
             npt.assert_allclose(tier_weights[:, pairs], weights[:, pairs], rtol=0, atol=1e-12)
             for tier_grad, grad in zip(tier_grads, grads):
                 npt.assert_allclose(tier_grad, grad, rtol=0, atol=1e-12)
-
-        # Dropout draws the whole (H, B, n, n) block, head after head, whatever the tiers.
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = Tensor(np.random.default_rng(seed + 2).normal(size=(rows[0].shape[0], heads * self.D_K)))
-        projections = [Tensor(np.eye(heads * self.D_K)) for _ in "qkvo"]
-        multi_head(x, *projections, masks, dropout_rate=rate, rng=rng, valid=valid, tiers=drawn)
-        if rate > 0.0:
-            reference.random(heads * b * n * n)
-        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_a_closed_row_is_named_by_its_batch_row(self):
         lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]
@@ -574,11 +566,11 @@ class TestBackward:
             x = ad.embedding(table, ids)
             scores = ad.add(ad.matmul(x, transpose_last(x)), Tensor(mask))
             attended = ad.matmul(softmax_rows(ad.mul(scores, 0.5)), x)
-            keep = ad.dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
+            keep = dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
             fused, _ = ad.attention(x, x, x, [mask, mask], keep)
             joined = ad.matmul(concat_last([attended, ad.relu(fused)]), proj)
             h = ad.layer_norm(joined, gain, bias)
-            h = ad.mul(h, ad.dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
+            h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
             packed, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid)
             tiered, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid, (np.array([0]), np.array([1])))

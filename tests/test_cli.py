@@ -406,6 +406,19 @@ class TestNonNumericValues:
         last = self._error_line(capsys, toy_files, tmp_path, command, toy_files["config"], extra)
         assert last.startswith("error: ") and all(part in last for part in named)
 
+    @pytest.mark.parametrize(
+        "setting, named",
+        [
+            ("learning_rate=nan", "learning_rate must be finite and >= 0, got nan"),
+            ("learning_rate=inf", "learning_rate must be finite and >= 0, got inf"),
+            ("ff_width=-1", "ff_width must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_value_rejected_without_output(self, toy_files, tmp_path, capsys, setting, named):
+        line = self._error_line(capsys, toy_files, tmp_path, "train", toy_files["config"], ["--set", setting])
+        assert line == f"error: {named}"
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_value_rejected_without_traceback(self, toy_files, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CONFIG.replace("epochs = 2", "epochs = ten"))

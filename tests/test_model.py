@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +33,17 @@ from guided_attention.model import (
     sinusoidal_encoding,
     train,
 )
+from guided_attention.model import _draw_keeps
 from guided_attention.synthetic import generate_local_pattern_task
-from oracles import AdamPerTensor, finite_difference_grad, format_config, forward_padded, relative_error, tensor_sum
+from oracles import (
+    AdamPerTensor,
+    dropout_keep,
+    finite_difference_grad,
+    format_config,
+    forward_padded,
+    relative_error,
+    tensor_sum,
+)
 
 
 def sent(forms, label=None):
@@ -99,6 +109,15 @@ class TestConfig:
             ModelConfig(dropout=1.0).validate()
         with pytest.raises(ConfigError):
             ModelConfig(epochs=0).validate()
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1e-3])
+    def test_learning_rate_must_be_finite_and_non_negative(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be finite and >= 0"):
+            ModelConfig(learning_rate=rate).validate()
+
+    def test_negative_ff_width_rejected(self):
+        with pytest.raises(ConfigError, match="ff_width must be >= 0, got -1"):
+            ModelConfig(ff_width=-1).validate()
 
     def test_key_value_round_trip(self):
         cfg = ModelConfig(layers=4, extra_regular_heads=3, d_model=64, dropout=0.2, seed=7)
@@ -300,14 +319,16 @@ class TestBatchCrop:
         dropout=0.2, seed=3, max_len=11, num_classes=2, batch_size=4,
     )
 
-    def _forward(self, twenty, vocab, sent_ids, rng=None):
+    def _batch(self, twenty, vocab, sent_ids):
         by_id = {s.sent_id: s for s in twenty}
         cfg = self.CFG
-        batch = make_batches([by_id[i] for i in sent_ids], vocab, cfg.batch_size, cfg.max_len,
-                             cfg.mask_roles(), shuffle=False)[0]
-        params = init_params(cfg, len(vocab), np.random.default_rng(cfg.seed))
-        logits = forward_batch(batch, params, cfg, rng=rng, training=rng is not None)
-        return batch, logits.data
+        return make_batches([by_id[i] for i in sent_ids], vocab, cfg.batch_size, cfg.max_len,
+                            cfg.mask_roles(), shuffle=False)[0]
+
+    def _forward(self, twenty, vocab, sent_ids):
+        batch = self._batch(twenty, vocab, sent_ids)
+        params = init_params(self.CFG, len(vocab), np.random.default_rng(self.CFG.seed))
+        return batch, forward_batch(batch, params, self.CFG).data
 
     def test_logits_do_not_depend_on_batch_mates(self, twenty, twenty_vocab):
         # s03 (5 tokens) alone, beside the 10-token s19, and beside s15 (no crop).
@@ -324,13 +345,43 @@ class TestBatchCrop:
         cfg = self.CFG
         for sent_ids in (["s03", "s08"], ["s19", "s03", "s05"]):  # longest 5 and 10 tokens
             rng = np.random.default_rng(11)
-            batch, _ = self._forward(twenty, twenty_vocab, sent_ids, rng=rng)
+            batch = self._batch(twenty, twenty_vocab, sent_ids)
+            keeps = _draw_keeps(batch, cfg, rng)
             b, n = batch.size, int(batch.lengths.max())
             assert n < cfg.max_len
             count = cfg.layers * (cfg.heads * b * n**2 + b * n * cfg.ff_width)
             reference = np.random.default_rng(11)
             reference.random(count)
             assert rng.bit_generator.state == reference.bit_generator.state, sent_ids
+            shapes = [(attn_keep.shape, ff_keep.shape) for attn_keep, ff_keep in keeps]
+            assert shapes == [((cfg.heads, b, n, n), (int(batch.lengths.sum()), cfg.ff_width))] * cfg.layers
+
+    @pytest.mark.parametrize("sent_ids", [["s03", "s08"], ["s19", "s03", "s05"], ["s15"]])
+    def test_drawn_multipliers_equal_sequential_draws_bitwise(self, twenty, twenty_vocab, sent_ids):
+        """Per layer, the attention block then the feed-forward units, each as one oracle draw."""
+        cfg = self.CFG
+        batch = self._batch(twenty, twenty_vocab, sent_ids)
+        valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
+        rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+        keeps = _draw_keeps(batch, cfg, rng)
+        assert len(keeps) == cfg.layers
+        for attn_keep, ff_keep in keeps:
+            expected_attn = dropout_keep((cfg.heads, *valid.shape, valid.shape[1]), cfg.dropout, reference)
+            expected_ff = dropout_keep((*valid.shape, cfg.ff_width), cfg.dropout, reference)[valid]
+            npt.assert_array_equal(attn_keep, expected_attn)
+            npt.assert_array_equal(ff_keep, expected_ff)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_training_pass_under_dropout_needs_its_multipliers(self, twenty, twenty_vocab):
+        cfg = self.CFG
+        batch = self._batch(twenty, twenty_vocab, ["s03", "s08"])
+        params = init_params(cfg, len(twenty_vocab), np.random.default_rng(cfg.seed))
+        keeps = _draw_keeps(batch, cfg, np.random.default_rng(0))
+        for wrong in (None, keeps[:1]):
+            with pytest.raises(ConfigError, match="pair of multipliers for each of 2 layers"):
+                forward_batch(batch, params, cfg, wrong, training=True)
+        # A pass that is not training ignores them.
+        npt.assert_array_equal(forward_batch(batch, params, cfg, keeps).data, forward_batch(batch, params, cfg).data)
 
     @settings(max_examples=40)
     @given(
@@ -374,10 +425,14 @@ class TestPackedRows:
         for batch in batches:
             labels = np.arange(batch.size) % cfg.num_classes
             runs = []
-            for forward in (forward_batch, forward_padded):
+            for layout in ("packed", "padded"):
                 ad.zero_grads(params)
                 rng = np.random.default_rng(21)
-                logits = forward(batch, params, cfg, rng=rng, training=True)
+                if layout == "packed":
+                    keeps = _draw_keeps(batch, cfg, rng) if cfg.dropout > 0.0 else None
+                    logits = forward_batch(batch, params, cfg, keeps, training=True)
+                else:
+                    logits = forward_padded(batch, params, cfg, rng=rng, training=True)
                 ad.backward(ad.cross_entropy(logits, labels), params)
                 runs.append((logits.data, {name: p.grad for name, p in params.items()}, rng.bit_generator.state))
             (packed, packed_grads, packed_state), (padded, padded_grads, padded_state) = runs
@@ -468,6 +523,40 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError) as excinfo:
             train(cfg, data, data)
         assert "tensor" in str(excinfo.value)
+
+    def test_dropout_worker_is_joined_when_train_returns(self, monkeypatch):
+        data = toy_separable(20)
+        before = threading.enumerate()
+        started = []
+        original = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        train(replace(TINY, dropout=0.1), data, data)
+        assert len(started) == 1
+        assert threading.enumerate() == before
+
+    # Under dropout this blow-up overflows float64 in matmuls on its way to the NaN loss.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_dropout_worker_is_joined_when_train_raises(self):
+        data = toy_separable(16)
+        cfg = ModelConfig(**{**TINY.__dict__, "learning_rate": 1e200, "epochs": 4, "dropout": 0.1})
+        before = threading.enumerate()
+        with pytest.raises(TrainingDivergedError):
+            train(cfg, data, data)
+        assert threading.enumerate() == before
+
+    def test_training_without_dropout_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"train started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        data = toy_separable(20)
+        assert TINY.dropout == 0.0
+        train(TINY, data, data)
 
     def test_best_dev_epoch_retained(self):
         data = toy_separable(40)
