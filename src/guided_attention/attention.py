@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Plan, Tensor
 
 # What a tier costs ``autodiff.attention`` beyond its score cells, in cells. Timing
 # the node's forward and backward passes (H = 6, d_k = 8) gave about 270-370 µs
@@ -55,8 +55,7 @@ def multi_head(
     wo: Tensor,
     masks: list[np.ndarray],
     keep: np.ndarray | None = None,
-    valid: np.ndarray | None = None,
-    tiers=(),
+    plan: Plan | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
@@ -69,12 +68,11 @@ def multi_head(
     layer draws nothing. Returns the layer output and the (H, ..., n, n)
     attention weights before dropout, off the tape.
 
-    With a (B, n) boolean ``valid``, ``x`` and the output are packed rows
-    instead (see ``autodiff.attention``), computed per tier of
-    :func:`tier_plan` ``tiers``. ``keep`` and the weights stay (H, B, n, n);
-    under two or more tiers, each row's weights outside its tier's
-    ``[:n_t, :n_t]`` block are 0.
+    With an ``autodiff.Plan`` of a (B, n) batch, built from these ``masks``,
+    ``x`` and the output are packed rows instead, computed per tier (see
+    ``autodiff.attention``). ``keep`` and the weights stay
+    (H, B, n, n); each row's weights outside its tier's block are 0.
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    out, weights = ad.attention(q, k, v, masks, keep, valid, tiers)
+    out, weights = ad.attention(q, k, v, masks, keep, plan)
     return ad.matmul(out, wo), weights

@@ -14,6 +14,7 @@ turn makes the gradient through masked positions exactly 0.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,9 +155,66 @@ def relu(x) -> Tensor:
     return _record(out, (x,), backward)
 
 
-def attention(
-    q, k, v, masks, keep: np.ndarray | None = None, valid: np.ndarray | None = None, tiers=()
-) -> tuple[Tensor, np.ndarray]:
+class Tier(NamedTuple):
+    """``count`` batch ``rows`` laid out at ``width`` in ``span`` of a :class:`Plan`, with the masks cut to fit."""
+
+    rows: np.ndarray | slice  # ``slice(None)`` for a lone tier: the whole batch, in batch order
+    count: int
+    width: int
+    span: slice
+    masks: tuple[np.ndarray, ...]
+
+    def view(self, laid_out: np.ndarray) -> np.ndarray:
+        return laid_out[self.span].reshape(self.count, self.width, -1)
+
+
+class Plan(NamedTuple):
+    """How :func:`attention` lays out a (B, n) batch's packed rows: tier after tier, zeros at padding."""
+
+    valid: np.ndarray  # (B, n): a packed row for each True, in row-major order
+    tiers: tuple[Tier, ...]
+    at: np.ndarray | None  # each packed row's laid-out position; None if the layout is the packed order
+
+    @classmethod
+    def build(cls, valid: np.ndarray, tiers: tuple[np.ndarray, ...], masks: list[np.ndarray]) -> Plan:
+        """The plan of a batch's packed rows, built once for every layer of a pass.
+
+        ``valid`` is the batch's (B, n) grid of real tokens, ``tiers`` its rows
+        per tier from ``attention.tier_plan``, and ``masks`` the heads' additive
+        masks. Under two or more tiers, each distinct mask is cut to each tier's
+        block here, once.
+        """
+        b, n = valid.shape
+        if len(tiers) == 1:
+            at = None if valid.all() else np.flatnonzero(valid)
+            return cls(valid, (Tier(slice(None), b, n, slice(0, b * n), tuple(masks)),), at)
+        try:
+            distinct = {id(m): np.broadcast_to(m, (b, n, n)) for m in masks}
+        except ValueError as exc:
+            raise ShapeMismatchError(f"attention masks {[np.shape(m) for m in masks]} vs {(b, n, n)}") from exc
+        first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
+        placed, stop = [], 0
+        for rows in tiers:
+            count, width = len(rows), int(valid[rows].sum(axis=1).max())
+            first[rows] = stop + width * np.arange(count)
+            cuts = {key: m[rows, :width, :width] for key, m in distinct.items()}
+            span = slice(stop, stop + count * width)
+            placed.append(Tier(rows, count, width, span, tuple(cuts[id(m)] for m in masks)))
+            stop = span.stop
+        return cls(valid, tuple(placed), (first[:, None] + np.arange(n))[valid])
+
+    def lay_out(self, rows: np.ndarray) -> np.ndarray:
+        """Packed (T, c) ``rows`` at their positions of the layout, zeros elsewhere; ``rows`` if ``at`` is None."""
+        if rows.ndim != 2 or rows.shape[0] != (self.tiers[-1].span.stop if self.at is None else self.at.size):
+            raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {self.valid.sum()} valid positions")
+        if self.at is None:
+            return rows
+        out = np.zeros((self.tiers[-1].span.stop, rows.shape[1]))
+        out[self.at] = rows
+        return out
+
+
+def attention(q, k, v, masks, keep: np.ndarray | None = None, plan: Plan | None = None) -> tuple[Tensor, np.ndarray]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
     ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
@@ -169,13 +227,11 @@ def attention(
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
 
-    With a (B, n) boolean ``valid``, q, k, v, the output and the gradients
-    are instead packed (T, ·) rows of its True positions in row-major order;
-    the node lays them out at (B, n, ·), zeros elsewhere, only inside itself.
-    Two or more ``tiers`` of batch rows, from ``attention.tier_plan``, are each
-    laid out and computed at their longest sentence n_t, with the masks and
-    ``keep`` sliced ``[rows, :n_t, :n_t]``; the weights stay (H, B, n, n), each
-    row's ``[:n_t, :n_t]`` block in place and zeros elsewhere.
+    With a :class:`Plan` of a (B, n) batch, from :meth:`Plan.build`,
+    q, k, v, the output and the gradients are packed (T, ·) rows instead. The
+    node scatters q, k and v once into the plan's layout, computes each tier
+    on the plan's cuts of ``masks`` and on ``keep[:, rows, :width, :width]``,
+    and gathers once. The weights stay (H, B, n, n), 0 outside each row's tier.
 
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
@@ -186,22 +242,44 @@ def attention(
     masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if valid is not None and len(tiers) > 1:
-        return _tiered(q, k, v, masks, keep, valid, tiers)
-    at = None if valid is None else np.flatnonzero(valid)
-    qd, kd, vd = (t.data if at is None else _padded(t.data, at, valid.shape) for t in (q, k, v))
-    out, weights, grads = _heads(qd, kd, vd, masks, keep)
+    if plan is None:
+        out, weights, grads = _heads(q.data, k.data, v.data, masks, keep)
+
+        def backward(g):
+            for t, grad in zip((q, k, v), grads(g)):
+                _accumulate(t, grad)
+
+        return _record(Tensor(out), (q, k, v), backward), weights
+
+    (b, n), heads = plan.valid.shape, len(masks)
+    if keep is not None and keep.shape != (heads, b, n, n):
+        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
+    laid_out = [plan.lay_out(t.data) for t in (q, k, v)]
+    out = np.empty(laid_out[2].shape)
+    weights = np.zeros((heads, b, n, n)) if len(plan.tiers) > 1 else None
+    tier_grads = []
+    for tier in plan.tiers:
+        tier_keep = None if keep is None else keep[:, tier.rows, :tier.width, :tier.width]
+        _, tier_weights, grads = _heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out))
+        if weights is None:  # a lone tier's weights are the batch's
+            weights = tier_weights
+        else:
+            weights[:, tier.rows, :tier.width, :tier.width] = tier_weights
+        tier_grads.append(grads)
 
     def backward(g):
-        for t, grad in zip((q, k, v), grads(g if at is None else _padded(g, at, valid.shape))):
-            _accumulate(t, grad if at is None else _packed(grad, at))
+        g, into = plan.lay_out(g), [np.empty(a.shape) for a in laid_out]
+        for tier, grads in zip(plan.tiers, tier_grads):
+            grads(tier.view(g), [tier.view(d) for d in into])
+        for t, grad in zip((q, k, v), into):
+            _accumulate(t, grad if plan.at is None else grad.take(plan.at, axis=0))
 
-    return _record(Tensor(out if at is None else _packed(out, at)), (q, k, v), backward), weights
+    return _record(Tensor(out if plan.at is None else out.take(plan.at, axis=0)), (q, k, v), backward), weights
 
 
-def _heads(qd, kd, vd, masks, keep, rows=None):
-    """The per-head kernel of :func:`attention` on laid-out operands: its output, weights and the
-    map from the output's gradient to those of qd, kd and vd. Row (i, ...) is named (rows[i], ...)."""
+def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
+    """The per-head kernel of :func:`attention` on laid-out operands: its output, weights and the map from the
+    output's gradient to those of qd, kd and vd, into ``out``/``into`` if set. Row (i, ...) is named (rows[i], ...)."""
     heads = len(masks)
     if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
         raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
@@ -221,7 +299,7 @@ def _heads(qd, kd, vd, masks, keep, rows=None):
         raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
     scale = 1.0 / math.sqrt(d_k)
     weights = np.empty((heads, *lead, n, m))
-    out = np.empty((*lead, n, heads * d_v))
+    out = np.empty((*lead, n, heads * d_v)) if out is None else out
     for h in range(heads):
         qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
         p = weights[h]
@@ -235,7 +313,7 @@ def _heads(qd, kd, vd, masks, keep, rows=None):
         closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
         if closed.any():
             row = tuple(int(i) for i in np.argwhere(closed)[0])
-            if rows is not None:
+            if isinstance(rows, np.ndarray):
                 row = (int(rows[row[0]]), *row[1:])
             raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
         p -= row_max
@@ -243,10 +321,9 @@ def _heads(qd, kd, vd, masks, keep, rows=None):
         p /= p.sum(axis=-1, keepdims=True)
         np.matmul(p if keep is None else p * keep[h], vd[..., vh], out=out[..., vh])
 
-    def grads(g):
-        dq = np.empty((*lead, n, qd.shape[-1]))
-        dk = np.empty((*lead, m, kd.shape[-1]))
-        dv = np.empty((*lead, m, vd.shape[-1]))
+    def grads(g, into=None):
+        dq, dk, dv = into or (np.empty((*lead, n, qd.shape[-1])), np.empty((*lead, m, kd.shape[-1])),
+                              np.empty((*lead, m, vd.shape[-1])))
         for h in range(heads):
             qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
             p, g_h = weights[h], g[..., vh]
@@ -261,75 +338,6 @@ def _heads(qd, kd, vd, masks, keep, rows=None):
         return dq, dk, dv
 
     return out, weights, grads
-
-
-def _tiered(q, k, v, masks, keep, valid, tiers):
-    """:func:`attention` on packed rows with each tier laid out at its own width, one after another.
-
-    ``at`` permutes the packed rows, so unlike :func:`_padded` no reshape stands in for a scatter."""
-    heads, (b, n) = len(masks), valid.shape
-    if keep is not None and keep.shape != (heads, b, n, n):
-        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
-    try:
-        blocks = {id(m): np.broadcast_to(m, (b, n, n)) for m in masks}
-    except ValueError as exc:
-        raise ShapeMismatchError(f"attention masks {[np.shape(m) for m in masks]} vs {(b, n, n)}") from exc
-    lengths = valid.sum(axis=1)
-    shapes = [(len(rows), int(lengths[rows].max())) for rows in tiers]
-    stops = np.cumsum([count * width for count, width in shapes])
-    first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
-    for rows, (count, width), stop in zip(tiers, shapes, stops):
-        first[rows] = stop - width * np.arange(count, 0, -1)
-    at = (first[:, None] + np.arange(n))[valid]
-
-    def laid_out(rows):
-        if rows.ndim != 2 or rows.shape[0] != at.size:
-            raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {at.size} valid positions")
-        out = np.zeros((int(stops[-1]), rows.shape[1]))
-        out[at] = rows
-        return out
-
-    qd, kd, vd = (laid_out(t.data) for t in (q, k, v))
-    weights = np.zeros((heads, b, n, n))
-    outs, parts = [], []
-    for rows, (count, width), stop in zip(tiers, shapes, stops):
-        span = slice(stop - count * width, stop)
-        sliced = {key: block[rows, :width, :width] for key, block in blocks.items()}
-        out, tier_weights, grads = _heads(
-            *(a[span].reshape(count, width, -1) for a in (qd, kd, vd)),
-            [sliced[id(m)] for m in masks],
-            None if keep is None else keep[:, rows, :width, :width],
-            rows,
-        )
-        weights[:, rows, :width, :width] = tier_weights
-        outs.append(out.reshape(-1, out.shape[-1]))
-        parts.append((span, out.shape, grads))
-
-    def backward(g):
-        g = laid_out(g)
-        tier_grads = [grads(g[span].reshape(shape)) for span, shape, grads in parts]
-        for i, t in enumerate((q, k, v)):
-            laid_out_grad = np.concatenate([d[i].reshape(-1, d[i].shape[-1]) for d in tier_grads])
-            _accumulate(t, laid_out_grad.take(at, axis=0))
-
-    return _record(Tensor(np.concatenate(outs).take(at, axis=0)), (q, k, v), backward), weights
-
-
-def _padded(rows: np.ndarray, at: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """(T, c) ``rows`` at flat positions ``at`` of a zeroed (*shape, c) array; a reshape if ``at`` is all."""
-    if rows.ndim != 2 or rows.shape[0] != at.size:
-        raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {at.size} valid positions")
-    if at.size == math.prod(shape):
-        return rows.reshape(*shape, rows.shape[1])
-    out = np.zeros((math.prod(shape), rows.shape[1]))
-    out[at] = rows
-    return out.reshape(*shape, rows.shape[1])
-
-
-def _packed(padded: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The (T, c) rows at flat positions ``at`` of (..., c) ``padded``; a reshape if ``at`` is all."""
-    flat = padded.reshape(-1, padded.shape[-1])
-    return flat if at.size == flat.shape[0] else flat.take(at, axis=0)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

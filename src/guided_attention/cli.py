@@ -324,7 +324,9 @@ def _print_grid(report, fmt: str) -> None:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args, _roles(args))
-    ablate_roles = _role_list("--ablate", args.ablate) if args.ablate else None
+    ablate_roles = None if args.ablate is None else _role_list("--ablate", args.ablate)
+    if ablate_roles == ():
+        raise ConfigError("--ablate: no role given; omit the flag to drop each enabled role")
     spec = _spec(args, cfg, ablate_roles=ablate_roles, include_baseline=not args.no_baseline)
     report = run_ablation(spec)
     emit_metrics(spec.out_dir, grid_rows=report.runs, ablation=report)

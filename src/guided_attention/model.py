@@ -262,11 +262,11 @@ def forward_stages(
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
 
     Outputs but the logits are packed rows, one per valid token (see
-    :func:`embed`); only ``autodiff.attention`` lays them out, at (B, n, ·)
-    or per tier of the pass's ``tier_plan``. Each distinct role's boolean
-    block becomes one additive {0, -inf} float block, shared by every layer
-    and head of the role; padding and regular heads share one ``(B, 1, n)``
-    row closing the padded key columns. A ``training`` pass under dropout
+    :func:`embed`). Each distinct role's boolean block becomes one additive
+    {0, -inf} float block, shared by every layer and head of the role;
+    padding and regular heads share one ``(B, 1, n)`` row closing the padded
+    key columns. Every layer's attention reads one ``autodiff.Plan`` of the
+    rows and masks, built once per pass. A ``training`` pass under dropout
     multiplies each layer's attention weights and feed-forward units by that
     layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`;
     any other pass ignores ``keeps``.
@@ -287,21 +287,12 @@ def forward_stages(
         for role in cfg.mask_roles()
     }
     masks = [additive[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
-    tiers = tier_plan(batch.lengths)
+    plan = ad.Plan.build(valid, tier_plan(batch.lengths), masks)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     for i, (attn_keep, ff_keep) in enumerate(keeps):
-        attn_out, _ = multi_head(
-            x,
-            params[f"layer{i}.attn.wq"],
-            params[f"layer{i}.attn.wk"],
-            params[f"layer{i}.attn.wv"],
-            params[f"layer{i}.attn.wo"],
-            masks,
-            keep=attn_keep,
-            valid=valid,
-            tiers=tiers,
-        )
+        projections = (params[f"layer{i}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
+        attn_out, _ = multi_head(x, *projections, masks, attn_keep, plan)
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
             ad.add(x, attn_out), params[f"layer{i}.norm1.gain"], params[f"layer{i}.norm1.bias"]

@@ -333,11 +333,12 @@ class TestAttention:
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
         keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
+        masks = [key_row, key_row]
         runs = []
-        for inputs, rows in ((padded, None), ([a[valid] for a in padded], valid)):
+        for inputs, plan in ((padded, None), ([a[valid] for a in padded], ad.Plan.build(valid, (np.arange(3),), masks))):
             tensors = [Tensor(a, requires_grad=True) for a in inputs]
-            out, weights = ad.attention(*tensors, [key_row, key_row], keep, rows)
-            ad.backward(tensor_sum(ad.mul(out, upstream if rows is None else upstream[valid])))
+            out, weights = ad.attention(*tensors, masks, keep, plan)
+            ad.backward(tensor_sum(ad.mul(out, upstream if plan is None else upstream[valid])))
             runs.append((out.data, weights, [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
         npt.assert_array_equal(packed_out, out[valid])
@@ -345,7 +346,7 @@ class TestAttention:
         for grad, packed_grad in zip(grads, packed_grads):
             npt.assert_array_equal(packed_grad, grad[valid])
         with pytest.raises(ShapeMismatchError, match="valid positions"):
-            ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], [key_row], None, valid)
+            ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], masks, None, plan)
 
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
@@ -481,9 +482,9 @@ class TestTieredAttention:
         upstream = np.random.default_rng(seed + 1).normal(size=(rows[0].shape[0], heads * self.D_K))
         pairs = valid[:, :, None] & valid[:, None, :]
         runs = []
-        for tiers in ((), tier_plan(lengths), drawn):
+        for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
             tensors = [Tensor(a, requires_grad=True) for a in rows]
-            out, weights = ad.attention(*tensors, masks, keep, valid, tiers)
+            out, weights = ad.attention(*tensors, masks, keep, ad.Plan.build(valid, tiers, masks))
             ad.backward(tensor_sum(ad.mul(out, upstream)))
             runs.append((out.data, weights, [t.grad for t in tensors]))
             if len(tiers) > 1:
@@ -506,9 +507,10 @@ class TestTieredAttention:
         assert [tier.tolist() for tier in tiers] == [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]
         closed = masks[1].repeat(30, axis=1)
         closed[7, 4] = NEG_INF  # row 4 of batch row 7, which is row 1 of the second tier
-        for plan in ((), tiers):
+        masks = [masks[0], closed, masks[2]]
+        for split in ((np.arange(len(lengths)),), tiers):
             with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(7, 4\) is masked"):
-                ad.attention(*rows, [masks[0], closed, masks[2]], None, valid, plan)
+                ad.attention(*rows, masks, None, ad.Plan.build(valid, split, masks))
 
 
 class TestBackward:
@@ -572,8 +574,10 @@ class TestBackward:
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            packed, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid)
-            tiered, _ = ad.attention(rows, rows, rows, [mask, mask], keep, valid, (np.array([0]), np.array([1])))
+            masks = [mask, mask]
+            packed, _ = ad.attention(rows, rows, rows, masks, keep, ad.Plan.build(valid, (np.arange(2),), masks))
+            two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), masks)
+            tiered, _ = ad.attention(rows, rows, rows, masks, keep, two_tiers)
             pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
             logits = ad.add(masked_mean(h, valid), pooled)
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))

@@ -445,6 +445,15 @@ class TestRepeatedValues:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("roles", [",", ""])
+def test_empty_ablate_list_rejected_before_any_corpus_loads(toy_files, tmp_path, capsys, roles):
+    """An empty --ablate is an error, not every enabled role (``""``) or a run that drops none (``,``)."""
+    extra = ["--ablate", roles]
+    line = TestNonNumericValues._error_line(capsys, toy_files, tmp_path, "ablate", toy_files["config"], extra)
+    assert line == "error: --ablate: no role given; omit the flag to drop each enabled role"
+    assert not (tmp_path / "out").exists()
+
+
 class TestJobs:
     @pytest.mark.parametrize("command", ["grid", "ablate"])
     @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -450,18 +450,53 @@ class TestPackedRows:
         batch = make_batches([by_id[i] for i in sent_ids], twenty_vocab, cfg.batch_size, cfg.max_len,
                              cfg.mask_roles(), shuffle=False)[0]
         assert np.all(batch.lengths == batch.lengths.max()) == dense
-        laid_out, padded = [], ad._padded
+        laid_out, lay_out, attention = [], ad.Plan.lay_out, ad.attention
 
-        def spy(rows, at, shape):
-            laid_out.append((rows, padded(rows, at, shape)))
+        def spy(plan, rows):
+            laid_out.append((rows, lay_out(plan, rows)))
             return laid_out[-1][1]
 
-        monkeypatch.setattr(ad, "_padded", spy)
+        def attention_spy(q, k, v, masks, keep=None, plan=None):
+            (tier,) = plan.tiers
+            assert all(cut is mask for cut, mask in zip(tier.masks, masks, strict=True))  # no mask is cut
+            return attention(q, k, v, masks, keep, plan)
+
+        monkeypatch.setattr(ad.Plan, "lay_out", spy)
+        monkeypatch.setattr(ad, "attention", attention_spy)
         forward_batch(batch, init_params(cfg, len(twenty_vocab), np.random.default_rng(0)), cfg)
         assert len(laid_out) == 3 * cfg.layers  # q, k and v of each layer
         for rows, out in laid_out:
-            assert out.shape == (batch.size, int(batch.lengths.max()), rows.shape[1])
+            assert out.shape == (batch.size * int(batch.lengths.max()), rows.shape[1])
             assert np.shares_memory(out, rows) == dense
+
+    def test_the_layout_is_planned_once_per_pass(self, monkeypatch):
+        """Two layers over a two-tier batch: one ``tier_plan`` call, and both nodes read one plan and its mask cuts."""
+        import guided_attention.model as model_module
+
+        cfg = replace(self.CFG, layers=2, guided_roles=("relpos", "seprat"), extra_regular_heads=2, max_len=30)
+        sentences = [sent([f"w{i}" for i in range(n)], "x") for n in [1, 30, 1, 1, 30] + [1] * 7]
+        vocab = build_vocab(sentences)
+        batch = make_batches(sentences, vocab, len(sentences), cfg.max_len, cfg.mask_roles(), shuffle=False)[0]
+        tiers, plans, tier_plan, attention = [], [], model_module.tier_plan, ad.attention
+
+        def tier_spy(lengths):
+            tiers.append(tier_plan(lengths))
+            return tiers[-1]
+
+        def attention_spy(q, k, v, masks, keep=None, plan=None):
+            plans.append((plan, [tier.masks for tier in plan.tiers]))
+            return attention(q, k, v, masks, keep, plan)
+
+        monkeypatch.setattr(model_module, "tier_plan", tier_spy)
+        monkeypatch.setattr(ad, "attention", attention_spy)
+        forward_batch(batch, init_params(cfg, len(vocab), np.random.default_rng(0)), cfg)
+        assert [[rows.tolist() for rows in plan] for plan in tiers] == [[[0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]]]
+        (plan, masks), (second_plan, second_masks) = plans
+        assert second_plan is plan
+        for tier, cuts, second_cuts in zip(plan.tiers, masks, second_masks):
+            assert len(cuts) == cfg.heads and all(a is b for a, b in zip(cuts, second_cuts))
+            assert cuts[2] is cuts[3]  # the regular heads share one cut of the key row
+            assert all(cut.shape == (tier.count, tier.width, tier.width) for cut in cuts)
 
 
 class TestEndToEndGradients:
