@@ -53,26 +53,26 @@ def multi_head(
     wk: Tensor,
     wv: Tensor,
     wo: Tensor,
-    masks: list[np.ndarray],
+    masks: list[np.ndarray] | Plan,
     keep: np.ndarray | None = None,
-    plan: Plan | None = None,
 ) -> tuple[Tensor, np.ndarray]:
     """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
 
     ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns
     ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``masks`` holds one
     additive {0, -inf} mask per head, broadcastable to (..., n, n): a guided
-    head's role block (see ``model.forward_stages``), or the (..., 1, n) row
-    of valid key columns for a regular head. ``keep``, an (H, ..., n, n)
-    inverted-dropout multiplier, scales the weights before they meet V; the
-    layer draws nothing. Returns the layer output and the (H, ..., n, n)
-    attention weights before dropout, off the tape.
+    head's role mask, or a (..., 1, n) row of valid key columns for a
+    regular head. ``keep``, an (H, ..., n, n) inverted-dropout multiplier,
+    scales the weights before they meet V; the layer draws nothing. Returns
+    the layer output and the (H, ..., n, n) attention weights before
+    dropout, off the tape.
 
-    With an ``autodiff.Plan`` of a (B, n) batch, built from these ``masks``,
-    ``x`` and the output are packed rows instead, computed per tier (see
+    With an ``autodiff.Plan`` of a (B, n) batch in place of ``masks``, which
+    holds the heads' masks (see ``model.forward_stages``), ``x`` and the
+    output are packed rows instead, computed per tier (see
     ``autodiff.attention``). ``keep`` and the weights stay
     (H, B, n, n); each row's weights outside its tier's block are 0.
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    out, weights = ad.attention(q, k, v, masks, keep, plan)
+    out, weights = ad.attention(q, k, v, masks, keep)
     return ad.matmul(out, wo), weights

@@ -176,30 +176,32 @@ class Plan(NamedTuple):
     at: np.ndarray | None  # each packed row's laid-out position; None if the layout is the packed order
 
     @classmethod
-    def build(cls, valid: np.ndarray, tiers: tuple[np.ndarray, ...], masks: list[np.ndarray]) -> Plan:
-        """The plan of a batch's packed rows, built once for every layer of a pass.
+    def build(cls, valid: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
+        """The plan of a batch's packed rows and its heads' additive masks, built once for every layer of a pass.
 
-        ``valid`` is the batch's (B, n) grid of real tokens, ``tiers`` its rows
-        per tier from ``attention.tier_plan``, and ``masks`` the heads' additive
-        masks. Under two or more tiers, each distinct mask is cut to each tier's
-        block here, once.
+        ``valid`` is the batch's (B, n) grid of real tokens, ``tiers`` its rows per tier
+        from ``attention.tier_plan``, and ``allowed`` each head's boolean block, broadcastable
+        to (B, n, n). Each distinct block becomes one {0, -inf} mask per tier: at its own
+        shape for a lone tier, else cut to the tier's (count, width, width) block first.
         """
         b, n = valid.shape
         if len(tiers) == 1:
             at = None if valid.all() else np.flatnonzero(valid)
-            return cls(valid, (Tier(slice(None), b, n, slice(0, b * n), tuple(masks)),), at)
+            additive = {id(a): np.where(a, 0.0, NEG_INF) for a in allowed}
+            masks = tuple(additive[id(a)] for a in allowed)
+            return cls(valid, (Tier(slice(None), b, n, slice(0, b * n), masks),), at)
         try:
-            distinct = {id(m): np.broadcast_to(m, (b, n, n)) for m in masks}
+            distinct = {id(a): np.broadcast_to(a, (b, n, n)) for a in allowed}
         except ValueError as exc:
-            raise ShapeMismatchError(f"attention masks {[np.shape(m) for m in masks]} vs {(b, n, n)}") from exc
+            raise ShapeMismatchError(f"attention masks {[np.shape(a) for a in allowed]} vs {(b, n, n)}") from exc
         first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
         placed, stop = [], 0
         for rows in tiers:
             count, width = len(rows), int(valid[rows].sum(axis=1).max())
             first[rows] = stop + width * np.arange(count)
-            cuts = {key: m[rows, :width, :width] for key, m in distinct.items()}
+            cuts = {key: np.where(a[rows, :width, :width], 0.0, NEG_INF) for key, a in distinct.items()}
             span = slice(stop, stop + count * width)
-            placed.append(Tier(rows, count, width, span, tuple(cuts[id(m)] for m in masks)))
+            placed.append(Tier(rows, count, width, span, tuple(cuts[id(a)] for a in allowed)))
             stop = span.stop
         return cls(valid, tuple(placed), (first[:, None] + np.arange(n))[valid])
 
@@ -214,7 +216,7 @@ class Plan(NamedTuple):
         return out
 
 
-def attention(q, k, v, masks, keep: np.ndarray | None = None, plan: Plan | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(q, k, v, masks: list[np.ndarray] | Plan, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
     ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
@@ -227,11 +229,11 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None, plan: Plan | None 
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
     and the (H, ..., n, m) weights before dropout, which are not on the tape.
 
-    With a :class:`Plan` of a (B, n) batch, from :meth:`Plan.build`,
-    q, k, v, the output and the gradients are packed (T, ·) rows instead. The
-    node scatters q, k and v once into the plan's layout, computes each tier
-    on the plan's cuts of ``masks`` and on ``keep[:, rows, :width, :width]``,
-    and gathers once. The weights stay (H, B, n, n), 0 outside each row's tier.
+    With a :class:`Plan` of a (B, n) batch from :meth:`Plan.build` in place
+    of ``masks``, q, k, v, the output and the gradients are packed (T, ·) rows
+    instead. The node scatters q, k and v once into the plan's layout, computes
+    each tier on its masks and on ``keep[:, rows, :width, :width]``, and
+    gathers once. The weights stay (H, B, n, n), 0 outside each row's tier.
 
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
@@ -242,7 +244,7 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None, plan: Plan | None 
     masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if plan is None:
+    if not isinstance(masks, Plan):
         out, weights, grads = _heads(q.data, k.data, v.data, masks, keep)
 
         def backward(g):
@@ -251,7 +253,8 @@ def attention(q, k, v, masks, keep: np.ndarray | None = None, plan: Plan | None 
 
         return _record(Tensor(out), (q, k, v), backward), weights
 
-    (b, n), heads = plan.valid.shape, len(masks)
+    plan = masks
+    (b, n), heads = plan.valid.shape, len(plan.tiers[0].masks)
     if keep is not None and keep.shape != (heads, b, n, n):
         raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
     laid_out = [plan.lay_out(t.data) for t in (q, k, v)]

@@ -3,8 +3,8 @@
 A mask is indexed query row x key column and is boolean, True where the
 query may attend to the key: a batch carries each role's mask as a
 ``(B, n, n)`` block, and a single sentence's :class:`RoleMask` holds an
-``(n, n)`` one. ``model.forward_stages`` turns each block into the
-additive {0, -inf} form that the attention kernel adds to its scores.
+``(n, n)`` one. ``autodiff.Plan.build`` turns each block, once per pass,
+into the additive {0, -inf} form that the attention kernel adds to its scores.
 Each role opens:
 
 * ``rarew``  - columns of the top-10%-IDF token positions,

@@ -32,7 +32,7 @@ from .corpus import (
     vocabulary_hash,
 )
 from .errors import ConfigError, DegenerateRowError, MissingGradientError, TrainingDivergedError
-from .masks import GUIDED_ROLES, NEG_INF, ROLE_PADDING
+from .masks import GUIDED_ROLES, ROLE_PADDING
 
 DEFAULT_LAYER_GRID = (2, 4, 6, 8)
 DEFAULT_EXTRA_HEAD_GRID = (1, 3)
@@ -92,8 +92,8 @@ class ModelConfig:
             raise ConfigError("max_len, num_classes and batch_size must be positive (classes >= 2)")
 
     def mask_roles(self) -> tuple[str, ...]:
-        """Distinct roles whose masks a batch must carry."""
-        return tuple(dict.fromkeys(self.guided_roles))
+        """Distinct roles whose blocks a batch must carry; a ``padding`` head reads the valid keys' row instead."""
+        return tuple(dict.fromkeys(r for r in self.guided_roles if r != ROLE_PADDING))
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -262,16 +262,16 @@ def forward_stages(
     ``.norm1.output``, ``.ff.output`` and ``.norm2.output``; ``classifier.logits``.
 
     Outputs but the logits are packed rows, one per valid token (see
-    :func:`embed`). Each distinct role's boolean block becomes one additive
-    {0, -inf} float block, shared by every layer and head of the role;
-    padding and regular heads share one ``(B, 1, n)`` row closing the padded
-    key columns. Every layer's attention reads one ``autodiff.Plan`` of the
-    rows and masks, built once per pass. A ``training`` pass under dropout
+    :func:`embed`). A guided head reads its role's boolean block, shared by
+    every head of the role; padding and regular heads share one ``(B, 1, n)``
+    row of valid keys. One ``autodiff.Plan`` of the rows, built once per pass
+    from these blocks, holds the heads' additive masks, and every layer's
+    attention reads it. A ``training`` pass under dropout
     multiplies each layer's attention weights and feed-forward units by that
     layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`;
     any other pass ignores ``keeps``.
     """
-    for role in cfg.guided_roles:
+    for role in cfg.mask_roles():
         if role not in batch.allowed:
             raise ConfigError(f"batch carries no mask for guided role {role!r}")
     if not (training and cfg.dropout > 0.0):
@@ -281,18 +281,14 @@ def forward_stages(
             f"a training pass under dropout needs a pair of multipliers for each of {cfg.layers} layers"
         )
     valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
-    key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
-    additive = {
-        role: key_row if role == ROLE_PADDING else np.where(batch.allowed[role], 0.0, NEG_INF)
-        for role in cfg.mask_roles()
-    }
-    masks = [additive[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
-    plan = ad.Plan.build(valid, tier_plan(batch.lengths), masks)
+    key_row = valid[:, None, :]
+    allowed = [key_row if role == ROLE_PADDING else batch.allowed[role] for role in cfg.guided_roles]
+    plan = ad.Plan.build(valid, tier_plan(batch.lengths), allowed + [key_row] * cfg.extra_regular_heads)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     for i, (attn_keep, ff_keep) in enumerate(keeps):
         projections = (params[f"layer{i}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-        attn_out, _ = multi_head(x, *projections, masks, attn_keep, plan)
+        attn_out, _ = multi_head(x, *projections, plan, attn_keep)
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
             ad.add(x, attn_out), params[f"layer{i}.norm1.gain"], params[f"layer{i}.norm1.bias"]

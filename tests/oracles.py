@@ -242,8 +242,8 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
     n = int(batch.lengths.max())
     valid = np.arange(n) < batch.lengths[:, None]
     key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
-    blocks = {role: key_row if role == "padding" else np.where(block, 0.0, NEG_INF)
-              for role, block in batch.allowed.items()}
+    blocks = {role: np.where(block, 0.0, NEG_INF) for role, block in batch.allowed.items()}
+    blocks["padding"] = key_row
     masks = [blocks[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
     tok = ad.embedding(params["embed.token"], batch.token_ids[:, :n])
     x = ad.add(ad.mul(tok, math.sqrt(cfg.d_model)), Tensor(sinusoidal_encoding(n, cfg.d_model)))

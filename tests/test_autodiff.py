@@ -333,12 +333,12 @@ class TestAttention:
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
         keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
-        masks = [key_row, key_row]
+        plan = ad.Plan.build(valid, (np.arange(3),), [valid[:, None, :]] * 2)
         runs = []
-        for inputs, plan in ((padded, None), ([a[valid] for a in padded], ad.Plan.build(valid, (np.arange(3),), masks))):
+        for inputs, masks in ((padded, [key_row, key_row]), ([a[valid] for a in padded], plan)):
             tensors = [Tensor(a, requires_grad=True) for a in inputs]
-            out, weights = ad.attention(*tensors, masks, keep, plan)
-            ad.backward(tensor_sum(ad.mul(out, upstream if plan is None else upstream[valid])))
+            out, weights = ad.attention(*tensors, masks, keep)
+            ad.backward(tensor_sum(ad.mul(out, upstream if masks is not plan else upstream[valid])))
             runs.append((out.data, weights, [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
         npt.assert_array_equal(packed_out, out[valid])
@@ -346,7 +346,7 @@ class TestAttention:
         for grad, packed_grad in zip(grads, packed_grads):
             npt.assert_array_equal(packed_grad, grad[valid])
         with pytest.raises(ShapeMismatchError, match="valid positions"):
-            ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], masks, None, plan)
+            ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], plan)
 
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
@@ -448,16 +448,15 @@ class TestTieredAttention:
 
     @classmethod
     def batch(cls, lengths, seed):
-        """Packed q, k and v rows, the (B, n) ``valid`` and masks that close padded keys, as a batch's do."""
+        """Packed q, k and v rows, the (B, n) ``valid`` and boolean blocks that close padded keys, as a batch's do."""
         rng = np.random.default_rng(seed)
         lengths = np.asarray(lengths)
         n = int(lengths.max())
         valid = np.arange(n) < lengths[:, None]
         allowed = (rng.random((len(lengths), n, n)) < 0.5) | np.eye(n, dtype=bool)
         allowed = (allowed | ~valid[:, :, None]) & valid[:, None, :]  # a padded query sees every valid key
-        role, key_row = np.where(allowed, 0.0, NEG_INF), np.where(valid, 0.0, NEG_INF)[:, None, :]
         rows = [rng.normal(size=(int(lengths.sum()), cls.HEADS * cls.D_K)) for _ in "qkv"]
-        return rows, valid, [role, key_row, role]
+        return rows, valid, [allowed, valid[:, None, :], allowed]
 
     @settings(max_examples=60)
     @given(
@@ -484,7 +483,7 @@ class TestTieredAttention:
         runs = []
         for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
             tensors = [Tensor(a, requires_grad=True) for a in rows]
-            out, weights = ad.attention(*tensors, masks, keep, ad.Plan.build(valid, tiers, masks))
+            out, weights = ad.attention(*tensors, ad.Plan.build(valid, tiers, masks), keep)
             ad.backward(tensor_sum(ad.mul(out, upstream)))
             runs.append((out.data, weights, [t.grad for t in tensors]))
             if len(tiers) > 1:
@@ -500,17 +499,43 @@ class TestTieredAttention:
             for tier_grad, grad in zip(tier_grads, grads):
                 npt.assert_allclose(tier_grad, grad, rtol=0, atol=1e-12)
 
+    @settings(max_examples=40)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=16), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[6] * 5, seed=1)  # equal lengths: one tier
+    @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, seed=3)  # the plan's two tiers
+    @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], seed=4)
+    def test_plan_masks_are_the_cut_boolean_blocks_bit_for_bit(self, lengths, seed):
+        """Each head's mask is its block's {0, -inf} form: at the block's shape for a lone tier, else the tier's cut."""
+        _, valid, allowed = self.batch(lengths, seed)
+        b, n = valid.shape
+        for tiers in ((np.arange(b),), tier_plan(lengths)):
+            plan = ad.Plan.build(valid, tiers, allowed)
+            assert len(plan.tiers) == len(tiers)
+            for tier in plan.tiers:
+                for block, mask in zip(allowed, tier.masks, strict=True):  # a role's block and the key row
+                    if len(tiers) == 1:
+                        want = np.where(block, 0.0, NEG_INF)
+                    else:
+                        want = np.where(np.broadcast_to(block, (b, n, n)), 0.0, NEG_INF)
+                        want = want[tier.rows, :tier.width, :tier.width]
+                    assert (mask.dtype, mask.shape) == (want.dtype, want.shape)
+                    assert mask.tobytes() == want.tobytes()
+                assert tier.masks[0] is tier.masks[2]  # a block shared by two heads is converted once
+        if b > 1:
+            with pytest.raises(ShapeMismatchError, match="attention masks"):
+                ad.Plan.build(valid, (np.arange(1), np.arange(1, b)), [allowed[0], np.ones((b + 1, n, n), bool)])
+
     def test_a_closed_row_is_named_by_its_batch_row(self):
         lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]
         rows, valid, masks = self.batch(lengths, 5)
         tiers = tier_plan(lengths)
         assert [tier.tolist() for tier in tiers] == [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]
         closed = masks[1].repeat(30, axis=1)
-        closed[7, 4] = NEG_INF  # row 4 of batch row 7, which is row 1 of the second tier
+        closed[7, 4] = False  # row 4 of batch row 7, which is row 1 of the second tier
         masks = [masks[0], closed, masks[2]]
         for split in ((np.arange(len(lengths)),), tiers):
             with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(7, 4\) is masked"):
-                ad.attention(*rows, masks, None, ad.Plan.build(valid, split, masks))
+                ad.attention(*rows, ad.Plan.build(valid, split, masks))
 
 
 class TestBackward:
@@ -574,10 +599,10 @@ class TestBackward:
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            masks = [mask, mask]
-            packed, _ = ad.attention(rows, rows, rows, masks, keep, ad.Plan.build(valid, (np.arange(2),), masks))
-            two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), masks)
-            tiered, _ = ad.attention(rows, rows, rows, masks, keep, two_tiers)
+            allowed = [~np.eye(3, dtype=bool)] * 2
+            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(valid, (np.arange(2),), allowed), keep)
+            two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), allowed)
+            tiered, _ = ad.attention(rows, rows, rows, two_tiers, keep)
             pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
             logits = ad.add(masked_mean(h, valid), pooled)
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))

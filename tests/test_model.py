@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ import guided_attention.autodiff as ad
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Batch, Sentence, Token, build_vocab, label_index, make_batches
 from guided_attention.errors import ConfigError, MissingGradientError, ShapeMismatchError, TrainingDivergedError
+from guided_attention.harness import ablated_roles
 from guided_attention.masks import GUIDED_ROLES
 from guided_attention.model import (
     Adam,
@@ -383,6 +385,16 @@ class TestBatchCrop:
         # A pass that is not training ignores them.
         npt.assert_array_equal(forward_batch(batch, params, cfg, keeps).data, forward_batch(batch, params, cfg).data)
 
+    def test_an_ablated_config_batches_no_padding_block(self, twenty, twenty_vocab):
+        """A ``padding`` head reads the row of valid keys, as a regular head does, so no batch carries its block."""
+        cfg = replace(self.CFG, guided_roles=ablated_roles(GUIDED_ROLES, "relpos"), dropout=0.0)
+        assert cfg.guided_roles[-1] == "padding" and cfg.mask_roles() == GUIDED_ROLES[:4]
+        params = init_params(cfg, len(twenty_vocab), np.random.default_rng(cfg.seed))
+        for batch in make_batches(twenty, twenty_vocab, cfg.batch_size, cfg.max_len, cfg.mask_roles(), shuffle=False):
+            assert list(batch.allowed) == list(GUIDED_ROLES[:4])
+            npt.assert_allclose(forward_batch(batch, params, cfg).data, forward_padded(batch, params, cfg).data,
+                                rtol=0, atol=1e-12)
+
     @settings(max_examples=40)
     @given(
         order=st.permutations(range(20)),
@@ -446,24 +458,32 @@ class TestPackedRows:
         self, twenty, twenty_vocab, monkeypatch, sent_ids, dense
     ):
         by_id = {s.sent_id: s for s in twenty}
-        cfg = self.CFG
+        cfg = replace(self.CFG, guided_roles=ablated_roles(GUIDED_ROLES, "relpos"))  # two heads read the key row
         batch = make_batches([by_id[i] for i in sent_ids], twenty_vocab, cfg.batch_size, cfg.max_len,
                              cfg.mask_roles(), shuffle=False)[0]
         assert np.all(batch.lengths == batch.lengths.max()) == dense
-        laid_out, lay_out, attention = [], ad.Plan.lay_out, ad.attention
+        laid_out, plans, lay_out, attention = [], [], ad.Plan.lay_out, ad.attention
 
         def spy(plan, rows):
             laid_out.append((rows, lay_out(plan, rows)))
             return laid_out[-1][1]
 
-        def attention_spy(q, k, v, masks, keep=None, plan=None):
-            (tier,) = plan.tiers
-            assert all(cut is mask for cut, mask in zip(tier.masks, masks, strict=True))  # no mask is cut
-            return attention(q, k, v, masks, keep, plan)
+        def attention_spy(q, k, v, plan, keep=None):
+            plans.append(plan)
+            return attention(q, k, v, plan, keep)
 
         monkeypatch.setattr(ad.Plan, "lay_out", spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
         forward_batch(batch, init_params(cfg, len(twenty_vocab), np.random.default_rng(0)), cfg)
+        assert len(plans) == cfg.layers and all(plan is plans[0] for plan in plans)  # both layers share the masks
+        (tier,) = plans[0].tiers
+        n = int(batch.lengths.max())
+        heads = [*cfg.guided_roles, *["padding"] * cfg.extra_regular_heads]  # a regular head reads the key row
+        for role, mask in zip(heads, tier.masks, strict=True):  # no mask is cut: each keeps its block's shape
+            assert mask.shape == ((batch.size, 1, n) if role == "padding" else (batch.size, n, n))
+        for (role, mask), (other, other_mask) in itertools.combinations(zip(heads, tier.masks), 2):
+            assert (mask is other_mask) == (role == other)  # one additive array per distinct block
+        assert len({id(mask) for mask in tier.masks}) == len(cfg.mask_roles()) + 1
         assert len(laid_out) == 3 * cfg.layers  # q, k and v of each layer
         for rows, out in laid_out:
             assert out.shape == (batch.size * int(batch.lengths.max()), rows.shape[1])
@@ -483,9 +503,9 @@ class TestPackedRows:
             tiers.append(tier_plan(lengths))
             return tiers[-1]
 
-        def attention_spy(q, k, v, masks, keep=None, plan=None):
+        def attention_spy(q, k, v, plan, keep=None):
             plans.append((plan, [tier.masks for tier in plan.tiers]))
-            return attention(q, k, v, masks, keep, plan)
+            return attention(q, k, v, plan, keep)
 
         monkeypatch.setattr(model_module, "tier_plan", tier_spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
