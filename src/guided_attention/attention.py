@@ -6,9 +6,9 @@ softmax, ``softmax((Q Kᵀ + M) / sqrt(d_k)) V``; because mask entries are 0 or
 heads receive the padding mask only, as one row that closes the padded key
 columns. Heads differ only in their masks: each of Q, K and V is one packed
 projection with the heads side by side along its last axis, and all heads
-of a layer are computed by one ``autodiff.attention`` node. Per-head
-attention weights are returned alongside outputs so mask support can be
-checked directly.
+of a layer are computed together by one ``autodiff.attention`` node, which
+returns the read-only weights of every head alongside the outputs, so mask
+support can be checked directly.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from . import autodiff as ad
 from .autodiff import Plan, Tensor
 
 # What a tier costs ``autodiff.attention`` beyond its score cells, in cells. Timing
-# the node's forward and backward passes (H = 6, d_k = 8) gave about 270-370 µs
-# per call and 0.14 µs per score cell (B·n²): a tier breaks even once it saves
-# some 2000-2900 cells.
+# the node's forward and backward passes (H = 6, d_k = 8) gave about 90-200 µs per
+# call and 0.19-0.24 µs per score cell (B·n²): a tier breaks even at 400-1000 cells.
+# Tier widths move the rounding of softmax sums: a new value needs a paired-seed study.
 TIER_CELLS = 3000
 
 
@@ -65,13 +65,12 @@ def multi_head(
     regular head. ``keep``, an (H, ..., n, n) inverted-dropout multiplier,
     scales the weights before they meet V; the layer draws nothing. Returns
     the layer output and the (H, ..., n, n) attention weights before
-    dropout, off the tape.
+    dropout, read-only and off the tape.
 
     With an ``autodiff.Plan`` of a (B, n) batch in place of ``masks``, which
     holds the heads' masks (see ``model.forward_stages``), ``x`` and the
-    output are packed rows instead, computed per tier (see
-    ``autodiff.attention``). ``keep`` and the weights stay
-    (H, B, n, n); each row's weights outside its tier's block are 0.
+    output are packed rows, ``keep`` stays (H, B, n, n), and the weights are
+    one (H, count, width, width) block per tier (see ``autodiff.attention``).
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
     out, weights = ad.attention(q, k, v, masks, keep)

@@ -184,6 +184,8 @@ class Plan(NamedTuple):
         to (B, n, n). Each distinct block becomes one {0, -inf} mask per tier: at its own
         shape for a lone tier, else cut to the tier's (count, width, width) block first.
         """
+        if any(a.dtype != bool for a in allowed):  # an additive {0, -inf} mask would come out inverted
+            raise ShapeMismatchError(f"attention mask blocks must be boolean, got {[str(a.dtype) for a in allowed]}")
         b, n = valid.shape
         if len(tiers) == 1:
             at = None if valid.all() else np.flatnonzero(valid)
@@ -216,7 +218,7 @@ class Plan(NamedTuple):
         return out
 
 
-def attention(q, k, v, masks: list[np.ndarray] | Plan, keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tensor, np.ndarray | tuple]:
     """Masked scaled dot-product attention of H heads, as one tape node.
 
     ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
@@ -227,21 +229,23 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep: np.ndarray | None =
     (0 or ``1 / (1 - rate)``), scales the weights before they meet ``V_h``.
 
     Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
-    and the (H, ..., n, m) weights before dropout, which are not on the tape.
+    and the (H, ..., n, m) weights before dropout: off the tape, and read-only
+    because the backward pass reads them.
 
     With a :class:`Plan` of a (B, n) batch from :meth:`Plan.build` in place
     of ``masks``, q, k, v, the output and the gradients are packed (T, ·) rows
     instead. The node scatters q, k and v once into the plan's layout, computes
     each tier on its masks and on ``keep[:, rows, :width, :width]``, and
-    gathers once. The weights stay (H, B, n, n), 0 outside each row's tier.
+    gathers once. The weights are one (H, count, width, width) block per tier.
 
+    All heads are computed at once, on (H, ..., r, d) views of the operands.
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
     maximum is at most 0, and a masked entry is ``-inf`` whatever its finite
     score, so ``exp`` maps it to exactly 0 without overflow. A row whose
     maximum is ``-inf`` (every key masked) raises :class:`DegenerateRowError`
-    naming the head and the row; a row holding a NaN or +inf score, open or
-    masked, comes out entirely NaN.
+    naming the first such head and its row; a row holding a NaN or +inf score,
+    open or masked, comes out entirely NaN.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if not isinstance(masks, Plan):
@@ -259,16 +263,11 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep: np.ndarray | None =
         raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
     laid_out = [plan.lay_out(t.data) for t in (q, k, v)]
     out = np.empty(laid_out[2].shape)
-    weights = np.zeros((heads, b, n, n)) if len(plan.tiers) > 1 else None
-    tier_grads = []
+    runs = []
     for tier in plan.tiers:
         tier_keep = None if keep is None else keep[:, tier.rows, :tier.width, :tier.width]
-        _, tier_weights, grads = _heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out))
-        if weights is None:  # a lone tier's weights are the batch's
-            weights = tier_weights
-        else:
-            weights[:, tier.rows, :tier.width, :tier.width] = tier_weights
-        tier_grads.append(grads)
+        runs.append(_heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out)))
+    _, weights, tier_grads = zip(*runs)
 
     def backward(g):
         g, into = plan.lay_out(g), [np.empty(a.shape) for a in laid_out]
@@ -281,8 +280,8 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep: np.ndarray | None =
 
 
 def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
-    """The per-head kernel of :func:`attention` on laid-out operands: its output, weights and the map from the
-    output's gradient to those of qd, kd and vd, into ``out``/``into`` if set. Row (i, ...) is named (rows[i], ...)."""
+    """The kernel of :func:`attention` on laid-out operands: its output, weights and the map from the output's
+    gradient to those of qd, kd and vd, into ``out``/``into`` if set. Row (i, ...) is named (rows[i], ...)."""
     heads = len(masks)
     if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
         raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
@@ -296,51 +295,53 @@ def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
         lead = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
     except ValueError as exc:
         raise ShapeMismatchError(f"attention cannot broadcast {qd.shape}, {kd.shape}, {vd.shape}") from exc
-    d_k, d_v = qd.shape[-1] // heads, vd.shape[-1] // heads
     n, m = qd.shape[-2], kd.shape[-2]
     if keep is not None and keep.shape != (heads, *lead, n, m):
         raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
-    scale = 1.0 / math.sqrt(d_k)
-    weights = np.empty((heads, *lead, n, m))
-    out = np.empty((*lead, n, heads * d_v)) if out is None else out
-    for h in range(heads):
-        qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
-        p = weights[h]
-        np.matmul(qd[..., qk], np.swapaxes(kd[..., qk], -1, -2), out=p)
-        p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
+    scale = 1.0 / math.sqrt(qd.shape[-1] // heads)
+    qh, kh, vh = (_split_heads(a, heads, len(lead) + 2) for a in (qd, kd, vd))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2), out=np.empty((heads, *lead, n, m)))
+    p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
+    for h, mask in enumerate(masks):
         try:
-            p += masks[h]
+            p[h] += mask
         except ValueError as exc:
-            raise ShapeMismatchError(f"mask shape {np.shape(masks[h])} does not broadcast to {p.shape}") from exc
-        row_max = p.max(axis=-1, keepdims=True)
-        closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
-        if closed.any():
-            row = tuple(int(i) for i in np.argwhere(closed)[0])
-            if isinstance(rows, np.ndarray):
-                row = (int(rows[row[0]]), *row[1:])
-            raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
-        p -= row_max
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p if keep is None else p * keep[h], vd[..., vh], out=out[..., vh])
+            raise ShapeMismatchError(f"mask shape {np.shape(mask)} does not broadcast to {p[h].shape}") from exc
+    row_max = p.max(axis=-1, keepdims=True)
+    closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
+    if closed.any():
+        h, *row = (int(i) for i in np.argwhere(closed)[0])
+        row[0] = int(rows[row[0]]) if isinstance(rows, np.ndarray) else row[0]
+        raise DegenerateRowError(f"attention head {h}: every key of row {tuple(row)} is masked")
+    p -= row_max
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    p.flags.writeable = False  # the backward pass reads these weights
+    out = np.empty((*lead, n, vd.shape[-1])) if out is None else out
+    np.matmul(p if keep is None else p * keep, vh, out=_split_heads(out, heads))
 
     def grads(g, into=None):
-        dq, dk, dv = into or (np.empty((*lead, n, qd.shape[-1])), np.empty((*lead, m, kd.shape[-1])),
-                              np.empty((*lead, m, vd.shape[-1])))
-        for h in range(heads):
-            qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
-            p, g_h = weights[h], g[..., vh]
-            np.matmul(np.swapaxes(p if keep is None else p * keep[h], -1, -2), g_h, out=dv[..., vh])
-            dp = g_h @ np.swapaxes(vd[..., vh], -1, -2)
-            if keep is not None:
-                dp *= keep[h]
-            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
-            ds *= scale
-            np.matmul(ds, kd[..., qk], out=dq[..., qk])
-            np.matmul(np.swapaxes(ds, -1, -2), qd[..., qk], out=dk[..., qk])
+        dq, dk, dv = into or [np.empty((*lead, r, a.shape[-1])) for r, a in ((n, qd), (m, kd), (m, vd))]
+        gh = _split_heads(g, heads)
+        dropped = p if keep is None else p * keep
+        np.matmul(np.swapaxes(dropped, -1, -2), gh, out=_split_heads(dv, heads))
+        ds = np.matmul(gh, np.swapaxes(vh, -1, -2), out=None if keep is None else dropped)  # reuses a spent block
+        if keep is not None:
+            ds *= keep
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        np.matmul(ds, kh, out=_split_heads(dq, heads))
+        np.matmul(np.swapaxes(ds, -1, -2), qh, out=_split_heads(dk, heads))
         return dq, dk, dv
 
-    return out, weights, grads
+    return out, p, grads
+
+
+def _split_heads(a: np.ndarray, heads: int, ndim: int = 0) -> np.ndarray:
+    """(..., r, H·d) ``a`` as an (H, ..., r, d) view, with leading 1s to make ``ndim`` axes after H broadcast."""
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape[:-1] + (heads, -1), copy=False)
+    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

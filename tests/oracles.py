@@ -16,7 +16,7 @@ import guided_attention.autodiff as ad
 from guided_attention.attention import multi_head
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, truncate
-from guided_attention.errors import DegenerateRowError
+from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from guided_attention.model import sinusoidal_encoding
 
 NEG_INF = float("-inf")
@@ -120,6 +120,81 @@ def softmax_rows(x) -> Tensor:
         ad._accumulate(x, y * (g - inner))
 
     return ad._record(Tensor(y), (x,), backward)
+
+
+def heads_per_head(qd, kd, vd, masks, keep, rows=None, out=None):
+    """``autodiff._heads`` one head at a time: the bitwise reference for its output, weights and gradients.
+
+    Each head runs its own matmuls on column slices of the packed operands and
+    its own softmax on its (..., n, m) block of the weights.
+    """
+    heads = len(masks)
+    if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
+        raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
+    if qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % heads or vd.shape[-1] % heads:
+        raise ShapeMismatchError(
+            f"attention cannot split query/key/value {qd.shape}, {kd.shape}, {vd.shape} into {heads} heads"
+        )
+    if kd.shape[-2] != vd.shape[-2]:
+        raise ShapeMismatchError(f"key/value length mismatch: {kd.shape} vs {vd.shape}")
+    try:
+        lead = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
+    except ValueError as exc:
+        raise ShapeMismatchError(f"attention cannot broadcast {qd.shape}, {kd.shape}, {vd.shape}") from exc
+    d_k, d_v = qd.shape[-1] // heads, vd.shape[-1] // heads
+    n, m = qd.shape[-2], kd.shape[-2]
+    if keep is not None and keep.shape != (heads, *lead, n, m):
+        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
+    scale = 1.0 / math.sqrt(d_k)
+    weights = np.empty((heads, *lead, n, m))
+    out = np.empty((*lead, n, heads * d_v)) if out is None else out
+    for h in range(heads):
+        qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
+        p = weights[h]
+        np.matmul(qd[..., qk], np.swapaxes(kd[..., qk], -1, -2), out=p)
+        p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
+        try:
+            p += masks[h]
+        except ValueError as exc:
+            raise ShapeMismatchError(f"mask shape {np.shape(masks[h])} does not broadcast to {p.shape}") from exc
+        row_max = p.max(axis=-1, keepdims=True)
+        closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
+        if closed.any():
+            row = tuple(int(i) for i in np.argwhere(closed)[0])
+            if isinstance(rows, np.ndarray):
+                row = (int(rows[row[0]]), *row[1:])
+            raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
+        p -= row_max
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p if keep is None else p * keep[h], vd[..., vh], out=out[..., vh])
+
+    def grads(g, into=None):
+        dq, dk, dv = into or (np.empty((*lead, n, qd.shape[-1])), np.empty((*lead, m, kd.shape[-1])),
+                              np.empty((*lead, m, vd.shape[-1])))
+        for h in range(heads):
+            qk, vh = slice(h * d_k, (h + 1) * d_k), slice(h * d_v, (h + 1) * d_v)
+            p, g_h = weights[h], g[..., vh]
+            np.matmul(np.swapaxes(p if keep is None else p * keep[h], -1, -2), g_h, out=dv[..., vh])
+            dp = g_h @ np.swapaxes(vd[..., vh], -1, -2)
+            if keep is not None:
+                dp *= keep[h]
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+            ds *= scale
+            np.matmul(ds, kd[..., qk], out=dq[..., qk])
+            np.matmul(np.swapaxes(ds, -1, -2), qd[..., qk], out=dk[..., qk])
+        return dq, dk, dv
+
+    return out, weights, grads
+
+
+def spread_weights(plan, blocks) -> np.ndarray:
+    """The (H, B, n, n) grid of a planned ``autodiff.attention`` call's per-tier weight ``blocks``, 0 outside them."""
+    (b, n), heads = plan.valid.shape, blocks[0].shape[0]
+    weights = np.zeros((heads, b, n, n))
+    for tier, block in zip(plan.tiers, blocks, strict=True):
+        weights[:, tier.rows, :tier.width, :tier.width] = block
+    return weights
 
 
 def tensor_sum(x) -> Tensor:

@@ -17,6 +17,7 @@ from oracles import (
     dropout,
     dropout_keep,
     finite_difference_grad,
+    heads_per_head,
     layer_norm_mean_var,
     layer_norm_naive,
     masked_mean,
@@ -24,6 +25,7 @@ from oracles import (
     relative_error,
     softmax_rows,
     softmax_rows_naive,
+    spread_weights,
     tensor_sum,
     transpose_last,
 )
@@ -342,7 +344,7 @@ class TestAttention:
             runs.append((out.data, weights, [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
         npt.assert_array_equal(packed_out, out[valid])
-        npt.assert_array_equal(packed_weights, weights)
+        npt.assert_array_equal(spread_weights(plan, packed_weights), weights)
         for grad, packed_grad in zip(grads, packed_grads):
             npt.assert_array_equal(packed_grad, grad[valid])
         with pytest.raises(ShapeMismatchError, match="valid positions"):
@@ -440,6 +442,68 @@ class TestAttention:
         with pytest.raises(ShapeMismatchError, match="keep shape"):
             ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, np.ones((2, 3, 4)))
 
+    @staticmethod
+    @st.composite
+    def kernel_inputs(draw):
+        """Operands, additive masks, ``keep``, batch ``rows`` and an upstream gradient for ``ad._heads``.
+
+        Leads broadcast: each operand and mask drops leading axes or holds 1 on some, and a mask is a
+        (..., n, m) block or a (..., 1, m) key row. A mask may close rows, so the kernel may raise."""
+        heads, d_k, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        n, m, lead = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.lists(st.integers(1, 3), max_size=2))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+        def shape(lead, *last):
+            kept = lead[draw(st.integers(0, len(lead))):]
+            return (*[1 if draw(st.booleans()) else size for size in kept], *last)
+
+        q, k, v = (rng.normal(size=shape(lead, r, heads * d)) for r, d in ((n, d_k), (m, d_k), (m, d_v)))
+        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+        closed = draw(st.sampled_from([0.0, 0.3, 0.7]))
+        masks = [np.where(rng.random(shape(lead, draw(st.sampled_from([n, 1])), m)) < closed, NEG_INF, 0.0)
+                 for _ in range(heads)]
+        keep = dropout_keep((heads, *lead, n, m), 0.3, rng) if draw(st.booleans()) else None
+        rows = rng.permutation((*lead, n)[0]) * 7 if draw(st.booleans()) else None
+        return q, k, v, masks, keep, rows, rng.normal(size=(*lead, n, heads * d_v))
+
+    @settings(max_examples=200)
+    @given(inputs=kernel_inputs())
+    def test_kernel_equals_the_per_head_reference_bitwise(self, inputs):
+        """Output, weights and gradients equal the per-head kernel's bit for bit; so does a closed row's error."""
+        q, k, v, masks, keep, rows, upstream = inputs
+        try:
+            want_out, want_weights, want_grads = heads_per_head(q, k, v, masks, keep, rows)
+        except DegenerateRowError as exc:
+            with pytest.raises(DegenerateRowError) as raised:
+                ad._heads(q, k, v, masks, keep, rows)
+            assert str(raised.value) == str(exc)
+            return
+        out, weights, grads = ad._heads(q, k, v, masks, keep, rows)
+        for got, want in zip((out, weights, *grads(upstream)), (want_out, want_weights, *want_grads(upstream))):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_returned_weights_are_read_only(self):
+        """The weights are the buffer the backward pass reads: writing to them raises and leaves the gradients be."""
+        rng = np.random.default_rng(41)
+        valid = np.arange(4) < np.array([4, 2])[:, None]
+        q, k, v = (rng.normal(size=(6, 4)) for _ in "qkv")
+        upstream = rng.normal(size=(6, 4))
+        two_tiers = ad.Plan.build(valid, (np.array([1]), np.array([0])), [valid[:, None, :]] * 2)
+        for masks in ([np.zeros((6, 6))] * 2, two_tiers):
+            grads = []
+            for write in (False, True):
+                tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+                out, weights = ad.attention(*tensors, masks)
+                for block in weights if masks is two_tiers else [weights]:
+                    assert not block.flags.writeable
+                    if write:
+                        with pytest.raises(ValueError, match="read-only"):
+                            block[...] = 0.25
+                ad.backward(tensor_sum(ad.mul(out, upstream)))
+                grads.append([t.grad for t in tensors])
+            for untouched, written in zip(*grads):
+                npt.assert_array_equal(written, untouched)
+
 
 class TestTieredAttention:
     """Tiers of batch rows change only how ``ad.attention`` lays out packed rows, not what it computes."""
@@ -483,8 +547,10 @@ class TestTieredAttention:
         runs = []
         for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
             tensors = [Tensor(a, requires_grad=True) for a in rows]
-            out, weights = ad.attention(*tensors, ad.Plan.build(valid, tiers, masks), keep)
+            plan = ad.Plan.build(valid, tiers, masks)
+            out, blocks = ad.attention(*tensors, plan, keep)
             ad.backward(tensor_sum(ad.mul(out, upstream)))
+            weights = spread_weights(plan, blocks)
             runs.append((out.data, weights, [t.grad for t in tensors]))
             if len(tiers) > 1:
                 block = np.zeros((b, n, n), dtype=bool)
@@ -524,6 +590,14 @@ class TestTieredAttention:
         if b > 1:
             with pytest.raises(ShapeMismatchError, match="attention masks"):
                 ad.Plan.build(valid, (np.arange(1), np.arange(1, b)), [allowed[0], np.ones((b + 1, n, n), bool)])
+
+    def test_plan_rejects_additive_masks(self):
+        """A {0, -inf} mask in place of a boolean block would come out inverted, so it is refused by its dtype."""
+        valid = np.arange(3) < np.array([3, 2])[:, None]
+        additive = np.where(np.eye(3, dtype=bool), 0.0, NEG_INF)[None]
+        for tiers in ((np.arange(2),), (np.array([1]), np.array([0]))):
+            with pytest.raises(ShapeMismatchError, match=r"boolean, got \['bool', 'float64'\]"):
+                ad.Plan.build(valid, tiers, [valid[:, None, :], additive])
 
     def test_a_closed_row_is_named_by_its_batch_row(self):
         lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]

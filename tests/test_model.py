@@ -490,7 +490,8 @@ class TestPackedRows:
             assert np.shares_memory(out, rows) == dense
 
     def test_the_layout_is_planned_once_per_pass(self, monkeypatch):
-        """Two layers over a two-tier batch: one ``tier_plan`` call, and both nodes read one plan and its mask cuts."""
+        """Two layers over a two-tier batch: one ``tier_plan`` call, both nodes read one plan and its mask cuts, and
+        each returns one (H, count, width, width) weight block per tier."""
         import guided_attention.model as model_module
 
         cfg = replace(self.CFG, layers=2, guided_roles=("relpos", "seprat"), extra_regular_heads=2, max_len=30)
@@ -504,19 +505,22 @@ class TestPackedRows:
             return tiers[-1]
 
         def attention_spy(q, k, v, plan, keep=None):
-            plans.append((plan, [tier.masks for tier in plan.tiers]))
-            return attention(q, k, v, plan, keep)
+            out, blocks = attention(q, k, v, plan, keep)
+            plans.append((plan, [tier.masks for tier in plan.tiers], blocks))
+            return out, blocks
 
         monkeypatch.setattr(model_module, "tier_plan", tier_spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
         forward_batch(batch, init_params(cfg, len(vocab), np.random.default_rng(0)), cfg)
         assert [[rows.tolist() for rows in plan] for plan in tiers] == [[[0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]]]
-        (plan, masks), (second_plan, second_masks) = plans
+        (plan, masks, blocks), (second_plan, second_masks, second_blocks) = plans
         assert second_plan is plan
         for tier, cuts, second_cuts in zip(plan.tiers, masks, second_masks):
             assert len(cuts) == cfg.heads and all(a is b for a, b in zip(cuts, second_cuts))
             assert cuts[2] is cuts[3]  # the regular heads share one cut of the key row
             assert all(cut.shape == (tier.count, tier.width, tier.width) for cut in cuts)
+        for weights in (blocks, second_blocks):  # one weight block per tier, no padded (H, B, n, n) grid
+            assert [block.shape for block in weights] == [(cfg.heads, t.count, t.width, t.width) for t in plan.tiers]
 
 
 class TestEndToEndGradients:
