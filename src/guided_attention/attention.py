@@ -69,8 +69,8 @@ def multi_head(
 
     With an ``autodiff.Plan`` of a (B, n) batch in place of ``masks``, which
     holds the heads' masks (see ``model.forward_stages``), ``x`` and the
-    output are packed rows, ``keep`` stays (H, B, n, n), and the weights are
-    one (H, count, width, width) block per tier (see ``autodiff.attention``).
+    output are packed rows, and ``keep`` and the weights are one
+    (H, count, width, width) block per tier (see ``autodiff.attention``).
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
     out, weights = ad.attention(q, k, v, masks, keep)

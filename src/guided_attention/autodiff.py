@@ -234,9 +234,11 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tenso
 
     With a :class:`Plan` of a (B, n) batch from :meth:`Plan.build` in place
     of ``masks``, q, k, v, the output and the gradients are packed (T, ·) rows
-    instead. The node scatters q, k and v once into the plan's layout, computes
-    each tier on its masks and on ``keep[:, rows, :width, :width]``, and
-    gathers once. The weights are one (H, count, width, width) block per tier.
+    instead, and ``keep`` holds one (H, count, width, width) block per tier,
+    for the tier's rows and its ``[:width, :width]`` pairs. The node scatters
+    q, k and v once into the plan's layout, computes each tier on its masks and
+    its block of ``keep``, and gathers once. The weights are one
+    (H, count, width, width) block per tier.
 
     All heads are computed at once, on (H, ..., r, d) views of the operands.
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
@@ -258,15 +260,16 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tenso
         return _record(Tensor(out), (q, k, v), backward), weights
 
     plan = masks
-    (b, n), heads = plan.valid.shape, len(plan.tiers[0].masks)
-    if keep is not None and keep.shape != (heads, b, n, n):
-        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, b, n, n)}")
+    if keep is None:
+        keep = (None,) * len(plan.tiers)
+    elif len(keep) != len(plan.tiers):  # _heads checks each block's shape
+        raise ShapeMismatchError(f"attention got {len(keep)} keep blocks for {len(plan.tiers)} tiers")
     laid_out = [plan.lay_out(t.data) for t in (q, k, v)]
     out = np.empty(laid_out[2].shape)
-    runs = []
-    for tier in plan.tiers:
-        tier_keep = None if keep is None else keep[:, tier.rows, :tier.width, :tier.width]
-        runs.append(_heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out)))
+    runs = [
+        _heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out))
+        for tier, tier_keep in zip(plan.tiers, keep)
+    ]
     _, weights, tier_grads = zip(*runs)
 
     def backward(g):
@@ -318,12 +321,13 @@ def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
     p /= p.sum(axis=-1, keepdims=True)
     p.flags.writeable = False  # the backward pass reads these weights
     out = np.empty((*lead, n, vd.shape[-1])) if out is None else out
-    np.matmul(p if keep is None else p * keep, vh, out=_split_heads(out, heads))
+    held = [] if keep is None else [p * keep]  # the first backward pass reads it, then writes dP over it
+    np.matmul(held[0] if held else p, vh, out=_split_heads(out, heads))
 
     def grads(g, into=None):
         dq, dk, dv = into or [np.empty((*lead, r, a.shape[-1])) for r, a in ((n, qd), (m, kd), (m, vd))]
         gh = _split_heads(g, heads)
-        dropped = p if keep is None else p * keep
+        dropped = held.pop() if held else (p if keep is None else p * keep)
         np.matmul(np.swapaxes(dropped, -1, -2), gh, out=_split_heads(dv, heads))
         ds = np.matmul(gh, np.swapaxes(vh, -1, -2), out=None if keep is None else dropped)  # reuses a spent block
         if keep is not None:

@@ -18,10 +18,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import masks as masks_mod
+from .attention import tier_plan
 from .errors import ConlluError, ShapeMismatchError
 
 PAD_ID = 0
@@ -305,6 +307,7 @@ class Batch:
     boolean block from ``masks.build_batch_masks``, ``n = lengths.max()``:
     True where a query may attend to a key. ``token_ids`` stay padded to
     ``max_len``; ``model.embed`` reads only the valid positions.
+    :attr:`tiers` is computed on first use and kept.
 
     :attr:`role_masks` and :attr:`pad_mask` give the same masks as additive
     ``{0, -inf}`` float grids padded to the width of ``token_ids``, built
@@ -322,6 +325,11 @@ class Batch:
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
+
+    @cached_property
+    def tiers(self) -> tuple[np.ndarray, ...]:
+        """The batch rows of each attention tier, ``attention.tier_plan(lengths)``, shared by every pass."""
+        return tier_plan(self.lengths)
 
     @property
     def pad_mask(self) -> np.ndarray:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -199,13 +201,33 @@ def _run_job(args) -> RunResult:
     return run_single(run_id, config, splits, out_dir=out_dir, save_ckpt=save_ckpt)
 
 
+# What BLAS libraries read their thread count from, once, when they load.
+_BLAS_THREADS = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+
 def _execute(jobs: list, n_workers: int) -> list[RunResult]:
-    # The pool forks all its workers up front, so it gets no more than there are jobs.
-    n_workers = min(n_workers, len(jobs))
+    """Each job's result, in order; ``n_workers`` > 1 runs them in that many spawned processes.
+
+    Each worker loads BLAS afresh, limited to one thread, so the workers do
+    not share the cores among their BLAS threads as well. The limit is set in
+    this process's environment while the pool runs and then restored.
+    """
+    n_workers = min(n_workers, len(jobs))  # no pool starts more workers than there are jobs
     if n_workers <= 1:
         return [_run_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(_run_job, jobs))
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_run_job, jobs))
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 # ---------------------------------------------------------------------------

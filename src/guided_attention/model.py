@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .attention import multi_head, tier_plan
+from .attention import multi_head
 from .autodiff import Tensor
 from .corpus import (
     Batch,
@@ -253,7 +253,7 @@ def forward_stages(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    keeps: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
     training: bool = False,
 ) -> Iterator[tuple[str, Tensor]]:
     """Run the forward pass, yielding ``(stage, output)`` as each stage finishes.
@@ -265,11 +265,12 @@ def forward_stages(
     :func:`embed`). A guided head reads its role's boolean block, shared by
     every head of the role; padding and regular heads share one ``(B, 1, n)``
     row of valid keys. One ``autodiff.Plan`` of the rows, built once per pass
-    from these blocks, holds the heads' additive masks, and every layer's
-    attention reads it. A ``training`` pass under dropout
+    from these blocks and ``batch.tiers``, holds the heads' additive masks, and
+    every layer's attention reads it. A ``training`` pass under dropout
     multiplies each layer's attention weights and feed-forward units by that
-    layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`;
-    any other pass ignores ``keeps``.
+    layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`:
+    one attention block per tier, and the feed-forward units' valid rows.
+    Any other pass ignores ``keeps``.
     """
     for role in cfg.mask_roles():
         if role not in batch.allowed:
@@ -283,7 +284,7 @@ def forward_stages(
     valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
     key_row = valid[:, None, :]
     allowed = [key_row if role == ROLE_PADDING else batch.allowed[role] for role in cfg.guided_roles]
-    plan = ad.Plan.build(valid, tier_plan(batch.lengths), allowed + [key_row] * cfg.extra_regular_heads)
+    plan = ad.Plan.build(valid, batch.tiers, allowed + [key_row] * cfg.extra_regular_heads)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     for i, (attn_keep, ff_keep) in enumerate(keeps):
@@ -310,7 +311,7 @@ def forward_batch(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    keeps: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+    keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
     training: bool = False,
 ) -> Tensor:
     """Class scores of a batch: the last output of :func:`forward_stages`."""
@@ -319,29 +320,39 @@ def forward_batch(
     return logits
 
 
-def _draw_keeps(batch: Batch, cfg: ModelConfig, rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+def _draw_keeps(
+    batch: Batch, cfg: ModelConfig, rng: np.random.Generator
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
     """The inverted-dropout multipliers (0 or ``1 / (1 - dropout)``) of a training pass over ``batch``.
 
-    Per layer, in this order: an ``(H, B, n, n)`` draw for the attention
-    weights, head after head, then a ``(B, n, ff_width)`` draw for the
-    feed-forward units, kept at the valid rows as the packed pass needs
-    them. A pass over padded (B, n, ·) activations would draw the same.
-    :func:`train` calls this on a worker thread, so it calls numpy only.
+    Per layer, in this order, ``rng`` draws the uniforms of an ``(H, B, n, n)``
+    block for the attention weights, head after head, then of a
+    ``(B, n, ff_width)`` block for the feed-forward units, as a pass over
+    padded (B, n, ·) activations would draw them. Only the cells the packed
+    pass reads become multipliers: for attention, one (H, count, width, width)
+    block per tier of ``batch.tiers``, its rows at their ``[:width, :width]``
+    pairs; for the feed-forward units, the valid rows. :func:`train` calls
+    this on a worker thread once the batch's tiers are known, so it calls
+    numpy only.
     """
-    valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
+    n = int(batch.lengths.max())
+    valid = np.arange(n) < batch.lengths[:, None]
+    tiers = [(rows, int(batch.lengths[rows].max())) for rows in batch.tiers]
 
-    def draw(shape):
-        return (rng.random(shape) >= cfg.dropout) / (1.0 - cfg.dropout)
+    def keep(uniforms):
+        return (uniforms >= cfg.dropout) / (1.0 - cfg.dropout)
 
-    return [
-        (draw((cfg.heads, *valid.shape, valid.shape[1])), draw((*valid.shape, cfg.ff_width))[valid])
-        for _ in range(cfg.layers)
-    ]
+    keeps = []
+    for _ in range(cfg.layers):
+        attn = rng.random((cfg.heads, *valid.shape, n))
+        cuts = [attn] if len(tiers) == 1 else [attn[:, rows, :width, :width] for rows, width in tiers]
+        keeps.append(([keep(cut) for cut in cuts], keep(rng.random((*valid.shape, cfg.ff_width))[valid])))
+    return keeps
 
 
 def _keeps_ahead(
     batches: list[Batch], cfg: ModelConfig, rng: np.random.Generator, pool: ThreadPoolExecutor
-) -> Iterator[list[tuple[np.ndarray, np.ndarray]] | None]:
+) -> Iterator[list[tuple[list[np.ndarray], np.ndarray]] | None]:
     """The multipliers of each of ``batches`` in turn, None without dropout.
 
     Under dropout ``pool`` draws the next batch's while the caller uses
@@ -351,10 +362,15 @@ def _keeps_ahead(
     if cfg.dropout == 0.0:
         yield from (None for _ in batches)
         return
-    pending = pool.submit(_draw_keeps, batches[0], cfg, rng)
+
+    def submit(batch):
+        batch.tiers  # planned on this thread, so the worker calls no public function of the package
+        return pool.submit(_draw_keeps, batch, cfg, rng)
+
+    pending = submit(batches[0])
     for following in batches[1:]:
         keeps = pending.result()
-        pending = pool.submit(_draw_keeps, following, cfg, rng)
+        pending = submit(following)
         yield keeps
     yield pending.result()
 
@@ -572,9 +588,11 @@ def _forward_only_batches(
     """Batches of ``sentences`` for a pass without gradients, in length order, built one at a time.
 
     The stable sort by length puts sentences of similar length together, so
-    each batch, computed at its longest sentence, carries little padding. No
-    sentence's logits depend on its batch-mates and the metrics are sums over
-    sentences, so the order changes only the float rounding of the summed loss.
+    each batch, computed at its longest sentence, carries little padding. A
+    sentence's softmax rows are summed at its tier's width, which its
+    batch-mates set, so its logits agree with those of any other batching to
+    within rounding, not bit for bit. The metrics are sums over sentences, so
+    an accuracy can change only where two class scores tie to the last bits.
     """
     ordered = sorted(sentences, key=len)
     for start in range(0, len(ordered), cfg.batch_size):

@@ -197,6 +197,11 @@ def spread_weights(plan, blocks) -> np.ndarray:
     return weights
 
 
+def cut_keep(plan, keep: np.ndarray | None) -> list[np.ndarray] | None:
+    """The per-tier blocks of an (H, B, n, n) ``keep`` that a planned ``autodiff.attention`` call takes."""
+    return None if keep is None else [keep[:, tier.rows, :tier.width, :tier.width] for tier in plan.tiers]
+
+
 def tensor_sum(x) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = ad.as_tensor(x)

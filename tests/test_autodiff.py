@@ -14,6 +14,7 @@ from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
     concat_last,
+    cut_keep,
     dropout,
     dropout_keep,
     finite_difference_grad,
@@ -337,9 +338,9 @@ class TestAttention:
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
         plan = ad.Plan.build(valid, (np.arange(3),), [valid[:, None, :]] * 2)
         runs = []
-        for inputs, masks in ((padded, [key_row, key_row]), ([a[valid] for a in padded], plan)):
+        for inputs, masks, keeps in ((padded, [key_row, key_row], keep), ([a[valid] for a in padded], plan, [keep])):
             tensors = [Tensor(a, requires_grad=True) for a in inputs]
-            out, weights = ad.attention(*tensors, masks, keep)
+            out, weights = ad.attention(*tensors, masks, keeps)
             ad.backward(tensor_sum(ad.mul(out, upstream if masks is not plan else upstream[valid])))
             runs.append((out.data, weights, [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
@@ -349,6 +350,11 @@ class TestAttention:
             npt.assert_array_equal(packed_grad, grad[valid])
         with pytest.raises(ShapeMismatchError, match="valid positions"):
             ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], plan)
+        packed = [a[valid] for a in padded]
+        with pytest.raises(ShapeMismatchError, match="got 2 keep blocks for 1 tiers"):  # the (H, B, n, n) grid
+            ad.attention(*packed, plan, keep)
+        with pytest.raises(ShapeMismatchError, match=r"keep shape \(2, 3, 3, 3\) vs weights \(2, 3, 4, 4\)"):
+            ad.attention(*packed, plan, [keep[..., :3, :3]])
 
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
@@ -482,6 +488,17 @@ class TestAttention:
         for got, want in zip((out, weights, *grads(upstream)), (want_out, want_weights, *want_grads(upstream))):
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
+    def test_a_second_backward_pass_gets_the_same_gradients(self):
+        """The first backward pass writes dP over the forward's dropped weights; a second one recomputes them."""
+        rng = np.random.default_rng(42)
+        q, k, v, masks = self.packed_inputs(rng)
+        keep = dropout_keep((2, 2, 3, 4), 0.3, rng)
+        upstream = rng.normal(size=(2, 3, 4))
+        _, _, grads = ad._heads(q, k, v, masks, keep)
+        first = [grad.copy() for grad in grads(upstream)]
+        for grad, again in zip(first, grads(upstream), strict=True):
+            assert grad.tobytes() == again.tobytes()
+
     def test_returned_weights_are_read_only(self):
         """The weights are the buffer the backward pass reads: writing to them raises and leaves the gradients be."""
         rng = np.random.default_rng(41)
@@ -548,7 +565,7 @@ class TestTieredAttention:
         for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
             tensors = [Tensor(a, requires_grad=True) for a in rows]
             plan = ad.Plan.build(valid, tiers, masks)
-            out, blocks = ad.attention(*tensors, plan, keep)
+            out, blocks = ad.attention(*tensors, plan, cut_keep(plan, keep))
             ad.backward(tensor_sum(ad.mul(out, upstream)))
             weights = spread_weights(plan, blocks)
             runs.append((out.data, weights, [t.grad for t in tensors]))
@@ -674,9 +691,9 @@ class TestBackward:
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
             allowed = [~np.eye(3, dtype=bool)] * 2
-            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(valid, (np.arange(2),), allowed), keep)
+            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(valid, (np.arange(2),), allowed), [keep])
             two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), allowed)
-            tiered, _ = ad.attention(rows, rows, rows, two_tiers, keep)
+            tiered, _ = ad.attention(rows, rows, rows, two_tiers, cut_keep(two_tiers, keep))
             pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
             logits = ad.add(masked_mean(h, valid), pooled)
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))

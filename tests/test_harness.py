@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +22,16 @@ from guided_attention.harness import (
 )
 from guided_attention.model import ModelConfig
 from test_model import TINY, toy_separable
+
+
+class BlasThreadsProbe:
+    """Empty splits whose name is the BLAS thread limit of the process that reads it; training on them fails fast."""
+
+    train = dev = test = ()
+
+    @property
+    def name(self) -> str:
+        return ",".join(f"{var}={os.environ.get(var)}" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 @pytest.fixture(scope="module")
@@ -249,7 +260,8 @@ class TestParallel:
         class RecordingPool:
             """Runs the jobs in this process; records the worker count it was asked for."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "spawn"
                 opened.append(max_workers)
 
             def __enter__(self):
@@ -269,6 +281,16 @@ class TestParallel:
         report = run_grid(tiny_spec(splits, seeds=seeds, jobs=jobs))
         assert [row.seed for row in report.rows] == list(seeds)
         assert opened == workers  # no pool at all for a single run
+
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        """Jobs in a pool of two see a BLAS limit of one thread; the caller's environment is restored after."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        jobs = [(f"probe{i}", TINY, BlasThreadsProbe(), None, False) for i in range(2)]
+        rows = harness._execute(jobs, 2)
+        assert [row.dataset for row in rows] == ["OPENBLAS_NUM_THREADS=1,OMP_NUM_THREADS=1"] * 2
+        assert all(row.error.startswith("ConfigError: train and dev splits must be non-empty") for row in rows)
+        assert BlasThreadsProbe().name == "OPENBLAS_NUM_THREADS=7,OMP_NUM_THREADS=None"
 
     @pytest.mark.parametrize("run", [run_grid, run_ablation], ids=["grid", "ablation"])
     @pytest.mark.parametrize("jobs", [0, -1])

@@ -333,6 +333,7 @@ class TestBatchCrop:
         return batch, forward_batch(batch, params, self.CFG).data
 
     def test_logits_do_not_depend_on_batch_mates(self, twenty, twenty_vocab):
+        """To within rounding: a sentence's softmax rows are summed at its tier's width, which its batch-mates set."""
         # s03 (5 tokens) alone, beside the 10-token s19, and beside s15 (no crop).
         widths, logits = [], []
         for sent_ids in (["s03"], ["s03", "s19"], ["s03", "s15"]):
@@ -343,26 +344,40 @@ class TestBatchCrop:
         for other in logits[1:]:
             npt.assert_allclose(other, logits[0], rtol=0, atol=1e-12)
 
+    def _keep_batch(self, twenty, vocab, sent_ids):
+        """The batch of ``sent_ids`` under :attr:`CFG`, one tier; for None, a batch of 1- and 30-token
+        sentences under ``max_len`` 32, which ``tier_plan`` cuts into two tiers."""
+        if sent_ids is not None:
+            return self._batch(twenty, vocab, sent_ids), self.CFG
+        cfg = replace(self.CFG, max_len=32)
+        sentences = [sent([f"w{i}" for i in range(n)], "x") for n in [1, 30, 1, 1, 30] + [1] * 7]
+        batch = make_batches(sentences, build_vocab(sentences), 12, cfg.max_len, cfg.mask_roles(), shuffle=False)[0]
+        assert len(batch.tiers) == 2
+        return batch, cfg
+
     def test_training_forward_draws_dropout_at_the_computed_width(self, twenty, twenty_vocab):
-        cfg = self.CFG
-        for sent_ids in (["s03", "s08"], ["s19", "s03", "s05"]):  # longest 5 and 10 tokens
+        """The full (H, B, n, n) and (B, n, ff_width) draws of each layer, at n the longest sentence; the
+        multipliers are one (H, count, width, width) block per tier and the feed-forward units' valid rows."""
+        for sent_ids in (["s03", "s08"], ["s19", "s03", "s05"], None):  # longest 5, 10 and 30 tokens
+            batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
             rng = np.random.default_rng(11)
-            batch = self._batch(twenty, twenty_vocab, sent_ids)
             keeps = _draw_keeps(batch, cfg, rng)
             b, n = batch.size, int(batch.lengths.max())
             assert n < cfg.max_len
             count = cfg.layers * (cfg.heads * b * n**2 + b * n * cfg.ff_width)
             reference = np.random.default_rng(11)
             reference.random(count)
-            assert rng.bit_generator.state == reference.bit_generator.state, sent_ids
-            shapes = [(attn_keep.shape, ff_keep.shape) for attn_keep, ff_keep in keeps]
-            assert shapes == [((cfg.heads, b, n, n), (int(batch.lengths.sum()), cfg.ff_width))] * cfg.layers
+            assert rng.bit_generator.state == reference.bit_generator.state, batch.sent_ids
+            tiers = [(cfg.heads, len(rows), int(batch.lengths[rows].max()), int(batch.lengths[rows].max()))
+                     for rows in batch.tiers]
+            shapes = [([block.shape for block in attn_keep], ff_keep.shape) for attn_keep, ff_keep in keeps]
+            assert shapes == [(tiers, (int(batch.lengths.sum()), cfg.ff_width))] * cfg.layers
 
-    @pytest.mark.parametrize("sent_ids", [["s03", "s08"], ["s19", "s03", "s05"], ["s15"]])
+    @pytest.mark.parametrize("sent_ids", [["s03", "s08"], ["s19", "s03", "s05"], ["s15"], None])
     def test_drawn_multipliers_equal_sequential_draws_bitwise(self, twenty, twenty_vocab, sent_ids):
-        """Per layer, the attention block then the feed-forward units, each as one oracle draw."""
-        cfg = self.CFG
-        batch = self._batch(twenty, twenty_vocab, sent_ids)
+        """Per layer, the attention block then the feed-forward units, each as one oracle draw: each tier's
+        block is the cut of the attention draw at its rows and ``[:width, :width]`` pairs, bit for bit."""
+        batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
         valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
         rng, reference = np.random.default_rng(17), np.random.default_rng(17)
         keeps = _draw_keeps(batch, cfg, rng)
@@ -370,7 +385,11 @@ class TestBatchCrop:
         for attn_keep, ff_keep in keeps:
             expected_attn = dropout_keep((cfg.heads, *valid.shape, valid.shape[1]), cfg.dropout, reference)
             expected_ff = dropout_keep((*valid.shape, cfg.ff_width), cfg.dropout, reference)[valid]
-            npt.assert_array_equal(attn_keep, expected_attn)
+            assert len(attn_keep) == len(batch.tiers)
+            for rows, block in zip(batch.tiers, attn_keep):
+                width = int(batch.lengths[rows].max())
+                cut = expected_attn[:, rows, :width, :width]
+                assert (block.dtype, block.shape, block.tobytes()) == (cut.dtype, cut.shape, cut.tobytes())
             npt.assert_array_equal(ff_keep, expected_ff)
         assert rng.bit_generator.state == reference.bit_generator.state
 
@@ -492,13 +511,13 @@ class TestPackedRows:
     def test_the_layout_is_planned_once_per_pass(self, monkeypatch):
         """Two layers over a two-tier batch: one ``tier_plan`` call, both nodes read one plan and its mask cuts, and
         each returns one (H, count, width, width) weight block per tier."""
-        import guided_attention.model as model_module
+        import guided_attention.corpus as corpus_module
 
         cfg = replace(self.CFG, layers=2, guided_roles=("relpos", "seprat"), extra_regular_heads=2, max_len=30)
         sentences = [sent([f"w{i}" for i in range(n)], "x") for n in [1, 30, 1, 1, 30] + [1] * 7]
         vocab = build_vocab(sentences)
         batch = make_batches(sentences, vocab, len(sentences), cfg.max_len, cfg.mask_roles(), shuffle=False)[0]
-        tiers, plans, tier_plan, attention = [], [], model_module.tier_plan, ad.attention
+        tiers, plans, tier_plan, attention = [], [], corpus_module.tier_plan, ad.attention
 
         def tier_spy(lengths):
             tiers.append(tier_plan(lengths))
@@ -509,10 +528,12 @@ class TestPackedRows:
             plans.append((plan, [tier.masks for tier in plan.tiers], blocks))
             return out, blocks
 
-        monkeypatch.setattr(model_module, "tier_plan", tier_spy)
+        monkeypatch.setattr(corpus_module, "tier_plan", tier_spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
-        forward_batch(batch, init_params(cfg, len(vocab), np.random.default_rng(0)), cfg)
+        params = init_params(cfg, len(vocab), np.random.default_rng(0))
+        forward_batch(batch, params, cfg)
         assert [[rows.tolist() for rows in plan] for plan in tiers] == [[[0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]]]
+        assert batch.tiers is tiers[0]
         (plan, masks, blocks), (second_plan, second_masks, second_blocks) = plans
         assert second_plan is plan
         for tier, cuts, second_cuts in zip(plan.tiers, masks, second_masks):
@@ -521,6 +542,8 @@ class TestPackedRows:
             assert all(cut.shape == (tier.count, tier.width, tier.width) for cut in cuts)
         for weights in (blocks, second_blocks):  # one weight block per tier, no padded (H, B, n, n) grid
             assert [block.shape for block in weights] == [(cfg.heads, t.count, t.width, t.width) for t in plan.tiers]
+        forward_batch(batch, params, cfg)  # the batch keeps its tiers: a second pass plans none
+        assert len(tiers) == 1 and plans[-1][0].tiers[1].rows is tiers[0][1]
 
 
 class TestEndToEndGradients:
@@ -616,6 +639,63 @@ class TestTraining:
         data = toy_separable(20)
         assert TINY.dropout == 0.0
         train(TINY, data, data)
+
+    @staticmethod
+    def mixed_lengths(count, seed):
+        """Labelled sentences of 1 to 30 tokens, so most batches of 8 are cut into two or three tiers."""
+        rng = np.random.default_rng(seed)
+        return [sent([f"w{j}" for j in rng.integers(0, 9, size=n)], "ab"[i % 2])
+                for i, n in enumerate(rng.choice([1, 2, 3, 30], size=count))]
+
+    def test_tiers_are_planned_once_per_batch_per_train_call(self, monkeypatch):
+        """Over every epoch and dev pass of ``train``, each training and dev batch is planned exactly once."""
+        import guided_attention.corpus as corpus_module
+
+        planned, tier_plan = [], corpus_module.tier_plan
+
+        def spy(lengths):
+            planned.append(id(lengths))
+            return tier_plan(lengths)
+
+        train_data, dev_data = self.mixed_lengths(40, 1), self.mixed_lengths(20, 2)
+        cfg = replace(TINY, max_len=30, epochs=3, dropout=0.1)
+        monkeypatch.setattr(corpus_module, "tier_plan", spy)
+        train(cfg, train_data, dev_data)
+        assert len(planned) == len(set(planned)) == math.ceil(40 / cfg.batch_size) + math.ceil(20 / cfg.batch_size)
+
+    def test_dropout_worker_calls_no_public_function(self, monkeypatch):
+        """The worker that draws dropout calls no public function of the package, so a tracer that wraps them
+        sees spans from the main thread only; ``tier_plan`` and every other one runs there."""
+        import importlib
+        import inspect
+        import pkgutil
+
+        import guided_attention.model as model_module
+
+        modules = [guided_attention] + [importlib.import_module(f"guided_attention.{info.name}")
+                                        for info in pkgutil.iter_modules(guided_attention.__path__)
+                                        if info.name != "__main__"]
+        calls, wrappers = [], {}
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in modules:
+            for attr, obj in list(vars(module).items()):
+                if inspect.isfunction(obj) and obj.__module__.startswith("guided_attention.") and (
+                    not attr.startswith("_") or obj is model_module._draw_keeps
+                ):
+                    wrappers.setdefault(obj, recording(f"{obj.__module__}.{obj.__name__}", obj))
+                    monkeypatch.setattr(module, attr, wrappers[obj])
+        train(replace(TINY, max_len=30, dropout=0.1), self.mixed_lengths(40, 3), self.mixed_lengths(16, 4))
+        main = threading.main_thread()
+        names = {name for name, _ in calls}
+        assert {"guided_attention.attention.tier_plan", "guided_attention.model._draw_keeps"} <= names
+        assert all(thread is not main for name, thread in calls if name.endswith("._draw_keeps"))
+        assert [name for name, thread in calls if thread is not main and not name.endswith("._draw_keeps")] == []
 
     def test_best_dev_epoch_retained(self):
         data = toy_separable(40)
