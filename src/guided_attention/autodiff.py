@@ -2,8 +2,10 @@
 
 Everything is computed at 64-bit precision on CPU. A fresh computation
 graph is recorded per forward pass; calling :func:`backward` on a scalar
-loss walks it once in reverse topological order and accumulates gradients
-into every reachable tensor that has ``requires_grad`` set.
+loss walks it once in reverse topological order. Leaves with
+``requires_grad`` set, such as parameters, accumulate their gradients;
+each interior node's gradient is freed once its own backward step has used
+it, so it reads ``None`` afterwards.
 
 The only non-finite value that may legally appear in a forward pass is
 ``-inf``, introduced by additive attention masks. :func:`attention`, the
@@ -445,10 +447,13 @@ def cross_entropy(logits, labels: np.ndarray) -> Tensor:
 
 
 def backward(loss: Tensor, params: dict[str, Tensor] | None = None) -> None:
-    """Populate gradients of everything reachable from a scalar loss.
+    """Add the gradient of a scalar loss to every leaf it reaches that has ``requires_grad``.
 
-    When ``params`` is given, parameters the loss does not depend on get an
-    explicit zero gradient instead of ``None``.
+    Interior nodes hold their gradient only until their backward step has
+    used it and read ``None`` afterwards, so a second call on the same loss
+    starts clean and adds the same leaf gradients again. When ``params`` is
+    given, parameters the loss does not depend on get an explicit zero
+    gradient instead of ``None``.
     """
     if loss.data.size != 1:
         raise ShapeMismatchError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -471,8 +476,9 @@ def backward(loss: Tensor, params: dict[str, Tensor] | None = None) -> None:
 
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node._backward is not None:  # an interior node: free its gradient as it is used
+            grad, node.grad = node.grad, None
+            node._backward(grad)
 
     if params is not None:
         for p in params.values():

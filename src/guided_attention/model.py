@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -332,8 +331,8 @@ def _draw_keeps(
     pass reads become multipliers: for attention, one (H, count, width, width)
     block per tier of ``batch.tiers``, its rows at their ``[:width, :width]``
     pairs; for the feed-forward units, the valid rows. :func:`train` calls
-    this on a worker thread once the batch's tiers are known, so it calls
-    numpy only.
+    this in each step, before the forward pass, so ``rng`` is read in the
+    order of the steps.
     """
     n = int(batch.lengths.max())
     valid = np.arange(n) < batch.lengths[:, None]
@@ -348,31 +347,6 @@ def _draw_keeps(
         cuts = [attn] if len(tiers) == 1 else [attn[:, rows, :width, :width] for rows, width in tiers]
         keeps.append(([keep(cut) for cut in cuts], keep(rng.random((*valid.shape, cfg.ff_width))[valid])))
     return keeps
-
-
-def _keeps_ahead(
-    batches: list[Batch], cfg: ModelConfig, rng: np.random.Generator, pool: ThreadPoolExecutor
-) -> Iterator[list[tuple[list[np.ndarray], np.ndarray]] | None]:
-    """The multipliers of each of ``batches`` in turn, None without dropout.
-
-    Under dropout ``pool`` draws the next batch's while the caller uses
-    these, one batch in flight at most, so ``rng`` is read in the order of
-    ``batches`` and the stream is that of drawing at each step.
-    """
-    if cfg.dropout == 0.0:
-        yield from (None for _ in batches)
-        return
-
-    def submit(batch):
-        batch.tiers  # planned on this thread, so the worker calls no public function of the package
-        return pool.submit(_draw_keeps, batch, cfg, rng)
-
-    pending = submit(batches[0])
-    for following in batches[1:]:
-        keeps = pending.result()
-        pending = submit(following)
-        yield keeps
-    yield pending.result()
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +473,8 @@ def train(
 
     Fully deterministic under ``cfg.seed``: one RNG stream drives parameter
     initialization and dropout, a second (derived from the same seed) drives
-    the batch shuffle. Under dropout, one worker thread draws each batch's
-    multipliers (see :func:`_draw_keeps`) while the batch before it trains,
-    in the order of the steps, so the stream is the same as drawing them at
-    each step; the worker is joined before this returns or raises. The dev
+    the batch shuffle. Under dropout, each step draws its batch's
+    multipliers (see :func:`_draw_keeps`) before its forward pass. The dev
     batches are built once per call, from the dev split in length order (see
     :func:`_forward_only_batches`); they only pick the best epoch, so the
     order leaves the trained parameters unchanged.
@@ -535,37 +507,36 @@ def train(
 
     history: list[dict] = []
     best_acc, best_epoch, best_flat = -1.0, -1, None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        drawn = _keeps_ahead(train_batches * cfg.epochs, cfg, rng, pool)
-        for epoch in range(1, cfg.epochs + 1):
-            total_loss, total_examples = 0.0, 0
-            for batch in train_batches:
-                ad.zero_grads(params)
-                try:
-                    logits = forward_batch(batch, params, cfg, next(drawn), training=True)
-                    loss = ad.cross_entropy(logits, batch.labels)
-                except DegenerateRowError:
-                    # batch masks are feasible by construction, so this is numeric blow-up
-                    raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg)) from None
-                if not np.isfinite(loss.data):
-                    raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg))
-                ad.backward(loss, params)
-                optimizer.step()
-                total_loss += loss.item() * batch.size
-                total_examples += batch.size
-            # Views of the live parameters without requires_grad: the dev pass records no tape.
-            dev = _evaluate_batches(dev_batches, {name: Tensor(p.data) for name, p in params.items()}, cfg)
-            history.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": total_loss / total_examples,
-                    "dev_loss": dev.loss,
-                    "dev_acc": dev.accuracy,
-                }
-            )
-            if dev.accuracy > best_acc:
-                best_acc, best_epoch = dev.accuracy, epoch
-                best_flat = optimizer.flat.copy()
+    for epoch in range(1, cfg.epochs + 1):
+        total_loss, total_examples = 0.0, 0
+        for batch in train_batches:
+            ad.zero_grads(params)
+            keeps = _draw_keeps(batch, cfg, rng) if cfg.dropout > 0.0 else None
+            try:
+                logits = forward_batch(batch, params, cfg, keeps, training=True)
+                loss = ad.cross_entropy(logits, batch.labels)
+            except DegenerateRowError:
+                # batch masks are feasible by construction, so this is numeric blow-up
+                raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg)) from None
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(diagnose_nonfinite(batch, params, cfg))
+            ad.backward(loss, params)
+            optimizer.step()
+            total_loss += loss.item() * batch.size
+            total_examples += batch.size
+        # Views of the live parameters without requires_grad: the dev pass records no tape.
+        dev = _evaluate_batches(dev_batches, {name: Tensor(p.data) for name, p in params.items()}, cfg)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": total_loss / total_examples,
+                "dev_loss": dev.loss,
+                "dev_acc": dev.accuracy,
+            }
+        )
+        if dev.accuracy > best_acc:
+            best_acc, best_epoch = dev.accuracy, epoch
+            best_flat = optimizer.flat.copy()
 
     class_names = [name for name, _ in sorted(classes.items(), key=lambda kv: kv[1])]
     return Checkpoint(

@@ -654,6 +654,27 @@ class TestBackward:
         ad.backward(tensor_sum(y))
         npt.assert_array_equal(x.grad, [[7.0]])
 
+    def test_second_backward_adds_the_same_leaf_gradients(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        loss = tensor_sum(ad.mul(ad.mul(x, 2.0), 3.0))
+        ad.backward(loss)
+        npt.assert_array_equal(x.grad, [[6.0, 6.0]])
+        ad.backward(loss)
+        npt.assert_array_equal(x.grad, [[12.0, 12.0]])
+
+    def test_interior_gradients_are_freed_and_leaves_keep_theirs(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        x = Tensor(rng.normal(size=(2, 3)))
+        hidden = ad.matmul(x, w)
+        activated = ad.relu(ad.add(hidden, b))
+        loss = ad.cross_entropy(activated, np.array([0, 3]))
+        ad.backward(loss)
+        assert [t.grad for t in (loss, activated, hidden)] == [None, None, None]
+        assert w.grad.shape == w.shape and b.grad.shape == b.shape
+        assert x.grad is None  # a constant leaf gets no gradient
+
     def test_determinism_bitwise(self):
         def run():
             rng = np.random.default_rng(42)

@@ -606,39 +606,19 @@ class TestTraining:
             train(cfg, data, data)
         assert "tensor" in str(excinfo.value)
 
-    def test_dropout_worker_is_joined_when_train_returns(self, monkeypatch):
-        data = toy_separable(20)
-        before = threading.enumerate()
-        started = []
-        original = threading.Thread.start
-
-        def spy(thread):
-            started.append(thread)
-            original(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", spy)
-        train(replace(TINY, dropout=0.1), data, data)
-        assert len(started) == 1
-        assert threading.enumerate() == before
-
-    # Under dropout this blow-up overflows float64 in matmuls on its way to the NaN loss.
+    # The diverging run overflows float64 in matmuls on its way to the NaN loss.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_dropout_worker_is_joined_when_train_raises(self):
-        data = toy_separable(16)
-        cfg = ModelConfig(**{**TINY.__dict__, "learning_rate": 1e200, "epochs": 4, "dropout": 0.1})
-        before = threading.enumerate()
-        with pytest.raises(TrainingDivergedError):
-            train(cfg, data, data)
-        assert threading.enumerate() == before
-
-    def test_training_without_dropout_starts_no_thread(self, monkeypatch):
+    def test_training_starts_no_thread(self, monkeypatch):
+        """With or without dropout, and when training diverges, ``train`` runs on the caller's thread alone."""
         def refuse(thread):
             raise AssertionError(f"train started {thread!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         data = toy_separable(20)
-        assert TINY.dropout == 0.0
-        train(TINY, data, data)
+        for dropout in (0.0, 0.1):
+            train(replace(TINY, dropout=dropout), data, data)
+        with pytest.raises(TrainingDivergedError):
+            train(replace(TINY, learning_rate=1e200, epochs=4, dropout=0.1), data, data)
 
     @staticmethod
     def mixed_lengths(count, seed):
@@ -662,40 +642,6 @@ class TestTraining:
         monkeypatch.setattr(corpus_module, "tier_plan", spy)
         train(cfg, train_data, dev_data)
         assert len(planned) == len(set(planned)) == math.ceil(40 / cfg.batch_size) + math.ceil(20 / cfg.batch_size)
-
-    def test_dropout_worker_calls_no_public_function(self, monkeypatch):
-        """The worker that draws dropout calls no public function of the package, so a tracer that wraps them
-        sees spans from the main thread only; ``tier_plan`` and every other one runs there."""
-        import importlib
-        import inspect
-        import pkgutil
-
-        import guided_attention.model as model_module
-
-        modules = [guided_attention] + [importlib.import_module(f"guided_attention.{info.name}")
-                                        for info in pkgutil.iter_modules(guided_attention.__path__)
-                                        if info.name != "__main__"]
-        calls, wrappers = [], {}
-
-        def recording(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append((name, threading.current_thread()))
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for module in modules:
-            for attr, obj in list(vars(module).items()):
-                if inspect.isfunction(obj) and obj.__module__.startswith("guided_attention.") and (
-                    not attr.startswith("_") or obj is model_module._draw_keeps
-                ):
-                    wrappers.setdefault(obj, recording(f"{obj.__module__}.{obj.__name__}", obj))
-                    monkeypatch.setattr(module, attr, wrappers[obj])
-        train(replace(TINY, max_len=30, dropout=0.1), self.mixed_lengths(40, 3), self.mixed_lengths(16, 4))
-        main = threading.main_thread()
-        names = {name for name, _ in calls}
-        assert {"guided_attention.attention.tier_plan", "guided_attention.model._draw_keeps"} <= names
-        assert all(thread is not main for name, thread in calls if name.endswith("._draw_keeps"))
-        assert [name for name, thread in calls if thread is not main and not name.endswith("._draw_keeps")] == []
 
     def test_best_dev_epoch_retained(self):
         data = toy_separable(40)
