@@ -19,8 +19,8 @@ from . import autodiff as ad
 from .autodiff import Plan, Tensor
 
 # What a tier costs ``autodiff.attention`` beyond its score cells, in cells. Timing
-# the node's forward and backward passes (H = 6, d_k = 8) gave about 90-200 µs per
-# call and 0.19-0.24 µs per score cell (B·n²): a tier breaks even at 400-1000 cells.
+# the node's forward and backward passes (H = 6, d_k = 8) gave about 70-100 µs per
+# call and 0.12-0.15 µs per score cell (B·n²): a tier breaks even at 500-800 cells.
 # Tier widths move the rounding of softmax sums: a new value needs a paired-seed study.
 TIER_CELLS = 3000
 

@@ -24,6 +24,7 @@ same pass on a batch of one sentence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +76,18 @@ def apply_fallback(allowed: np.ndarray, n_valid) -> np.ndarray:
     """
     allowed = allowed.copy()
     valid_rows = np.arange(allowed.shape[-1]) < np.asarray(n_valid)[..., None]
-    *grid, rows = np.nonzero(valid_rows & ~allowed.any(axis=-1))
+    *grid, rows = np.nonzero(valid_rows & ~_any_rows(allowed))
     allowed[(*grid, rows, rows)] = True
     return allowed
+
+
+def _any_rows(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=-1)`` of a boolean ``a``, taken down the columns of a transposed copy.
+
+    numpy reduces each short row in a call of its own, about twice as slow on a (32, 19, 19) block.
+    """
+    rows = a.reshape(math.prod(a.shape[:-1]), a.shape[-1])
+    return np.ascontiguousarray(rows.T).any(axis=0).reshape(a.shape[:-1])
 
 
 def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:

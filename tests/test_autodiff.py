@@ -398,6 +398,7 @@ class TestAttention:
 
         with np.errstate(invalid="ignore"):
             _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+            assert weights.tobytes() == heads_per_head(q, k, v, masks, None)[1].tobytes()  # NaN bits too
         assert np.all(np.isnan(weights[nan_rows]))
         finite = [i for i in range(3) if i not in nan_rows]
         expected = self.reference_weights(q[finite], k, [masks[0][finite]], 0, 2)
@@ -454,7 +455,9 @@ class TestAttention:
         """Operands, additive masks, ``keep``, batch ``rows`` and an upstream gradient for ``ad._heads``.
 
         Leads broadcast: each operand and mask drops leading axes or holds 1 on some, and a mask is a
-        (..., n, m) block or a (..., 1, m) key row. A mask may close rows, so the kernel may raise."""
+        (..., n, m) block or a (..., 1, m) key row. A mask may close rows, so the kernel may raise.
+        Queries scaled by 300 or 2000 spread rows far enough for ``exp`` to give tiny results (below
+        ``ad.EXP_FLOOR``) or exactly 0."""
         heads, d_k, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
         n, m, lead = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.lists(st.integers(1, 3), max_size=2))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -464,6 +467,7 @@ class TestAttention:
             return (*[1 if draw(st.booleans()) else size for size in kept], *last)
 
         q, k, v = (rng.normal(size=shape(lead, r, heads * d)) for r, d in ((n, d_k), (m, d_k), (m, d_v)))
+        q *= draw(st.sampled_from([1.0, 300.0, 2000.0]))
         lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
         closed = draw(st.sampled_from([0.0, 0.3, 0.7]))
         masks = [np.where(rng.random(shape(lead, draw(st.sampled_from([n, 1])), m)) < closed, NEG_INF, 0.0)
@@ -487,6 +491,39 @@ class TestAttention:
         out, weights, grads = ad._heads(q, k, v, masks, keep, rows)
         for got, want in zip((out, weights, *grads(upstream)), (want_out, want_weights, *want_grads(upstream))):
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_row_max_equals_numpy_max_bit_for_bit(self):
+        """Taken down the columns, the row max is numpy's, with ``-inf``, NaN of either sign and zero lanes."""
+        rng = np.random.default_rng(43)
+        for width in range(1, 41):
+            p = rng.normal(size=(3, 40, width))
+            for lane, share in ((NEG_INF, 0.4), (np.nan, 0.02), (-np.nan, 0.02), (0.0, 0.1)):
+                p[rng.random(p.shape) < share] = lane
+            p[1] = -np.abs(p[1])  # zeros are -0 here, +0 elsewhere
+            assert ad._row_max(p).tobytes() == p.max(axis=-1, keepdims=True).tobytes()
+        # Only a row whose maximum is both +0 and -0 may differ in sign; a {0, -inf} mask leaves no -0.
+        assert ad._row_max(np.array([[0.0, -0.0] * 5, [-0.0, 0.0] * 5]))[:, 0].tolist() == [0.0, 0.0]
+        assert ad._row_max(np.empty((2, 0))).tolist() == [[NEG_INF], [NEG_INF]]
+
+    @pytest.mark.parametrize("score, floored", [(-600.0, True), (-720.0, False), (-800.0, True)])
+    def test_exp_sees_no_lane_below_the_floor_unless_one_lies_in_the_band(self, score, floored, monkeypatch):
+        """With a masked lane, ``np.exp`` sees the lanes raised to ``ad.EXP_FLOOR``, unless an open lane lies
+        in [-746, -700), whose tiny weight the floor would zero: then it sees the raw lanes."""
+        q, k, v = np.array([[1.0]]), np.array([[0.0], [score], [5.0]]), np.array([[1.0], [2.0], [3.0]])
+        masks = [np.array([[0.0, 0.0, NEG_INF]])]  # lanes reach exp as [0, score, -inf]
+        seen, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            seen.append(x.min())
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        out, weights, _ = ad._heads(q, k, v, masks, None)
+        monkeypatch.undo()
+        assert seen == [ad.EXP_FLOOR if floored else NEG_INF]
+        want_out, want_weights, _ = heads_per_head(q, k, v, masks, None)
+        assert (out.tobytes(), weights.tobytes()) == (want_out.tobytes(), want_weights.tobytes())
+        assert (weights[0, 0, 1] > 0.0) == (score > ad.UNDERFLOW)
 
     def test_a_second_backward_pass_gets_the_same_gradients(self):
         """The first backward pass writes dP over the forward's dropped weights; a second one recomputes them."""

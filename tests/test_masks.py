@@ -257,6 +257,16 @@ class TestFallbackAndCombine:
         npt.assert_array_equal(allowed, before)
         assert [mask_open_pairs(grid) for grid in out] == [{(0, 1), (1, 1), (2, 2)}, {(0, 0), (2, 0)}]
 
+    def test_any_rows_equals_numpy_any(self):
+        """The transposed reduction under ``apply_fallback`` is ``np.any`` over the last axis, widths 0-40."""
+        rng = np.random.default_rng(5)
+        for width in range(41):
+            for share in (0.0, 0.05, 0.5):
+                for shape in ((3, 7, width), (7, width)):
+                    allowed = rng.random(shape) < share
+                    got, want = masks_mod._any_rows(allowed), allowed.any(axis=-1)
+                    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_batches_get_the_fallback_only_from_apply_fallback(self, monkeypatch):
         monkeypatch.setattr(masks_mod, "apply_fallback", lambda mask, n_valid: mask)
         batch, _ = batch_of([sent(["no", "parse", "here"])], 4, ("depsyn",))
