@@ -1,8 +1,10 @@
 """Transformer encoder with role-guided attention heads.
 
-Attention heads are constrained by additive {0, -inf} masks derived from
-five linguistic roles (rare words, separators, dependency syntax, major
-syntactic relations, relative position); the remaining heads stay regular.
+Attention heads are constrained by masks derived from five linguistic roles
+(rare words, separators, dependency syntax, major syntactic relations,
+relative position); the remaining heads stay regular. A mask is a boolean
+block, True where a query may attend to a key, and the batch's attention
+plan (``autodiff.Plan``) makes it the additive {0, -inf} mask the scores take.
 The heads of a layer differ only in their masks: each of Q, K and V is one
 packed projection that holds every head. The package bundles the
 mask-construction pipeline, a small float64 autodiff engine, a training

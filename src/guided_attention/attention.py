@@ -2,16 +2,19 @@
 
 A guided head adds its role mask to the raw attention scores before the
 softmax, ``softmax((Q Kᵀ + M) / sqrt(d_k)) V``; because mask entries are 0 or
-``-inf`` this is numerically identical to masking after the scaling. Regular
-heads receive the padding mask only, as one row that closes the padded key
-columns. Heads differ only in their masks: each of Q, K and V is one packed
-projection with the heads side by side along its last axis, and all heads
-of a layer are computed together by one ``autodiff.attention`` node, which
-returns the read-only weights of every head alongside the outputs, so mask
-support can be checked directly.
+``-inf`` this is numerically identical to masking after the scaling. A mask
+is a boolean block until the batch's ``autodiff.Plan`` makes it additive.
+Regular heads receive the padding mask only, as one row that closes the
+padded key columns. Heads differ only in their masks: each of Q, K and V is
+one packed projection with the heads side by side along its last axis, and
+all heads of a layer are computed together by one ``autodiff.attention``
+node, which returns the read-only weights of every head alongside the
+outputs, so mask support can be checked directly.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -53,25 +56,25 @@ def multi_head(
     wk: Tensor,
     wv: Tensor,
     wo: Tensor,
-    masks: list[np.ndarray] | Plan,
-    keep: np.ndarray | None = None,
-) -> tuple[Tensor, np.ndarray]:
-    """Guided multi-head self-attention over ``x`` of shape (..., n, d_model).
+    plan: Plan,
+    keep: Sequence[np.ndarray] | None = None,
+) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+    """Guided multi-head self-attention over the packed (T, d_model) rows ``x`` of a batch.
 
     ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns
-    ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``masks`` holds one
-    additive {0, -inf} mask per head, broadcastable to (..., n, n): a guided
-    head's role mask, or a (..., 1, n) row of valid key columns for a
-    regular head. ``keep``, an (H, ..., n, n) inverted-dropout multiplier,
-    scales the weights before they meet V; the layer draws nothing. Returns
-    the layer output and the (H, ..., n, n) attention weights before
-    dropout, read-only and off the tape.
+    ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``plan``, an
+    ``autodiff.Plan`` of the batch, holds each head's mask: a guided head's
+    role block, or the (B, 1, n) row of valid keys for a regular head (see
+    ``model.forward_stages``). ``keep``, one (H, count, width, width)
+    inverted-dropout multiplier per tier, scales the weights before they
+    meet V; the layer draws nothing. Returns the (T, d_model) layer output
+    and the weights before dropout, one (H, count, width, width) block per
+    tier, read-only and off the tape (see ``autodiff.attention``).
 
-    With an ``autodiff.Plan`` of a (B, n) batch in place of ``masks``, which
-    holds the heads' masks (see ``model.forward_stages``), ``x`` and the
-    output are packed rows, and ``keep`` and the weights are one
-    (H, count, width, width) block per tier (see ``autodiff.attention``).
+    One sentence's (n, d_model) ``x`` under boolean (n, n) head blocks
+    ``allowed`` is the one-row batch of the one-tier plan
+    ``Plan.build(np.ones((1, n), bool), tier_plan([n]), allowed)``.
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    out, weights = ad.attention(q, k, v, masks, keep)
+    out, weights = ad.attention(q, k, v, plan, keep)
     return ad.matmul(out, wo), weights

@@ -167,7 +167,7 @@ class Tier(NamedTuple):
     count: int
     width: int
     span: slice
-    masks: tuple[np.ndarray, ...]
+    masks: tuple[np.ndarray, ...]  # one per head, each broadcasting to (count, width, width)
 
     def view(self, laid_out: np.ndarray) -> np.ndarray:
         return laid_out[self.span].reshape(self.count, self.width, -1)
@@ -184,23 +184,35 @@ class Plan(NamedTuple):
     def build(cls, valid: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
         """The plan of a batch's packed rows and its heads' additive masks, built once for every layer of a pass.
 
-        ``valid`` is the batch's (B, n) grid of real tokens, ``tiers`` its rows per tier
-        from ``attention.tier_plan``, and ``allowed`` each head's boolean block, broadcastable
-        to (B, n, n). Each distinct block becomes one {0, -inf} mask per tier: at its own
-        shape for a lone tier, else cut to the tier's (count, width, width) block first.
+        ``valid`` is the batch's (B, n) grid of real tokens, each row's leading ones; ``tiers``
+        its rows per tier from ``attention.tier_plan``, every row in exactly one; and ``allowed``
+        each head's boolean block, broadcastable to (B, n, n). Each distinct block becomes one
+        {0, -inf} mask per tier: at its own shape for a lone tier, else cut to the tier's
+        (count, width, width) block first. Any other input raises :class:`ShapeMismatchError`.
         """
+        if not allowed:
+            raise ShapeMismatchError("attention needs at least one mask block, one per head")
         if any(a.dtype != bool for a in allowed):  # an additive {0, -inf} mask would come out inverted
             raise ShapeMismatchError(f"attention mask blocks must be boolean, got {[str(a.dtype) for a in allowed]}")
         b, n = valid.shape
+        try:
+            shape = np.broadcast_shapes((b, n, n), *{a.shape for a in allowed})
+        except ValueError:
+            shape = None
+        if shape != (b, n, n):
+            raise ShapeMismatchError(f"attention masks {[a.shape for a in allowed]} vs {(b, n, n)}")
+        if not tiers or not np.array_equal(np.sort(np.concatenate(tiers)), np.arange(b)):
+            raise ShapeMismatchError(f"attention tiers {[t.tolist() for t in tiers]} must hold rows 0..{b - 1} once")
+        rises = valid[:, 1:] > valid[:, :-1]  # a tier is laid out at its longest row, from each row's first token
+        if np.count_nonzero(valid[:, :1]) != b or rises.any():
+            row = int(np.argmax(~valid[:, :1].any(axis=1) | rises.any(axis=1)))
+            raise ShapeMismatchError(f"batch row {row} must lead with valid tokens, got {valid[row].astype(int)}")
         if len(tiers) == 1:
             at = None if valid.all() else np.flatnonzero(valid)
             additive = {id(a): np.where(a, 0.0, NEG_INF) for a in allowed}
             masks = tuple(additive[id(a)] for a in allowed)
             return cls(valid, (Tier(slice(None), b, n, slice(0, b * n), masks),), at)
-        try:
-            distinct = {id(a): np.broadcast_to(a, (b, n, n)) for a in allowed}
-        except ValueError as exc:
-            raise ShapeMismatchError(f"attention masks {[np.shape(a) for a in allowed]} vs {(b, n, n)}") from exc
+        distinct = {id(a): np.broadcast_to(a, (b, n, n)) for a in allowed}
         first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
         placed, stop = [], 0
         for rows in tiers:
@@ -223,29 +235,25 @@ class Plan(NamedTuple):
         return out
 
 
-def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tensor, np.ndarray | tuple]:
-    """Masked scaled dot-product attention of H heads, as one tape node.
+def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+    """Masked scaled dot-product attention of H heads over a batch's packed rows, as one tape node.
 
-    ``q`` is (..., n, H·d_k), ``k`` (..., m, H·d_k) and ``v`` (..., m, H·d_v),
-    with the heads packed along the last axis, and ``masks`` holds one
-    additive {0, -inf} mask per head, each broadcastable to (..., n, m).
-    Head ``h`` computes ``softmax((Q_h K_hᵀ + masks[h]) / sqrt(d_k)) V_h``
-    over the last axis; ``keep``, an (H, ..., n, m) inverted-dropout multiplier
-    (0 or ``1 / (1 - rate)``), scales the weights before they meet ``V_h``.
+    ``q`` and ``k`` are (T, H·d_k) and ``v`` (T, H·d_v), one row per valid token of
+    ``plan``'s (B, n) batch, with the heads packed along the last axis. ``plan``, from
+    :meth:`Plan.build`, holds the batch's tiers and one {0, -inf} mask per head and tier.
+    Head ``h`` computes ``softmax((Q_h K_hᵀ + M_h) / sqrt(d_k)) V_h`` within each sentence;
+    ``keep``, if given, holds one (H, count, width, width) inverted-dropout multiplier
+    (0 or ``1 / (1 - rate)``) per tier, for the tier's rows and its ``[:width, :width]``
+    pairs, which scales the weights before they meet ``V_h``. A single sentence's (n, ·)
+    operands under boolean (n, n) blocks ``allowed`` are the packed rows of the one-tier plan
+    ``Plan.build(np.ones((1, n), bool), attention.tier_plan([n]), allowed)``.
 
-    Returns the head outputs concatenated along the last axis, (..., n, H·d_v),
-    and the (H, ..., n, m) weights before dropout: off the tape, and read-only
-    because the backward pass reads them.
+    Returns the head outputs concatenated along the last axis, (T, H·d_v), and the
+    weights before dropout, one (H, count, width, width) block per tier: off the tape, and
+    read-only because the backward pass reads them. The node scatters q, k and v once
+    into the plan's layout, computes each tier, and gathers once.
 
-    With a :class:`Plan` of a (B, n) batch from :meth:`Plan.build` in place
-    of ``masks``, q, k, v, the output and the gradients are packed (T, ·) rows
-    instead, and ``keep`` holds one (H, count, width, width) block per tier,
-    for the tier's rows and its ``[:width, :width]`` pairs. The node scatters
-    q, k and v once into the plan's layout, computes each tier on its masks and
-    its block of ``keep``, and gathers once. The weights are one
-    (H, count, width, width) block per tier.
-
-    All heads are computed at once, on (H, ..., r, d) views of the operands.
+    All heads of a tier are computed at once, on (H, count, width, d) views of the operands.
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
     maximum is at most 0, and a masked entry is ``-inf`` whatever its finite
@@ -257,20 +265,12 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tenso
     a block with a lane in [-746, -700) takes plain ``exp``, so the weights
     are bit for bit those of ``p.max(axis=-1)`` and ``np.exp``. A row whose
     maximum is ``-inf`` (every key masked) raises :class:`DegenerateRowError`
-    naming the first such head and its row; a row holding a NaN or +inf score,
-    open or masked, comes out entirely NaN.
+    naming the first such head and its (batch row, token); a row holding a NaN
+    or +inf score, open or masked, comes out entirely NaN.
     """
+    if not isinstance(plan, Plan):
+        raise ShapeMismatchError(f"attention takes a batch's autodiff.Plan (Plan.build), not a {type(plan).__name__}")
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if not isinstance(masks, Plan):
-        out, weights, grads = _heads(q.data, k.data, v.data, masks, keep)
-
-        def backward(g):
-            for t, grad in zip((q, k, v), grads(g)):
-                _accumulate(t, grad)
-
-        return _record(Tensor(out), (q, k, v), backward), weights
-
-    plan = masks
     if keep is None:
         keep = (None,) * len(plan.tiers)
     elif len(keep) != len(plan.tiers):  # _heads checks each block's shape
@@ -294,52 +294,42 @@ def attention(q, k, v, masks: list[np.ndarray] | Plan, keep=None) -> tuple[Tenso
 
 
 def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
-    """The kernel of :func:`attention` on laid-out operands: its output, weights and the map from the output's
-    gradient to those of qd, kd and vd, into ``out``/``into`` if set. Row (i, ...) is named (rows[i], ...).
+    """The kernel of :func:`attention` on one tier: its output, weights and the map from the output's gradient
+    to those of qd, kd and vd, into ``out``/``into`` if set. The operands are (count, width, ·), each of the
+    ``masks`` broadcasts to (count, width, width), and row (i, j) is named (rows[i], j).
 
     Its softmax avoids two slow numpy paths on sparse masks, without changing a bit: :func:`_row_max`
     replaces the per-row reduce, and :func:`_exp` keeps masked lanes off ``np.exp``'s non-SIMD path."""
     heads = len(masks)
-    if heads < 1 or qd.ndim < 2 or kd.ndim < 2 or vd.ndim < 2:
-        raise ShapeMismatchError("attention needs at least one mask and operands of >=2-D")
     if qd.shape[-1] != kd.shape[-1] or qd.shape[-1] % heads or vd.shape[-1] % heads:
         raise ShapeMismatchError(
             f"attention cannot split query/key/value {qd.shape}, {kd.shape}, {vd.shape} into {heads} heads"
         )
-    if kd.shape[-2] != vd.shape[-2]:
-        raise ShapeMismatchError(f"key/value length mismatch: {kd.shape} vs {vd.shape}")
-    try:
-        lead = np.broadcast_shapes(qd.shape[:-2], kd.shape[:-2], vd.shape[:-2])
-    except ValueError as exc:
-        raise ShapeMismatchError(f"attention cannot broadcast {qd.shape}, {kd.shape}, {vd.shape}") from exc
-    n, m = qd.shape[-2], kd.shape[-2]
-    if keep is not None and keep.shape != (heads, *lead, n, m):
-        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, *lead, n, m)}")
+    count, width = qd.shape[:2]
+    if keep is not None and keep.shape != (heads, count, width, width):
+        raise ShapeMismatchError(f"attention keep shape {keep.shape} vs weights {(heads, count, width, width)}")
     scale = 1.0 / math.sqrt(qd.shape[-1] // heads)
-    qh, kh, vh = (_split_heads(a, heads, len(lead) + 2) for a in (qd, kd, vd))
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2), out=np.empty((heads, *lead, n, m)))
+    qh, kh, vh = (_split_heads(a, heads) for a in (qd, kd, vd))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2), out=np.empty((heads, count, width, width)))
     p *= scale  # for a {0, -inf} mask, p + mask equals (QKᵀ + M) * scale
     for h, mask in enumerate(masks):
-        try:
-            p[h] += mask
-        except ValueError as exc:
-            raise ShapeMismatchError(f"mask shape {np.shape(mask)} does not broadcast to {p[h].shape}") from exc
+        p[h] += mask
     row_max = _row_max(p)
     closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
     if closed.any():
-        h, *row = (int(i) for i in np.argwhere(closed)[0])
-        row[0] = int(rows[row[0]]) if isinstance(rows, np.ndarray) else row[0]
-        raise DegenerateRowError(f"attention head {h}: every key of row {tuple(row)} is masked")
+        h, i, j = (int(i) for i in np.argwhere(closed)[0])
+        i = int(rows[i]) if isinstance(rows, np.ndarray) else i
+        raise DegenerateRowError(f"attention head {h}: every key of row {(i, j)} is masked")
     p -= row_max
     _exp(p)
     p /= p.sum(axis=-1, keepdims=True)
     p.flags.writeable = False  # the backward pass reads these weights
-    out = np.empty((*lead, n, vd.shape[-1])) if out is None else out
+    out = np.empty((count, width, vd.shape[-1])) if out is None else out
     held = [] if keep is None else [p * keep]  # the first backward pass reads it, then writes dP over it
     np.matmul(held[0] if held else p, vh, out=_split_heads(out, heads))
 
     def grads(g, into=None):
-        dq, dk, dv = into or [np.empty((*lead, r, a.shape[-1])) for r, a in ((n, qd), (m, kd), (m, vd))]
+        dq, dk, dv = into or [np.empty((count, width, a.shape[-1])) for a in (qd, kd, vd)]
         gh = _split_heads(g, heads)
         dropped = held.pop() if held else (p if keep is None else p * keep)
         np.matmul(np.swapaxes(dropped, -1, -2), gh, out=_split_heads(dv, heads))
@@ -396,10 +386,9 @@ def _exp(p: np.ndarray) -> None:
     p *= keep
 
 
-def _split_heads(a: np.ndarray, heads: int, ndim: int = 0) -> np.ndarray:
-    """(..., r, H·d) ``a`` as an (H, ..., r, d) view, with leading 1s to make ``ndim`` axes after H broadcast."""
-    a = a.reshape((1,) * (ndim - a.ndim) + a.shape[:-1] + (heads, -1), copy=False)
-    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    """(count, r, H·d) ``a`` as an (H, count, r, d) view."""
+    return a.reshape(*a.shape[:-1], heads, -1, copy=False).transpose(2, 0, 1, 3)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

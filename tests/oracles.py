@@ -202,6 +202,17 @@ def cut_keep(plan, keep: np.ndarray | None) -> list[np.ndarray] | None:
     return None if keep is None else [keep[:, tier.rows, :tier.width, :tier.width] for tier in plan.tiers]
 
 
+def square_plan(*blocks: np.ndarray) -> ad.Plan:
+    """The all-valid, lone-tier plan of boolean (n, n) or (B, n, n) head ``blocks``, B from the blocks.
+
+    Its packed rows are those of (B, n, ·) operands, row after row: one sentence's
+    (n, ·) operands as they are, and a (B, n, ·) batch's as its (B·n, ·) reshape.
+    """
+    shape = np.broadcast_shapes(*(block.shape for block in blocks))
+    b = shape[0] if len(shape) == 3 else 1
+    return ad.Plan.build(np.ones((b, shape[-1]), dtype=bool), (np.arange(b),), list(blocks))
+
+
 def tensor_sum(x) -> Tensor:
     """Sum of all entries, as a scalar tensor."""
     x = ad.as_tensor(x)
@@ -220,6 +231,16 @@ def transpose_last(x) -> Tensor:
         ad._accumulate(x, np.swapaxes(g, -1, -2))
 
     return ad._record(Tensor(np.swapaxes(x.data, -1, -2)), (x,), backward)
+
+
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
+    """``x`` in another shape of the same entries, such as (B, n, d) activations as (B·n, d) rows."""
+    x = ad.as_tensor(x)
+
+    def backward(g):
+        ad._accumulate(x, g.reshape(x.shape))
+
+    return ad._record(Tensor(x.data.reshape(shape)), (x,), backward)
 
 
 def concat_last(tensors) -> Tensor:
@@ -314,17 +335,18 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
     """Class scores of ``model.forward_batch`` with every stage on padded (B, n, ·) activations.
 
     n is the batch's longest sentence. Padded positions carry the pad id's
-    embedding through every layer; their key columns are closed in every
-    mask and the pooling skips them. Dropout draws from ``rng`` one tensor
-    at a time with :func:`dropout_keep`, per layer the ``(H, B, n, n)``
-    attention weights, then the ``(B, n, ff_width)`` feed-forward units.
+    embedding through every layer. Attention takes every position as a row
+    of an all-valid :func:`square_plan`, but a padded key column is closed
+    in every block, and the pooling skips padded positions. Dropout draws
+    from ``rng`` one tensor at a time with :func:`dropout_keep`, per layer
+    the ``(H, B, n, n)`` attention weights, then the ``(B, n, ff_width)``
+    feed-forward units.
     """
     n = int(batch.lengths.max())
     valid = np.arange(n) < batch.lengths[:, None]
-    key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
-    blocks = {role: np.where(block, 0.0, NEG_INF) for role, block in batch.allowed.items()}
-    blocks["padding"] = key_row
-    masks = [blocks[role] for role in cfg.guided_roles] + [key_row] * cfg.extra_regular_heads
+    key_row = valid[:, None, :]
+    blocks = {**batch.allowed, "padding": key_row}
+    plan = square_plan(*[blocks[role] for role in cfg.guided_roles], *[key_row] * cfg.extra_regular_heads)
     tok = ad.embedding(params["embed.token"], batch.token_ids[:, :n])
     x = ad.add(ad.mul(tok, math.sqrt(cfg.d_model)), Tensor(sinusoidal_encoding(n, cfg.d_model)))
     rate = cfg.dropout if training else 0.0
@@ -333,8 +355,10 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
             "attn.wq", "attn.wk", "attn.wv", "attn.wo", "norm1.gain", "norm1.bias",
             "ff.w1", "ff.b1", "ff.w2", "ff.b2", "norm2.gain", "norm2.bias",
         )}
-        keep = dropout_keep((cfg.heads, *valid.shape, n), rate, rng)
-        attn_out, _ = multi_head(x, p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"], masks, keep)
+        keep = cut_keep(plan, dropout_keep((cfg.heads, *valid.shape, n), rate, rng))
+        projections = (p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"])
+        rows, _ = multi_head(reshape(x, (-1, cfg.d_model)), *projections, plan, keep)
+        attn_out = reshape(rows, x.shape)
         x = ad.layer_norm(ad.add(x, attn_out), p["norm1.gain"], p["norm1.bias"])
         hidden = dropout(ad.relu(ad.add(ad.matmul(x, p["ff.w1"]), p["ff.b1"])), rate, rng)
         ff_out = ad.add(ad.matmul(hidden, p["ff.w2"]), p["ff.b2"])

@@ -34,6 +34,7 @@ from oracles import (
     rare_columns_bruteforce,
     relative_error,
     separator_columns_bruteforce,
+    square_plan,
     tensor_sum,
     tridiagonal_pairs,
 )
@@ -122,7 +123,8 @@ def test_criterion_2_masked_attention_oracle():
             for i in range(n):  # guarantee feasibility
                 if not np.any(mask[i] == 0.0):
                     mask[i, i] = 0.0
-            out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+            out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
+            weights = weights[0, 0]  # the one head's block of the one sentence
             exp_out, exp_w = attention_naive(q, k, v, mask)
             npt.assert_allclose(out.data, exp_out, atol=1e-12)
             npt.assert_allclose(weights, exp_w, atol=1e-12)
@@ -188,22 +190,23 @@ def test_criterion_5_zero_influence_zero_gradient():
         mask[:, masked_key] = NEG_INF
 
         q0, k0, v0 = (rng.normal(size=(n, d_k)) for _ in range(3))
-        out0, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v0), [mask])
+        plan = square_plan(mask == 0.0)
+        out0, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v0), plan)
 
         v1 = v0.copy()
         v1[masked_key] += rng.normal(size=d_k) * 1e3
-        out_v, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v1), [mask])
+        out_v, _ = ad.attention(Tensor(q0), Tensor(k0), Tensor(v1), plan)
         npt.assert_array_equal(out0.data, out_v.data)  # exact, not approximate
 
         k1 = k0.copy()
         k1[masked_key] -= 7.5
-        out_k, _ = ad.attention(Tensor(q0), Tensor(k1), Tensor(v0), [mask])
+        out_k, _ = ad.attention(Tensor(q0), Tensor(k1), Tensor(v0), plan)
         npt.assert_array_equal(out0.data, out_k.data)
 
         q = Tensor(q0, requires_grad=True)
         k = Tensor(k0, requires_grad=True)
         v = Tensor(v0, requires_grad=True)
-        out, _ = ad.attention(q, k, v, [mask])
+        out, _ = ad.attention(q, k, v, plan)
         ad.backward(tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
         npt.assert_array_equal(k.grad[masked_key], np.zeros(d_k))
         npt.assert_array_equal(v.grad[masked_key], np.zeros(d_k))

@@ -14,7 +14,10 @@ from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
-from oracles import attention_naive, dropout_keep, multi_head_per_head, softmax_rows, tensor_sum, tier_cost_bruteforce
+from oracles import (
+    attention_naive, dropout_keep, multi_head_per_head, reshape, softmax_rows, square_plan, tensor_sum,
+    tier_cost_bruteforce,
+)
 
 NEG_INF = float("-inf")
 
@@ -97,26 +100,28 @@ class TestScaledDotAttention:
     def test_orthogonal_keys_peak_on_match(self):
         q = np.eye(3) * 8.0
         v = np.arange(9.0).reshape(3, 3)
-        _, (weights,) = ad.attention(Tensor(q), Tensor(q), Tensor(v), [np.zeros((3, 3))])
-        assert np.all(weights.argmax(axis=1) == np.arange(3))
+        _, (weights,) = ad.attention(Tensor(q), Tensor(q), Tensor(v), square_plan(np.ones((3, 3), dtype=bool)))
+        assert np.all(weights[0, 0].argmax(axis=1) == np.arange(3))
 
     def test_single_position(self):
         v = np.array([[3.0, 1.0]])
-        out, (weights,) = ad.attention(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), Tensor(v), [np.zeros((1, 1))])
-        npt.assert_array_equal(weights, [[1.0]])
+        out, (weights,) = ad.attention(Tensor(np.ones((1, 2))), Tensor(np.ones((1, 2))), Tensor(v),
+                                       square_plan(np.ones((1, 1), dtype=bool)))
+        npt.assert_array_equal(weights, [[[[1.0]]]])
         npt.assert_array_equal(out.data, v)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(0)
         q, k, v = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((3, 3))])
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(np.ones((3, 3), dtype=bool)))
         exp_out, exp_w = attention_naive(q, k, v)
         npt.assert_allclose(out.data, exp_out, atol=1e-12)
-        npt.assert_allclose(weights, exp_w, atol=1e-12)
+        npt.assert_allclose(weights[0, 0], exp_w, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), [np.zeros((2, 2))])
+        with pytest.raises(ShapeMismatchError, match="cannot split"):
+            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))),
+                         square_plan(np.ones((2, 2), dtype=bool)))
 
 
 class TestMaskedAttention:
@@ -124,8 +129,9 @@ class TestMaskedAttention:
         rng = np.random.default_rng(1)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         base_w = softmax_rows(Tensor((q @ k.T) * (1.0 / math.sqrt(3)))).data
-        masked_out, (masked_w,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((4, 4))])
-        npt.assert_array_equal(masked_w, base_w)
+        plan = square_plan(np.ones((4, 4), dtype=bool))
+        masked_out, (masked_w,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), plan)
+        npt.assert_array_equal(masked_w[0, 0], base_w)
         npt.assert_array_equal(masked_out.data, base_w @ v)
 
     def test_single_allowed_column_collapses_to_that_value(self):
@@ -133,25 +139,25 @@ class TestMaskedAttention:
         q, k, v = (rng.normal(size=(3, 2)) for _ in range(3))
         mask = np.full((3, 3), NEG_INF)
         mask[:, 1] = 0.0
-        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
         for i in range(3):
             npt.assert_allclose(out.data[i], v[1], atol=1e-12)
-        npt.assert_array_equal(weights[:, 1], 1.0)
+        npt.assert_array_equal(weights[0, 0][:, 1], 1.0)
 
     def test_tridiagonal_matches_restricted_softmax_oracle(self):
         rng = np.random.default_rng(3)
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = relpos_mask(4)
-        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+        out, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
         exp_out, exp_w = attention_naive(q, k, v, mask)
         npt.assert_allclose(out.data, exp_out, atol=1e-12)
-        npt.assert_allclose(weights, exp_w, atol=1e-12)
+        npt.assert_allclose(weights[0, 0], exp_w, atol=1e-12)
 
     def test_infeasible_row_raises_degenerate_error(self):
         rng = np.random.default_rng(4)
         q, k, v = (rng.normal(size=(2, 2)) for _ in range(3))
         with pytest.raises(DegenerateRowError):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.full((2, 2), NEG_INF)])
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(np.zeros((2, 2), dtype=bool)))
 
     def test_rows_stochastic_and_support_respected(self):
         rng = np.random.default_rng(5)
@@ -161,9 +167,9 @@ class TestMaskedAttention:
             q, k, v = (rng.normal(size=(n, d)) for _ in range(3))
             mask = np.where(rng.random((n, n)) < 0.5, 0.0, NEG_INF)
             mask[np.arange(n), np.arange(n)] = 0.0  # feasibility
-            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
-            npt.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
-            assert np.all(weights[mask == NEG_INF] == 0.0)
+            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
+            npt.assert_allclose(weights[0, 0].sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(weights[0, 0][mask == NEG_INF] == 0.0)
 
     def test_zero_influence_of_masked_value_rows(self):
         # Perturbing V at a key position masked for every query changes nothing.
@@ -171,10 +177,10 @@ class TestMaskedAttention:
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = np.zeros((4, 4))
         mask[:, 2] = NEG_INF
-        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
         v2 = v.copy()
         v2[2] += rng.normal(size=3) * 100
-        out2, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v2), [mask])
+        out2, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v2), square_plan(mask == 0.0))
         npt.assert_array_equal(out.data, out2.data)
 
     def test_zero_influence_of_masked_key_rows(self):
@@ -182,10 +188,10 @@ class TestMaskedAttention:
         q, k, v = (rng.normal(size=(4, 3)) for _ in range(3))
         mask = np.zeros((4, 4))
         mask[:, 1] = NEG_INF
-        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
+        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
         k2 = k.copy()
         k2[1] += 42.0
-        out2, _ = ad.attention(Tensor(q), Tensor(k2), Tensor(v), [mask])
+        out2, _ = ad.attention(Tensor(q), Tensor(k2), Tensor(v), square_plan(mask == 0.0))
         npt.assert_array_equal(out.data, out2.data)
 
     def test_zero_gradient_to_masked_rows(self):
@@ -195,7 +201,7 @@ class TestMaskedAttention:
         v = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         mask = np.zeros((4, 4))
         mask[:, 3] = NEG_INF
-        out, _ = ad.attention(q, k, v, [mask])
+        out, _ = ad.attention(q, k, v, square_plan(mask == 0.0))
         ad.backward(tensor_sum(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
         npt.assert_array_equal(k.grad[3], np.zeros(3))
         npt.assert_array_equal(v.grad[3], np.zeros(3))
@@ -220,7 +226,7 @@ class TestMultiHead:
         x = Tensor(rng.normal(size=(n, d_model)))
         wq, wk, wv, wo = random_projections(rng, d_model)
         mask = relpos_mask(n)
-        out, _ = multi_head(x, wq, wk, wv, wo, [mask])
+        out, _ = multi_head(x, wq, wk, wv, wo, square_plan(mask == 0.0))
         direct, _ = attention_naive(x.data @ wq.data, x.data @ wk.data, x.data @ wv.data, mask)
         npt.assert_allclose(out.data, direct @ wo.data, rtol=0, atol=1e-12)
 
@@ -230,19 +236,21 @@ class TestMultiHead:
         n, d_model = len(s), 12
         role_masks = [additive(build_role_mask(r, s, twenty_vocab).values) for r in GUIDED_ROLES]
         x = Tensor(rng.normal(size=(n, d_model)))
-        _, head_weights = multi_head(x, *random_projections(rng, d_model), [*role_masks, np.zeros((n, n))])
-        assert head_weights.shape == (6, n, n)
+        plan = square_plan(*[mask == 0.0 for mask in role_masks], np.ones((n, n), dtype=bool))
+        _, (head_weights,) = multi_head(x, *random_projections(rng, d_model), plan)
+        assert head_weights.shape == (6, 1, n, n)
         for h, mask in enumerate(role_masks):
-            assert np.all(mask[head_weights[h] > 0.0] == 0.0)
+            assert np.all(mask[head_weights[h, 0] > 0.0] == 0.0)
         assert np.all(head_weights[5] > 0.0)
 
     def test_batched_input(self):
         rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(2, 4, 6)))
+        x = Tensor(rng.normal(size=(2, 4, 6)).reshape(8, 6))  # two 4-token sentences' rows
         relpos = np.stack([relpos_mask(4)] * 2)
         pad = np.zeros((2, 4, 4))
-        out, head_w = multi_head(x, *random_projections(rng, 6), [relpos, pad, pad])
-        assert out.shape == (2, 4, 6)
+        plan = square_plan(relpos == 0.0, pad == 0.0, pad == 0.0)
+        out, (head_w,) = multi_head(x, *random_projections(rng, 6), plan)
+        assert out.shape == (8, 6) and head_w.shape == (3, 2, 4, 4)
         for b in range(2):
             assert np.all(head_w[0][b][relpos[b] == NEG_INF] == 0.0)
 
@@ -257,11 +265,17 @@ class TestMultiHead:
         rng = np.random.default_rng(14)
         batch = make_batches(twenty[:3], twenty_vocab, 3, 10, GUIDED_ROLES, shuffle=False)[0]
         masks = [batch.role_masks[r] for r in GUIDED_ROLES] + [batch.pad_mask]
-        x = Tensor(rng.normal(size=(3, 10, 12)))
-        _, head_weights = multi_head(x, *random_projections(rng, 12), masks)
+        x = Tensor(rng.normal(size=(3, 10, 12)).reshape(30, 12))  # every position of the (3, 10) grid is a row
+        plan = square_plan(*[mask == 0.0 for mask in masks])
+        _, (head_weights,) = multi_head(x, *random_projections(rng, 12), plan)
         for w in head_weights:
             for row, length in enumerate(batch.lengths):
                 assert np.all(w[row, :, length:] == 0.0)
+
+    def test_masks_come_only_in_a_plan(self):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ShapeMismatchError, match=r"autodiff\.Plan \(Plan\.build\), not a list"):
+            multi_head(Tensor(rng.normal(size=(3, 4))), *random_projections(rng, 4), [np.zeros((3, 3))])
 
     def test_matches_per_head_reference_with_dropout(self, twenty, twenty_vocab):
         """The packed layer equals the head-by-head composition in outputs, gradients and RNG use."""
@@ -269,6 +283,7 @@ class TestMultiHead:
         n = int(batch.lengths.max())
         assert n < 12  # the batch is computed, and its dropout drawn, at its longest sentence
         masks = [batch.role_masks[r][:, :n, :n] for r in GUIDED_ROLES] + [batch.pad_mask[:, :n, :n]]
+        plan = square_plan(*[mask == 0.0 for mask in masks])
         rng = np.random.default_rng(15)
         per_head = [[rng.normal(size=(12, 2)) for _ in range(6)] for _ in "qkv"]
         wo = rng.normal(size=(12, 12))
@@ -285,8 +300,9 @@ class TestMultiHead:
             return out.data, [x.grad, wo_t.grad], gen.bit_generator.state
 
         def fused_layer(x, wq, wk, wv, wo, masks, gen):
-            """The packed layer, given one (H, B, n, n) draw for all its heads."""
-            return multi_head(x, wq, wk, wv, wo, masks, dropout_keep((6, 4, n, n), 0.3, gen))[0]
+            """The packed layer on every position's row, given one (H, B, n, n) draw for all its heads."""
+            rows, _ = multi_head(reshape(x, (4 * n, 12)), wq, wk, wv, wo, plan, [dropout_keep((6, 4, n, n), 0.3, gen)])
+            return reshape(rows, x.shape)
 
         def reference_layer(x, wq, wk, wv, wo, masks, gen):
             """The per-head layer, each head drawing its own (B, n, n) multiplier in turn."""
@@ -304,33 +320,33 @@ class TestMultiHead:
             npt.assert_allclose(a, b, rtol=0, atol=1e-12)
         assert fused_state == ref_state
         # Dropout was on: the same layer without it gives other outputs.
-        plain, _ = multi_head(Tensor(x_data), *(Tensor(t.data) for t in packed), Tensor(wo), masks)
-        assert not np.allclose(plain.data, fused)
+        plain, _ = multi_head(Tensor(x_data.reshape(4 * n, 12)), *(Tensor(t.data) for t in packed), Tensor(wo), plan)
+        assert not np.allclose(plain.data.reshape(fused.shape), fused)
 
 
 @settings(max_examples=80)
 @given(
-    lead=st.lists(st.integers(1, 3), max_size=2),
+    b=st.integers(1, 3),
     n=st.integers(1, 8),
-    m=st.integers(1, 8),
     heads=st.integers(1, 4),
     d_k=st.integers(1, 5),
     magnitude=st.sampled_from([1e-3, 1.0, 10.0, 300.0]),
     open_share=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_attention_weights_are_softmax_rows(lead, n, m, heads, d_k, magnitude, open_share, seed):
+def test_attention_weights_are_softmax_rows(b, n, heads, d_k, magnitude, open_share, seed):
     """Kernel weights equal softmax_rows bit for bit, are 0 where masked, and rows sum to 1."""
     rng = np.random.default_rng(seed)
-    q = rng.normal(size=(*lead, n, heads * d_k)) * magnitude
-    k = rng.normal(size=(*lead, m, heads * d_k))
-    v = rng.normal(size=(*lead, m, heads * 2))
-    is_open = rng.random((heads, *lead, n, m)) < open_share
-    keys = rng.integers(0, m, size=(heads, *lead, n))
+    q = rng.normal(size=(b, n, heads * d_k)) * magnitude
+    k = rng.normal(size=(b, n, heads * d_k))
+    v = rng.normal(size=(b, n, heads * 2))
+    is_open = rng.random((heads, b, n, n)) < open_share
+    keys = rng.integers(0, n, size=(heads, b, n))
     np.put_along_axis(is_open, keys[..., None], True, axis=-1)  # one open key per row at least
     masks = np.where(is_open, 0.0, NEG_INF)
 
-    _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), list(masks))
+    rows = [Tensor(a.reshape(b * n, -1)) for a in (q, k, v)]
+    _, (weights,) = ad.attention(*rows, square_plan(*is_open))
     for h in range(heads):
         cols = slice(h * d_k, (h + 1) * d_k)
         scores = q[..., cols] @ np.swapaxes(k[..., cols], -1, -2)

@@ -24,9 +24,11 @@ from oracles import (
     masked_mean,
     matmul_naive,
     relative_error,
+    reshape,
     softmax_rows,
     softmax_rows_naive,
     spread_weights,
+    square_plan,
     tensor_sum,
     transpose_last,
 )
@@ -302,13 +304,19 @@ class TestAttention:
     """``ad.attention``: all heads of a layer as one tape node."""
 
     @staticmethod
-    def packed_inputs(rng, lead=(2,), n=3, m=4, heads=2, d_k=3, d_v=2):
-        q = rng.normal(size=(*lead, n, heads * d_k))
-        k = rng.normal(size=(*lead, m, heads * d_k))
-        v = rng.normal(size=(*lead, m, heads * d_v))
-        masks = np.where(rng.random((heads, *lead, n, m)) < 0.4, NEG_INF, 0.0)
+    def packed_inputs(rng, b=2, n=3, heads=2, d_k=3, d_v=2):
+        """(b, n, ·) q, k and v, and one additive (b, n, n) mask per head with key 0 open."""
+        q = rng.normal(size=(b, n, heads * d_k))
+        k = rng.normal(size=(b, n, heads * d_k))
+        v = rng.normal(size=(b, n, heads * d_v))
+        masks = np.where(rng.random((heads, b, n, n)) < 0.4, NEG_INF, 0.0)
         masks[..., 0] = 0.0  # keep every row feasible
         return q, k, v, list(masks)
+
+    @staticmethod
+    def rows(*arrays):
+        """Tensors of the packed rows of (b, n, ·) ``arrays``, as a ``square_plan`` lays them out."""
+        return [Tensor(a.reshape(-1, a.shape[-1])) for a in arrays]
 
     @staticmethod
     def reference_weights(q, k, masks, h, d_k):
@@ -320,34 +328,35 @@ class TestAttention:
         rng = np.random.default_rng(30)
         q, k, v, masks = self.packed_inputs(rng)
         assert any(np.any(mk == NEG_INF) for mk in masks)
-        keep = dropout_keep((2, 2, 3, 4), 0.3, np.random.default_rng(31))
+        keep = dropout_keep((2, 2, 3, 3), 0.3, np.random.default_rng(31))
         assert np.any(keep == 0.0)
+        plan = square_plan(*[mk == 0.0 for mk in masks])
         check_grads(
             lambda q, k, v: random_weighted_sum(
-                ad.attention(q, k, v, masks, keep)[0], np.random.default_rng(32)
+                ad.attention(q, k, v, plan, [keep])[0], np.random.default_rng(32)
             ),
-            [q, k, v],
+            [a.reshape(6, -1) for a in (q, k, v)],
         )
 
     def test_packed_rows_equal_the_valid_rows_of_the_padded_layout(self):
         rng = np.random.default_rng(35)
         valid = np.arange(4) < np.array([4, 1, 3])[:, None]
-        key_row = np.where(valid, 0.0, NEG_INF)[:, None, :]
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
         keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
         plan = ad.Plan.build(valid, (np.arange(3),), [valid[:, None, :]] * 2)
+        every_position = square_plan(*[valid[:, None, :]] * 2)  # padded positions as rows, their keys closed
         runs = []
-        for inputs, masks, keeps in ((padded, [key_row, key_row], keep), ([a[valid] for a in padded], plan, [keep])):
-            tensors = [Tensor(a, requires_grad=True) for a in inputs]
-            out, weights = ad.attention(*tensors, masks, keeps)
-            ad.backward(tensor_sum(ad.mul(out, upstream if masks is not plan else upstream[valid])))
-            runs.append((out.data, weights, [t.grad for t in tensors]))
+        for layout, pick in ((every_position, lambda a: a.reshape(12, -1)), (plan, lambda a: a[valid])):
+            tensors = [Tensor(pick(a), requires_grad=True) for a in padded]
+            out, weights = ad.attention(*tensors, layout, [keep])
+            ad.backward(tensor_sum(ad.mul(out, pick(upstream))))
+            runs.append((out.data, spread_weights(layout, weights), [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
-        npt.assert_array_equal(packed_out, out[valid])
-        npt.assert_array_equal(spread_weights(plan, packed_weights), weights)
+        npt.assert_array_equal(packed_out, out.reshape(3, 4, 6)[valid])
+        npt.assert_array_equal(packed_weights, weights)
         for grad, packed_grad in zip(grads, packed_grads):
-            npt.assert_array_equal(packed_grad, grad[valid])
+            npt.assert_array_equal(packed_grad, grad.reshape(3, 4, 6)[valid])
         with pytest.raises(ShapeMismatchError, match="valid positions"):
             ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], plan)
         packed = [a[valid] for a in padded]
@@ -359,19 +368,20 @@ class TestAttention:
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
         q, k, v, masks = self.packed_inputs(rng)
-        keep = dropout_keep((2, 2, 3, 4), 0.5, np.random.default_rng(34))
-        out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, keep)
-        assert out.shape == (2, 3, 4) and weights.shape == (2, 2, 3, 4)
+        keep = dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(34))
+        out, (weights,) = ad.attention(*self.rows(q, k, v), square_plan(*[mk == 0.0 for mk in masks]), [keep])
+        assert out.shape == (6, 4) and weights.shape == (2, 2, 3, 3)
         for h in range(2):
             cols = slice(2 * h, 2 * h + 2)
-            npt.assert_allclose(out.data[..., cols], (weights[h] * keep[h]) @ v[..., cols], rtol=0, atol=1e-14)
+            npt.assert_allclose(out.data.reshape(2, 3, 4)[..., cols], (weights[h] * keep[h]) @ v[..., cols],
+                                rtol=0, atol=1e-14)
 
     def test_weights_equal_softmax_rows_bitwise(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
             q, k, v, masks = self.packed_inputs(rng, heads=3, d_k=4)
             q *= rng.choice([1e-3, 1.0, 30.0])
-            _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+            _, (weights,) = ad.attention(*self.rows(q, k, v), square_plan(*[mk == 0.0 for mk in masks]))
             for h in range(3):
                 npt.assert_array_equal(weights[h], self.reference_weights(q, k, masks, h, 4))
 
@@ -379,8 +389,8 @@ class TestAttention:
     def test_nonfinite_rows_behave_as_softmax_rows(self, case):
         """Row by row: every key masked raises, a NaN or +inf score gives a NaN row, any other row is the oracle's."""
         rng = np.random.default_rng(36)
-        q, k, v, masks = self.packed_inputs(rng, lead=(), n=3, m=3, heads=1, d_k=2, d_v=2)
-        q = np.abs(q) + 0.5
+        q, k, v, masks = self.packed_inputs(rng, b=1, n=3, heads=1, d_k=2, d_v=2)
+        q, k, v, masks = np.abs(q[0]) + 0.5, k[0], v[0], [masks[0][0]]
         nan_rows = [0, 1, 2]
         if case == "nan_key":
             k[1, 0] = np.nan  # one NaN score in every row
@@ -392,13 +402,15 @@ class TestAttention:
             nan_rows = [2]
         else:
             masks[0][1] = NEG_INF
-            with pytest.raises(DegenerateRowError, match=r"head 0: every key of row \(1,\) is masked"):
-                ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+            with pytest.raises(DegenerateRowError, match=r"head 0: every key of row \(0, 1\) is masked"):
+                ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(masks[0] == 0.0))
             return
 
         with np.errstate(invalid="ignore"):
-            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
-            assert weights.tobytes() == heads_per_head(q, k, v, masks, None)[1].tobytes()  # NaN bits too
+            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(masks[0] == 0.0))
+            want = heads_per_head(q[None], k[None], v[None], [mk[None] for mk in masks], None)[1]
+            assert weights.tobytes() == want.tobytes()  # NaN bits too
+        weights = weights[0, 0]
         assert np.all(np.isnan(weights[nan_rows]))
         finite = [i for i in range(3) if i not in nan_rows]
         expected = self.reference_weights(q[finite], k, [masks[0][finite]], 0, 2)
@@ -407,74 +419,69 @@ class TestAttention:
     def test_closed_row_raises_beside_a_nan_row(self):
         """A NaN row maximum, which would hide a ``-inf`` one from ``min``, does not hide the closed row."""
         rng = np.random.default_rng(37)
-        q, k, v, masks = self.packed_inputs(rng, lead=(), n=3, m=3, heads=2, d_k=2, d_v=2)
-        q[0, 2] = np.nan  # head 1 scores row 0 NaN throughout
-        masks[1][2] = NEG_INF  # and masks every key of row 2
-        with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(2,\) is masked"):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks)
+        q, k, v, masks = self.packed_inputs(rng, b=1, n=3, heads=2, d_k=2, d_v=2)
+        q[0, 0, 2] = np.nan  # head 1 scores row 0 NaN throughout
+        masks[1][0, 2] = NEG_INF  # and masks every key of row 2
+        with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(0, 2\) is masked"):
+            ad.attention(*self.rows(q, k, v), square_plan(*[mk == 0.0 for mk in masks]))
 
     def test_closed_key_with_an_overflowing_score_gets_zero_weight(self):
         """A masked key whose score would overflow ``exp`` if it were open weighs exactly 0, silently."""
-        q = np.array([[1e150], [1.0]])
+        q = np.array([[1e150], [1.0], [1.0]])
         k = np.array([[1e150], [1e-150], [2e-150]])  # query 0 scores key 0 at 1e300
         v = np.random.default_rng(39).normal(size=(3, 2))
-        mask = np.array([[NEG_INF, 0.0, 0.0], [NEG_INF, 0.0, 0.0]])
+        mask = np.array([[NEG_INF, 0.0, 0.0]] * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), [mask])
-        assert np.all(weights[0][:, 0] == 0.0)
-        npt.assert_array_equal(weights[0], self.reference_weights(q, k, [mask], 0, 1))
+            _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(mask == 0.0))
+        assert np.all(weights[0, 0][:, 0] == 0.0)
+        npt.assert_array_equal(weights[0, 0], self.reference_weights(q, k, [mask], 0, 1))
 
     def test_key_row_mask_equals_its_broadcast_grid(self):
         rng = np.random.default_rng(38)
         q, k, v, _ = self.packed_inputs(rng)
-        rows = [np.where(rng.random((2, 1, 4)) < 0.5, NEG_INF, 0.0) for _ in range(2)]
-        for row in rows:
-            row[..., 0] = 0.0
-        grids = [np.broadcast_to(row, (2, 3, 4)).copy() for row in rows]
-        out, weights = ad.attention(Tensor(q), Tensor(k), Tensor(v), rows)
-        want_out, want = ad.attention(Tensor(q), Tensor(k), Tensor(v), grids)
+        key_rows = [rng.random((2, 1, 3)) >= 0.5 for _ in range(2)]
+        for row in key_rows:
+            row[..., 0] = True
+        grids = [np.broadcast_to(row, (2, 3, 3)).copy() for row in key_rows]
+        out, (weights,) = ad.attention(*self.rows(q, k, v), square_plan(*key_rows))
+        want_out, (want,) = ad.attention(*self.rows(q, k, v), square_plan(*grids))
         assert weights.tobytes() == want.tobytes()
         assert out.data.tobytes() == want_out.data.tobytes()
 
     def test_shape_errors(self):
+        """Heads that do not split the columns, a ``keep`` block of another shape, or masks not in a plan."""
         rng = np.random.default_rng(37)
         q, k, v, masks = self.packed_inputs(rng)
+        allowed = [mk == 0.0 for mk in masks]
         with pytest.raises(ShapeMismatchError, match="into 3 heads"):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks + masks[:1])
-        with pytest.raises(ShapeMismatchError, match="mask shape"):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), [mk[..., :3] for mk in masks])
-        with pytest.raises(ShapeMismatchError, match="mask shape"):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), [np.zeros((3, 1, 4))] * 2)
+            ad.attention(*self.rows(q, k, v), square_plan(*allowed, allowed[0]))
         with pytest.raises(ShapeMismatchError, match="keep shape"):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), masks, np.ones((2, 3, 4)))
+            ad.attention(*self.rows(q, k, v), square_plan(*allowed), [np.ones((2, 2, 3, 2))])
+        with pytest.raises(ShapeMismatchError, match="autodiff.Plan"):
+            ad.attention(*self.rows(q, k, v), masks)
 
     @staticmethod
     @st.composite
     def kernel_inputs(draw):
-        """Operands, additive masks, ``keep``, batch ``rows`` and an upstream gradient for ``ad._heads``.
+        """One tier's (count, width, ·) operands, additive masks, ``keep``, batch ``rows`` and an upstream
+        gradient for ``ad._heads``.
 
-        Leads broadcast: each operand and mask drops leading axes or holds 1 on some, and a mask is a
-        (..., n, m) block or a (..., 1, m) key row. A mask may close rows, so the kernel may raise.
+        A mask is a (count, width, width) block, a (count, 1, width) row of keys or a (width, width) block
+        that every row shares, as a lone tier keeps them. A mask may close rows, so the kernel may raise.
         Queries scaled by 300 or 2000 spread rows far enough for ``exp`` to give tiny results (below
         ``ad.EXP_FLOOR``) or exactly 0."""
         heads, d_k, d_v = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-        n, m, lead = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.lists(st.integers(1, 3), max_size=2))
+        count, width = draw(st.integers(1, 4)), draw(st.integers(1, 5))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-        def shape(lead, *last):
-            kept = lead[draw(st.integers(0, len(lead))):]
-            return (*[1 if draw(st.booleans()) else size for size in kept], *last)
-
-        q, k, v = (rng.normal(size=shape(lead, r, heads * d)) for r, d in ((n, d_k), (m, d_k), (m, d_v)))
+        q, k, v = (rng.normal(size=(count, width, heads * d)) for d in (d_k, d_k, d_v))
         q *= draw(st.sampled_from([1.0, 300.0, 2000.0]))
-        lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
         closed = draw(st.sampled_from([0.0, 0.3, 0.7]))
-        masks = [np.where(rng.random(shape(lead, draw(st.sampled_from([n, 1])), m)) < closed, NEG_INF, 0.0)
-                 for _ in range(heads)]
-        keep = dropout_keep((heads, *lead, n, m), 0.3, rng) if draw(st.booleans()) else None
-        rows = rng.permutation((*lead, n)[0]) * 7 if draw(st.booleans()) else None
-        return q, k, v, masks, keep, rows, rng.normal(size=(*lead, n, heads * d_v))
+        shapes = st.sampled_from([(count, width, width), (count, 1, width), (width, width)])
+        masks = [np.where(rng.random(draw(shapes)) < closed, NEG_INF, 0.0) for _ in range(heads)]
+        keep = dropout_keep((heads, count, width, width), 0.3, rng) if draw(st.booleans()) else None
+        rows = rng.permutation(count) * 7 if draw(st.booleans()) else None
+        return q, k, v, masks, keep, rows, rng.normal(size=(count, width, heads * d_v))
 
     @settings(max_examples=200)
     @given(inputs=kernel_inputs())
@@ -509,8 +516,8 @@ class TestAttention:
     def test_exp_sees_no_lane_below_the_floor_unless_one_lies_in_the_band(self, score, floored, monkeypatch):
         """With a masked lane, ``np.exp`` sees the lanes raised to ``ad.EXP_FLOOR``, unless an open lane lies
         in [-746, -700), whose tiny weight the floor would zero: then it sees the raw lanes."""
-        q, k, v = np.array([[1.0]]), np.array([[0.0], [score], [5.0]]), np.array([[1.0], [2.0], [3.0]])
-        masks = [np.array([[0.0, 0.0, NEG_INF]])]  # lanes reach exp as [0, score, -inf]
+        q, k, v = np.ones((1, 3, 1)), np.array([[[0.0], [score], [5.0]]]), np.array([[[1.0], [2.0], [3.0]]])
+        masks = [np.array([[[0.0, 0.0, NEG_INF]]])]  # every row's lanes reach exp as [0, score, -inf]
         seen, exp = [], np.exp
 
         def spy(x, *args, **kwargs):
@@ -523,13 +530,13 @@ class TestAttention:
         assert seen == [ad.EXP_FLOOR if floored else NEG_INF]
         want_out, want_weights, _ = heads_per_head(q, k, v, masks, None)
         assert (out.tobytes(), weights.tobytes()) == (want_out.tobytes(), want_weights.tobytes())
-        assert (weights[0, 0, 1] > 0.0) == (score > ad.UNDERFLOW)
+        assert (weights[0, 0, 0, 1] > 0.0) == (score > ad.UNDERFLOW)
 
     def test_a_second_backward_pass_gets_the_same_gradients(self):
         """The first backward pass writes dP over the forward's dropped weights; a second one recomputes them."""
         rng = np.random.default_rng(42)
         q, k, v, masks = self.packed_inputs(rng)
-        keep = dropout_keep((2, 2, 3, 4), 0.3, rng)
+        keep = dropout_keep((2, 2, 3, 3), 0.3, rng)
         upstream = rng.normal(size=(2, 3, 4))
         _, _, grads = ad._heads(q, k, v, masks, keep)
         first = [grad.copy() for grad in grads(upstream)]
@@ -543,12 +550,12 @@ class TestAttention:
         q, k, v = (rng.normal(size=(6, 4)) for _ in "qkv")
         upstream = rng.normal(size=(6, 4))
         two_tiers = ad.Plan.build(valid, (np.array([1]), np.array([0])), [valid[:, None, :]] * 2)
-        for masks in ([np.zeros((6, 6))] * 2, two_tiers):
+        for plan in (square_plan(*[np.ones((6, 6), dtype=bool)] * 2), two_tiers):
             grads = []
             for write in (False, True):
                 tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-                out, weights = ad.attention(*tensors, masks)
-                for block in weights if masks is two_tiers else [weights]:
+                out, weights = ad.attention(*tensors, plan)
+                for block in weights:
                     assert not block.flags.writeable
                     if write:
                         with pytest.raises(ValueError, match="read-only"):
@@ -653,6 +660,34 @@ class TestTieredAttention:
             with pytest.raises(ShapeMismatchError, match=r"boolean, got \['bool', 'float64'\]"):
                 ad.Plan.build(valid, tiers, [valid[:, None, :], additive])
 
+    def test_plan_rejects_tiers_blocks_and_rows_it_cannot_lay_out(self):
+        """Tiers that miss or repeat a row, no blocks, a block of another shape, or a row that does not lead with a
+        valid token each raise, in a lone tier as among several; a missing row used to leave its layout unset."""
+        valid = np.arange(4) < np.array([4, 1, 3, 2])[:, None]
+        key_row = valid[:, None, :]
+        whole, split = (np.arange(4),), (np.array([1, 3]), np.array([0, 2]))
+        cases = [
+            ((np.array([0, 1]), np.array([2])), [key_row], r"tiers \[\[0, 1\], \[2\]\] must hold rows 0..3 once"),
+            ((np.array([0, 1, 2, 2]),), [key_row], "must hold rows 0..3 once"),
+            ((np.array([0, 1, 3]), np.array([2, 3])), [key_row], "must hold rows 0..3 once"),
+            ((), [key_row], "must hold rows 0..3 once"),
+            (whole, [], "at least one mask"),
+            (split, [], "at least one mask"),
+            (whole, [key_row, np.ones((4, 4, 3), dtype=bool)], r"masks \[\(4, 1, 4\), \(4, 4, 3\)\] vs \(4, 4, 4\)"),
+            (whole, [np.ones((3, 4, 4), dtype=bool)], r"vs \(4, 4, 4\)"),
+            (split, [np.ones((2, 1, 4, 4), dtype=bool)], r"vs \(4, 4, 4\)"),
+        ]
+        for tiers, allowed, message in cases:
+            with pytest.raises(ShapeMismatchError, match=message):
+                ad.Plan.build(valid, tiers, allowed)
+        empty, gap = valid.copy(), valid.copy()
+        empty[1] = False
+        gap[2, 1] = False
+        for grid, row in ((empty, r"row 1 must lead with valid tokens, got \[0 0 0 0\]"), (gap, r"row 2 .* \[1 0 1")):
+            for tiers in (whole, split, (np.array([0, 2, 3]), np.array([1]))):
+                with pytest.raises(ShapeMismatchError, match=row):
+                    ad.Plan.build(grid, tiers, [grid[:, None, :]])
+
     def test_a_closed_row_is_named_by_its_batch_row(self):
         lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]
         rows, valid, masks = self.batch(lengths, 5)
@@ -737,18 +772,20 @@ class TestBackward:
         mask = np.where(np.eye(3, dtype=bool), NEG_INF, 0.0)
         valid = np.array([[True, True, False], [True, True, True]])
         proj = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
+        allowed = [~np.eye(3, dtype=bool)] * 2
+        every_position = square_plan(*[np.broadcast_to(allowed[0], (2, 3, 3))] * 2)
 
         def build_and_backward():
             x = ad.embedding(table, ids)
             scores = ad.add(ad.matmul(x, transpose_last(x)), Tensor(mask))
             attended = ad.matmul(softmax_rows(ad.mul(scores, 0.5)), x)
             keep = dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
-            fused, _ = ad.attention(x, x, x, [mask, mask], keep)
-            joined = ad.matmul(concat_last([attended, ad.relu(fused)]), proj)
+            flat = reshape(x, (6, 4))
+            fused, _ = ad.attention(flat, flat, flat, every_position, [keep])
+            joined = ad.matmul(concat_last([attended, ad.relu(reshape(fused, (2, 3, 4)))]), proj)
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            allowed = [~np.eye(3, dtype=bool)] * 2
             packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(valid, (np.arange(2),), allowed), [keep])
             two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), allowed)
             tiered, _ = ad.attention(rows, rows, rows, two_tiers, cut_keep(two_tiers, keep))
