@@ -33,8 +33,8 @@ def tier_plan(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
 
     The rows, sorted by length stably, are cut into at most three tiers that
     minimise Σ B_t·n_t² + ``TIER_CELLS`` per tier, tier t holding B_t rows of
-    at most n_t tokens, in length order. A lone tier, computed as the whole
-    batch, may list its rows in any order.
+    at most n_t tokens, in length order. A lone tier is ``np.arange(B)``, the
+    whole batch in batch order, of which ``autodiff.Plan.build`` cuts nothing.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     b, top = len(lengths), int(lengths.max()) ** 2
@@ -47,33 +47,23 @@ def tier_plan(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
     i, j = i[i > 0], j[i > 0]  # tiers [0, i), [i, j) and [j, b), the empty ones dropped
     cost = i * square[i - 1] + (j - i) * square[j - 1] + (b - j) * top + TIER_CELLS * (1 + (j > i) + (j < b))
     best = int(np.argmin(cost))
-    return tuple(part for part in np.split(order, [i[best], j[best]]) if part.size)
+    tiers = tuple(part for part in np.split(order, [i[best], j[best]]) if part.size)
+    return tiers if len(tiers) > 1 else (np.arange(b),)
 
 
 def multi_head(
-    x,
-    wq: Tensor,
-    wk: Tensor,
-    wv: Tensor,
-    wo: Tensor,
-    plan: Plan,
-    keep: Sequence[np.ndarray] | None = None,
+    x, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, plan: Plan, keep: Sequence[np.ndarray] | None = None
 ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Guided multi-head self-attention over the packed (T, d_model) rows ``x`` of a batch.
 
-    ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns
-    ``h·d_k`` to ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``plan``, an
-    ``autodiff.Plan`` of the batch, holds each head's mask: a guided head's
-    role block, or the (B, 1, n) row of valid keys for a regular head (see
-    ``model.forward_stages``). ``keep``, one (H, count, width, width)
-    inverted-dropout multiplier per tier, scales the weights before they
-    meet V; the layer draws nothing. Returns the (T, d_model) layer output
-    and the weights before dropout, one (H, count, width, width) block per
-    tier, read-only and off the tape (see ``autodiff.attention``).
-
-    One sentence's (n, d_model) ``x`` under boolean (n, n) head blocks
-    ``allowed`` is the one-row batch of the one-tier plan
-    ``Plan.build(np.ones((1, n), bool), tier_plan([n]), allowed)``.
+    ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns ``h·d_k`` to
+    ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``plan`` and ``keep`` are those of
+    ``autodiff.attention``: the plan holds each head's mask cut to each tier, a guided head's
+    role block or, for a regular head, the (B, 1, n) row of valid keys as a (count, 1, width)
+    row (see ``model.forward_stages``), and the layer draws no dropout of its own. Returns the
+    (T, d_model) layer output and the weights of ``autodiff.attention``, one read-only
+    (H, count, width, width) block per tier. One sentence's (n, d_model) ``x`` under boolean
+    (n, n) head blocks ``allowed`` is the one-row batch of ``Plan.build([n], tier_plan([n]), allowed)``.
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
     out, weights = ad.attention(q, k, v, plan, keep)

@@ -161,73 +161,76 @@ def relu(x) -> Tensor:
 
 
 class Tier(NamedTuple):
-    """``count`` batch ``rows`` laid out at ``width`` in ``span`` of a :class:`Plan`, with the masks cut to fit."""
+    """The batch ``rows`` laid out at ``width`` in ``span`` of a :class:`Plan`, with the masks cut to fit."""
 
-    rows: np.ndarray | slice  # ``slice(None)`` for a lone tier: the whole batch, in batch order
-    count: int
+    rows: np.ndarray  # the tier's batch rows in layout order, as many as its count
     width: int
     span: slice
-    masks: tuple[np.ndarray, ...]  # one per head, each broadcasting to (count, width, width)
+    masks: tuple[np.ndarray, ...]  # one per head, its block cut to the tier: broadcasts to (count, width, width)
 
     def view(self, laid_out: np.ndarray) -> np.ndarray:
-        return laid_out[self.span].reshape(self.count, self.width, -1)
+        return laid_out[self.span].reshape(len(self.rows), self.width, -1)
 
 
 class Plan(NamedTuple):
-    """How :func:`attention` lays out a (B, n) batch's packed rows: tier after tier, zeros at padding."""
+    """How :func:`attention` lays out a batch's packed rows: tier after tier, zeros at padding."""
 
-    valid: np.ndarray  # (B, n): a packed row for each True, in row-major order
+    lengths: np.ndarray  # (B,): the packed rows of each sentence
     tiers: tuple[Tier, ...]
     at: np.ndarray | None  # each packed row's laid-out position; None if the layout is the packed order
 
     @classmethod
-    def build(cls, valid: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
+    def build(cls, lengths: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
         """The plan of a batch's packed rows and its heads' additive masks, built once for every layer of a pass.
 
-        ``valid`` is the batch's (B, n) grid of real tokens, each row's leading ones; ``tiers``
-        its rows per tier from ``attention.tier_plan``, every row in exactly one; and ``allowed``
-        each head's boolean block, broadcastable to (B, n, n). Each distinct block becomes one
-        {0, -inf} mask per tier: at its own shape for a lone tier, else cut to the tier's
-        (count, width, width) block first. Any other input raises :class:`ShapeMismatchError`.
+        ``lengths`` are the batch's (B,) sentence lengths, each at least 1; ``tiers`` its rows per tier from
+        ``attention.tier_plan``, every row in exactly one; and ``allowed`` each head's boolean block, broadcastable
+        to (B, n, n), n = ``lengths.max()``. Each tier is laid out at its longest sentence, and each distinct block
+        becomes one {0, -inf} mask per tier, cut to the tier along the axes it has: a (B, 1, n) key row becomes a
+        (count, 1, width) row, and a shared (n, n) block a (width, width) one. A lone tier of the whole batch in
+        batch order cuts nothing. Any other input raises :class:`ShapeMismatchError`.
         """
         if not allowed:
             raise ShapeMismatchError("attention needs at least one mask block, one per head")
         if any(a.dtype != bool for a in allowed):  # an additive {0, -inf} mask would come out inverted
             raise ShapeMismatchError(f"attention mask blocks must be boolean, got {[str(a.dtype) for a in allowed]}")
-        b, n = valid.shape
+        lengths = np.asarray(lengths)
+        low = lengths.min() if lengths.ndim == 1 and lengths.size and lengths.dtype.kind == "i" else 0
+        if low < 1:
+            raise ShapeMismatchError(f"batch lengths must be a vector of signed integers >= 1, got {lengths.tolist()}")
+        b, n = lengths.size, int(lengths.max())
         try:
             shape = np.broadcast_shapes((b, n, n), *{a.shape for a in allowed})
         except ValueError:
             shape = None
         if shape != (b, n, n):
             raise ShapeMismatchError(f"attention masks {[a.shape for a in allowed]} vs {(b, n, n)}")
-        if not tiers or not np.array_equal(np.sort(np.concatenate(tiers)), np.arange(b)):
+        order = np.concatenate(tiers) if tiers else np.empty(0, dtype=np.intp)
+        in_order = order.shape == (b,) and np.count_nonzero(order == np.arange(b)) == b
+        if not (in_order or np.array_equal(np.sort(order), np.arange(b))) or not all(map(len, tiers)):
             raise ShapeMismatchError(f"attention tiers {[t.tolist() for t in tiers]} must hold rows 0..{b - 1} once")
-        rises = valid[:, 1:] > valid[:, :-1]  # a tier is laid out at its longest row, from each row's first token
-        if np.count_nonzero(valid[:, :1]) != b or rises.any():
-            row = int(np.argmax(~valid[:, :1].any(axis=1) | rises.any(axis=1)))
-            raise ShapeMismatchError(f"batch row {row} must lead with valid tokens, got {valid[row].astype(int)}")
-        if len(tiers) == 1:
-            at = None if valid.all() else np.flatnonzero(valid)
-            additive = {id(a): np.where(a, 0.0, NEG_INF) for a in allowed}
-            masks = tuple(additive[id(a)] for a in allowed)
-            return cls(valid, (Tier(slice(None), b, n, slice(0, b * n), masks),), at)
-        distinct = {id(a): np.broadcast_to(a, (b, n, n)) for a in allowed}
+        distinct = {id(a): a for a in allowed}
         first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
         placed, stop = [], 0
         for rows in tiers:
-            count, width = len(rows), int(valid[rows].sum(axis=1).max())
-            first[rows] = stop + width * np.arange(count)
-            cuts = {key: np.where(a[rows, :width, :width], 0.0, NEG_INF) for key, a in distinct.items()}
+            count = len(rows)
+            width = n if count == b else int(lengths[rows].max())
+            first[rows] = np.arange(stop, stop + count * width, width)
+            whole = in_order and count == b  # the batch as it is: no block is cut
+            cuts = {key: np.where(a if whole else a[_cut(a.shape, rows, width)], 0.0, NEG_INF)
+                    for key, a in distinct.items()}
             span = slice(stop, stop + count * width)
-            placed.append(Tier(rows, count, width, span, tuple(cuts[id(a)] for a in allowed)))
+            placed.append(Tier(rows, width, span, tuple([cuts[id(a)] for a in allowed])))
             stop = span.stop
-        return cls(valid, tuple(placed), (first[:, None] + np.arange(n))[valid])
+        at = None if in_order and low == n else (first + lengths - lengths.cumsum()).repeat(lengths)
+        if at is not None:  # row r's tokens go to first[r] onwards
+            at += np.arange(at.size)
+        return cls(lengths, tuple(placed), at)
 
     def lay_out(self, rows: np.ndarray) -> np.ndarray:
         """Packed (T, c) ``rows`` at their positions of the layout, zeros elsewhere; ``rows`` if ``at`` is None."""
         if rows.ndim != 2 or rows.shape[0] != (self.tiers[-1].span.stop if self.at is None else self.at.size):
-            raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {self.valid.sum()} valid positions")
+            raise ShapeMismatchError(f"packed rows {rows.shape} do not fill the {self.lengths.sum()} valid positions")
         if self.at is None:
             return rows
         out = np.zeros((self.tiers[-1].span.stop, rows.shape[1]))
@@ -235,18 +238,24 @@ class Plan(NamedTuple):
         return out
 
 
+def _cut(shape: tuple[int, ...], rows: np.ndarray, width: int) -> tuple:
+    """A tier's index into a block of ``shape``: ``rows`` on a batch axis of B, ``[:width]`` on query and key axes."""
+    batch = rows if len(shape) == 3 and shape[0] > 1 else slice(None)
+    return (batch, slice(width), slice(width))[3 - len(shape) :]
+
+
 def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Masked scaled dot-product attention of H heads over a batch's packed rows, as one tape node.
 
-    ``q`` and ``k`` are (T, H·d_k) and ``v`` (T, H·d_v), one row per valid token of
-    ``plan``'s (B, n) batch, with the heads packed along the last axis. ``plan``, from
+    ``q`` and ``k`` are (T, H·d_k) and ``v`` (T, H·d_v), one row per token of ``plan``'s batch,
+    T = ``plan.lengths.sum()``, with the heads packed along the last axis. ``plan``, from
     :meth:`Plan.build`, holds the batch's tiers and one {0, -inf} mask per head and tier.
     Head ``h`` computes ``softmax((Q_h K_hᵀ + M_h) / sqrt(d_k)) V_h`` within each sentence;
     ``keep``, if given, holds one (H, count, width, width) inverted-dropout multiplier
     (0 or ``1 / (1 - rate)``) per tier, for the tier's rows and its ``[:width, :width]``
     pairs, which scales the weights before they meet ``V_h``. A single sentence's (n, ·)
     operands under boolean (n, n) blocks ``allowed`` are the packed rows of the one-tier plan
-    ``Plan.build(np.ones((1, n), bool), attention.tier_plan([n]), allowed)``.
+    ``Plan.build([n], attention.tier_plan([n]), allowed)``.
 
     Returns the head outputs concatenated along the last axis, (T, H·d_v), and the
     weights before dropout, one (H, count, width, width) block per tier: off the tape, and
@@ -257,14 +266,9 @@ def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray,
     The weights are computed in place as ``p = Q_h K_hᵀ · scale + masks[h]``,
     ``p -= row_max``, ``exp`` and normalisation: an open entry minus the row
     maximum is at most 0, and a masked entry is ``-inf`` whatever its finite
-    score, so ``exp`` maps it to exactly 0 without overflow. The row maximum
-    is taken down the columns, not row by row. On a block with a masked lane,
-    ``exp`` sees every lane below ``EXP_FLOOR`` = -700 raised to the floor,
-    which keeps numpy's ``exp`` on its fast path, and the results of those
-    lanes are multiplied by 0. Below -746 ``exp`` gives exactly 0 anyway, and
-    a block with a lane in [-746, -700) takes plain ``exp``, so the weights
-    are bit for bit those of ``p.max(axis=-1)`` and ``np.exp``. A row whose
-    maximum is ``-inf`` (every key masked) raises :class:`DegenerateRowError`
+    score, so ``exp`` maps it to exactly 0 without overflow. The row maximum and
+    ``exp`` keep off numpy's slow paths, bit for bit (:func:`_row_max`, :func:`_exp`).
+    A row whose maximum is ``-inf`` (every key masked) raises :class:`DegenerateRowError`
     naming the first such head and its (batch row, token); a row holding a NaN
     or +inf score, open or masked, comes out entirely NaN.
     """
@@ -293,7 +297,7 @@ def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray,
     return _record(Tensor(out if plan.at is None else out.take(plan.at, axis=0)), (q, k, v), backward), weights
 
 
-def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
+def _heads(qd, kd, vd, masks, keep, rows, out=None):
     """The kernel of :func:`attention` on one tier: its output, weights and the map from the output's gradient
     to those of qd, kd and vd, into ``out``/``into`` if set. The operands are (count, width, ·), each of the
     ``masks`` broadcasts to (count, width, width), and row (i, j) is named (rows[i], j).
@@ -318,8 +322,7 @@ def _heads(qd, kd, vd, masks, keep, rows=None, out=None):
     closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
     if closed.any():
         h, i, j = (int(i) for i in np.argwhere(closed)[0])
-        i = int(rows[i]) if isinstance(rows, np.ndarray) else i
-        raise DegenerateRowError(f"attention head {h}: every key of row {(i, j)} is masked")
+        raise DegenerateRowError(f"attention head {h}: every key of row {(int(rows[i]), j)} is masked")
     p -= row_max
     _exp(p)
     p /= p.sum(axis=-1, keepdims=True)

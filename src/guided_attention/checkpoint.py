@@ -116,6 +116,9 @@ def load_checkpoint(path) -> Checkpoint:
         config.validate()
     except (ConfigError, TypeError) as exc:
         raise CheckpointError(f"header 'config' is invalid: {exc}") from exc
+    entries = config.layers * (config.heads if magic == MAGIC_V1 else 1)  # each with entries of its own
+    if entries > len(params):  # a forged count would otherwise have param_shapes list them all
+        raise CheckpointError(f"header 'config' implies at least {entries} parameters, the file lists {len(params)}")
     if magic == MAGIC_V1:
         params = _pack_v1_heads(params, config)
     _check_manifest(params, param_shapes(config, len(vocab)))

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import masks as masks_mod
 from .attention import tier_plan
+from .autodiff import NEG_INF
 from .errors import ConlluError, ShapeMismatchError
 
 PAD_ID = 0
@@ -336,7 +337,7 @@ class Batch:
         """``(B, width, width)`` grid opening exactly the valid key columns on every row."""
         width = self.token_ids.shape[1]
         valid = np.arange(width) < self.lengths[:, None]
-        return np.repeat(np.where(valid, 0.0, masks_mod.NEG_INF)[:, None, :], width, axis=1)
+        return np.repeat(np.where(valid, 0.0, NEG_INF)[:, None, :], width, axis=1)
 
     @property
     def role_masks(self) -> dict[str, np.ndarray]:
@@ -346,7 +347,7 @@ class Batch:
         grids = {}
         for role, block in self.allowed.items():
             grid = pad.copy()
-            grid[:, :n, :n] = np.where(block, 0.0, masks_mod.NEG_INF)
+            grid[:, :n, :n] = np.where(block, 0.0, NEG_INF)
             grids[role] = grid
         return grids
 

@@ -31,8 +31,6 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-NEG_INF = float("-inf")
-
 ROLE_RARE_WORDS = "rarew"
 ROLE_SEPARATOR = "seprat"
 ROLE_DEP_SYNTAX = "depsyn"

@@ -253,6 +253,7 @@ def forward_stages(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
+    *,
     training: bool = False,
 ) -> Iterator[tuple[str, Tensor]]:
     """Run the forward pass, yielding ``(stage, output)`` as each stage finishes.
@@ -264,8 +265,8 @@ def forward_stages(
     :func:`embed`). A guided head reads its role's boolean block, shared by
     every head of the role; padding and regular heads share one ``(B, 1, n)``
     row of valid keys. One ``autodiff.Plan`` of the rows, built once per pass
-    from these blocks and ``batch.tiers``, holds the heads' additive masks, and
-    every layer's attention reads it. A ``training`` pass under dropout
+    from ``batch.lengths``, ``batch.tiers`` and these blocks, holds the heads'
+    additive masks, and every layer's attention reads it. A ``training`` pass under dropout
     multiplies each layer's attention weights and feed-forward units by that
     layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`:
     one attention block per tier, and the feed-forward units' valid rows.
@@ -280,10 +281,9 @@ def forward_stages(
         raise ConfigError(
             f"a training pass under dropout needs a pair of multipliers for each of {cfg.layers} layers"
         )
-    valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
-    key_row = valid[:, None, :]
+    key_row = (np.arange(int(batch.lengths.max())) < batch.lengths[:, None])[:, None, :]
     allowed = [key_row if role == ROLE_PADDING else batch.allowed[role] for role in cfg.guided_roles]
-    plan = ad.Plan.build(valid, batch.tiers, allowed + [key_row] * cfg.extra_regular_heads)
+    plan = ad.Plan.build(batch.lengths, batch.tiers, allowed + [key_row] * cfg.extra_regular_heads)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     for i, (attn_keep, ff_keep) in enumerate(keeps):
@@ -311,9 +311,11 @@ def forward_batch(
     params: dict[str, Tensor],
     cfg: ModelConfig,
     keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
+    *,
     training: bool = False,
 ) -> Tensor:
-    """Class scores of a batch: the last output of :func:`forward_stages`."""
+    """Class scores of a batch: the last output of :func:`forward_stages`. ``training`` is keyword-only:
+    ``perfbench/run.py`` reads it by name to take its memory samples outside the training steps it times."""
     for _, logits in forward_stages(batch, params, cfg, keeps, training=training):
         pass
     return logits
@@ -513,6 +515,7 @@ def train(
             ad.zero_grads(params)
             keeps = _draw_keeps(batch, cfg, rng) if cfg.dropout > 0.0 else None
             try:
+                # training= stays a keyword: perfbench/run.py reads it to keep its samples out of timed steps
                 logits = forward_batch(batch, params, cfg, keeps, training=True)
                 loss = ad.cross_entropy(logits, batch.labels)
             except DegenerateRowError:

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import multi_head
+from guided_attention.attention import multi_head, tier_plan
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, truncate
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
@@ -122,7 +122,7 @@ def softmax_rows(x) -> Tensor:
     return ad._record(Tensor(y), (x,), backward)
 
 
-def heads_per_head(qd, kd, vd, masks, keep, rows=None, out=None):
+def heads_per_head(qd, kd, vd, masks, keep, rows, out=None):
     """``autodiff._heads`` one head at a time: the bitwise reference for its output, weights and gradients.
 
     Each head runs its own matmuls on column slices of the packed operands and
@@ -160,10 +160,8 @@ def heads_per_head(qd, kd, vd, masks, keep, rows=None, out=None):
         row_max = p.max(axis=-1, keepdims=True)
         closed = row_max[..., 0] == NEG_INF  # not row_max.min(): a NaN row would hide this one
         if closed.any():
-            row = tuple(int(i) for i in np.argwhere(closed)[0])
-            if isinstance(rows, np.ndarray):
-                row = (int(rows[row[0]]), *row[1:])
-            raise DegenerateRowError(f"attention head {h}: every key of row {row} is masked")
+            i, j = (int(i) for i in np.argwhere(closed)[0])
+            raise DegenerateRowError(f"attention head {h}: every key of row {(int(rows[i]), j)} is masked")
         p -= row_max
         np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
@@ -190,7 +188,7 @@ def heads_per_head(qd, kd, vd, masks, keep, rows=None, out=None):
 
 def spread_weights(plan, blocks) -> np.ndarray:
     """The (H, B, n, n) grid of a planned ``autodiff.attention`` call's per-tier weight ``blocks``, 0 outside them."""
-    (b, n), heads = plan.valid.shape, blocks[0].shape[0]
+    b, n, heads = plan.lengths.size, int(plan.lengths.max()), blocks[0].shape[0]
     weights = np.zeros((heads, b, n, n))
     for tier, block in zip(plan.tiers, blocks, strict=True):
         weights[:, tier.rows, :tier.width, :tier.width] = block
@@ -207,10 +205,11 @@ def square_plan(*blocks: np.ndarray) -> ad.Plan:
 
     Its packed rows are those of (B, n, ·) operands, row after row: one sentence's
     (n, ·) operands as they are, and a (B, n, ·) batch's as its (B·n, ·) reshape.
+    One sentence's plan is README's recipe, ``Plan.build([n], tier_plan([n]), blocks)``.
     """
     shape = np.broadcast_shapes(*(block.shape for block in blocks))
-    b = shape[0] if len(shape) == 3 else 1
-    return ad.Plan.build(np.ones((b, shape[-1]), dtype=bool), (np.arange(b),), list(blocks))
+    lengths = [shape[-1]] * (shape[0] if len(shape) == 3 else 1)
+    return ad.Plan.build(lengths, tier_plan(lengths), list(blocks))
 
 
 def tensor_sum(x) -> Tensor:

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
@@ -47,6 +47,7 @@ class TestTierPlan:
 
     @settings(max_examples=150)
     @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40))
+    @example(lengths=[1, 40, 13])  # B·n² − Σ l² = 3030 exceeds TIER_CELLS, yet no split pays for its tier
     def test_every_row_lands_in_one_tier_of_least_cost(self, lengths):
         tiers = tier_plan(lengths)
         assert 1 <= len(tiers) <= 3
@@ -54,6 +55,8 @@ class TestTierPlan:
         if len(tiers) > 1:  # tier after tier, each in length order, stably
             ordered = np.concatenate(tiers)
             assert ordered.tolist() == np.argsort(lengths, kind="stable").tolist()
+        else:  # the whole batch in batch order, which the plan leaves uncut and model._draw_keeps draws as is
+            assert tiers[0].tolist() == list(range(len(lengths)))
         assert self.cost(lengths, tiers) == tier_cost_bruteforce(lengths, TIER_CELLS)
 
     @pytest.mark.parametrize("lengths", [[1], [5] * 32, [32] * 32])

@@ -344,7 +344,7 @@ class TestAttention:
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
         keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
-        plan = ad.Plan.build(valid, (np.arange(3),), [valid[:, None, :]] * 2)
+        plan = ad.Plan.build(np.array([4, 1, 3]), (np.arange(3),), [valid[:, None, :]] * 2)
         every_position = square_plan(*[valid[:, None, :]] * 2)  # padded positions as rows, their keys closed
         runs = []
         for layout, pick in ((every_position, lambda a: a.reshape(12, -1)), (plan, lambda a: a[valid])):
@@ -408,7 +408,7 @@ class TestAttention:
 
         with np.errstate(invalid="ignore"):
             _, (weights,) = ad.attention(Tensor(q), Tensor(k), Tensor(v), square_plan(masks[0] == 0.0))
-            want = heads_per_head(q[None], k[None], v[None], [mk[None] for mk in masks], None)[1]
+            want = heads_per_head(q[None], k[None], v[None], [mk[None] for mk in masks], None, np.arange(1))[1]
             assert weights.tobytes() == want.tobytes()  # NaN bits too
         weights = weights[0, 0]
         assert np.all(np.isnan(weights[nan_rows]))
@@ -480,7 +480,7 @@ class TestAttention:
         shapes = st.sampled_from([(count, width, width), (count, 1, width), (width, width)])
         masks = [np.where(rng.random(draw(shapes)) < closed, NEG_INF, 0.0) for _ in range(heads)]
         keep = dropout_keep((heads, count, width, width), 0.3, rng) if draw(st.booleans()) else None
-        rows = rng.permutation(count) * 7 if draw(st.booleans()) else None
+        rows = rng.permutation(count) * 7 if draw(st.booleans()) else np.arange(count)
         return q, k, v, masks, keep, rows, rng.normal(size=(count, width, heads * d_v))
 
     @settings(max_examples=200)
@@ -525,10 +525,10 @@ class TestAttention:
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", spy)
-        out, weights, _ = ad._heads(q, k, v, masks, None)
+        out, weights, _ = ad._heads(q, k, v, masks, None, np.arange(1))
         monkeypatch.undo()
         assert seen == [ad.EXP_FLOOR if floored else NEG_INF]
-        want_out, want_weights, _ = heads_per_head(q, k, v, masks, None)
+        want_out, want_weights, _ = heads_per_head(q, k, v, masks, None, np.arange(1))
         assert (out.tobytes(), weights.tobytes()) == (want_out.tobytes(), want_weights.tobytes())
         assert (weights[0, 0, 0, 1] > 0.0) == (score > ad.UNDERFLOW)
 
@@ -538,7 +538,7 @@ class TestAttention:
         q, k, v, masks = self.packed_inputs(rng)
         keep = dropout_keep((2, 2, 3, 3), 0.3, rng)
         upstream = rng.normal(size=(2, 3, 4))
-        _, _, grads = ad._heads(q, k, v, masks, keep)
+        _, _, grads = ad._heads(q, k, v, masks, keep, np.arange(2))
         first = [grad.copy() for grad in grads(upstream)]
         for grad, again in zip(first, grads(upstream), strict=True):
             assert grad.tobytes() == again.tobytes()
@@ -549,7 +549,7 @@ class TestAttention:
         valid = np.arange(4) < np.array([4, 2])[:, None]
         q, k, v = (rng.normal(size=(6, 4)) for _ in "qkv")
         upstream = rng.normal(size=(6, 4))
-        two_tiers = ad.Plan.build(valid, (np.array([1]), np.array([0])), [valid[:, None, :]] * 2)
+        two_tiers = ad.Plan.build(np.array([4, 2]), (np.array([1]), np.array([0])), [valid[:, None, :]] * 2)
         for plan in (square_plan(*[np.ones((6, 6), dtype=bool)] * 2), two_tiers):
             grads = []
             for write in (False, True):
@@ -573,7 +573,8 @@ class TestTieredAttention:
 
     @classmethod
     def batch(cls, lengths, seed):
-        """Packed q, k and v rows, the (B, n) ``valid`` and boolean blocks that close padded keys, as a batch's do."""
+        """Packed q, k and v rows, the (B,) ``lengths`` and boolean blocks that close padded keys, as a batch's do: a
+        role's (B, n, n) block, the (B, 1, n) row of valid keys, and the role's block again."""
         rng = np.random.default_rng(seed)
         lengths = np.asarray(lengths)
         n = int(lengths.max())
@@ -581,7 +582,7 @@ class TestTieredAttention:
         allowed = (rng.random((len(lengths), n, n)) < 0.5) | np.eye(n, dtype=bool)
         allowed = (allowed | ~valid[:, :, None]) & valid[:, None, :]  # a padded query sees every valid key
         rows = [rng.normal(size=(int(lengths.sum()), cls.HEADS * cls.D_K)) for _ in "qkv"]
-        return rows, valid, [allowed, valid[:, None, :], allowed]
+        return rows, lengths, [allowed, valid[:, None, :], allowed]
 
     @settings(max_examples=60)
     @given(
@@ -597,8 +598,9 @@ class TestTieredAttention:
     def test_tiers_equal_the_one_tier_node(self, lengths, labels, rate, seed):
         """Outputs, q/k/v gradients and weights at valid pairs equal the one-tier node's, for the plan's
         tiers and for tiers drawn by ``labels``; weights outside a row's tier block are 0."""
-        rows, valid, masks = self.batch(lengths, seed)
-        (b, n), heads = valid.shape, self.HEADS
+        rows, lengths, masks = self.batch(lengths, seed)
+        b, n, heads = len(lengths), int(lengths.max()), self.HEADS
+        valid = masks[1][:, 0]
         order = np.argsort(lengths, kind="stable")
         label = np.asarray(labels[:b])[order]
         drawn = tuple(part for part in (order[label == t] for t in range(3)) if part.size)
@@ -608,7 +610,7 @@ class TestTieredAttention:
         runs = []
         for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
             tensors = [Tensor(a, requires_grad=True) for a in rows]
-            plan = ad.Plan.build(valid, tiers, masks)
+            plan = ad.Plan.build(lengths, tiers, masks)
             out, blocks = ad.attention(*tensors, plan, cut_keep(plan, keep))
             ad.backward(tensor_sum(ad.mul(out, upstream)))
             weights = spread_weights(plan, blocks)
@@ -616,7 +618,7 @@ class TestTieredAttention:
             if len(tiers) > 1:
                 block = np.zeros((b, n, n), dtype=bool)
                 for tier in tiers:
-                    width = int(valid[tier].sum(axis=1).max())
+                    width = int(lengths[tier].max())
                     block[tier, :width, :width] = True
                 assert np.all(weights[:, ~block] == 0.0)
         (out, weights, grads), *tiered = runs
@@ -632,45 +634,55 @@ class TestTieredAttention:
     @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, seed=3)  # the plan's two tiers
     @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], seed=4)
     def test_plan_masks_are_the_cut_boolean_blocks_bit_for_bit(self, lengths, seed):
-        """Each head's mask is its block's {0, -inf} form: at the block's shape for a lone tier, else the tier's cut."""
-        _, valid, allowed = self.batch(lengths, seed)
-        b, n = valid.shape
-        for tiers in ((np.arange(b),), tier_plan(lengths)):
-            plan = ad.Plan.build(valid, tiers, allowed)
-            assert len(plan.tiers) == len(tiers)
-            for tier in plan.tiers:
-                for block, mask in zip(allowed, tier.masks, strict=True):  # a role's block and the key row
-                    if len(tiers) == 1:
-                        want = np.where(block, 0.0, NEG_INF)
-                    else:
-                        want = np.where(np.broadcast_to(block, (b, n, n)), 0.0, NEG_INF)
-                        want = want[tier.rows, :tier.width, :tier.width]
-                    assert (mask.dtype, mask.shape) == (want.dtype, want.shape)
-                    assert mask.tobytes() == want.tobytes()
-                assert tier.masks[0] is tier.masks[2]  # a block shared by two heads is converted once
+        """In every tier, each head's mask is the {0, -inf} form of its block cut along the block's own axes: a
+        role's (B, n, n) block to (count, width, width), the (B, 1, n) key row to (count, 1, width), and a shared
+        (n, n) block to (width, width). A block that two heads share stays one mask. So it goes for the whole batch
+        in batch order or not, for the plan's tiers, and for tiers whose rows run in batch order."""
+        _, lengths, allowed = self.batch(lengths, seed)
+        b, n = len(lengths), int(lengths.max())
+        shared = np.random.default_rng(seed).random((n, n)) < 0.5
+        allowed = [*allowed, shared]
+        in_order = tuple(part for part in np.array_split(np.arange(b), 2) if part.size)
+        for tiers in ((np.arange(b),), (np.arange(b)[::-1],), tier_plan(lengths), in_order):
+            plan = ad.Plan.build(lengths, tiers, allowed)
+            for tier, rows in zip(plan.tiers, tiers, strict=True):
+                width = int(lengths[rows].max())
+                assert (tier.rows, tier.width) == (rows, width)
+                block, key_row, same, square = tier.masks
+                assert key_row.shape == (len(rows), 1, width)
+                assert same is block  # a block shared by two heads is converted once
+                for mask, cut in (
+                    (block, allowed[0][rows, :width, :width]),
+                    (key_row, allowed[1][rows, :, :width]),
+                    (square, shared[:width, :width]),
+                ):
+                    want = np.where(cut, 0.0, NEG_INF)
+                    assert (mask.dtype, mask.shape, mask.tobytes()) == (want.dtype, want.shape, want.tobytes())
         if b > 1:
             with pytest.raises(ShapeMismatchError, match="attention masks"):
-                ad.Plan.build(valid, (np.arange(1), np.arange(1, b)), [allowed[0], np.ones((b + 1, n, n), bool)])
+                ad.Plan.build(lengths, (np.arange(1), np.arange(1, b)), [allowed[0], np.ones((b + 1, n, n), bool)])
 
     def test_plan_rejects_additive_masks(self):
         """A {0, -inf} mask in place of a boolean block would come out inverted, so it is refused by its dtype."""
-        valid = np.arange(3) < np.array([3, 2])[:, None]
+        lengths = np.array([3, 2])
+        valid = np.arange(3) < lengths[:, None]
         additive = np.where(np.eye(3, dtype=bool), 0.0, NEG_INF)[None]
         for tiers in ((np.arange(2),), (np.array([1]), np.array([0]))):
             with pytest.raises(ShapeMismatchError, match=r"boolean, got \['bool', 'float64'\]"):
-                ad.Plan.build(valid, tiers, [valid[:, None, :], additive])
+                ad.Plan.build(lengths, tiers, [valid[:, None, :], additive])
 
     def test_plan_rejects_tiers_blocks_and_rows_it_cannot_lay_out(self):
-        """Tiers that miss or repeat a row, no blocks, a block of another shape, or a row that does not lead with a
-        valid token each raise, in a lone tier as among several; a missing row used to leave its layout unset."""
-        valid = np.arange(4) < np.array([4, 1, 3, 2])[:, None]
-        key_row = valid[:, None, :]
+        """Tiers that miss or repeat a row, no blocks, a block of another shape, or lengths that are not a vector of
+        integers >= 1 each raise, in a lone tier as among several; a missing row used to leave its layout unset."""
+        lengths = np.array([4, 1, 3, 2])
+        key_row = (np.arange(4) < lengths[:, None])[:, None, :]
         whole, split = (np.arange(4),), (np.array([1, 3]), np.array([0, 2]))
         cases = [
             ((np.array([0, 1]), np.array([2])), [key_row], r"tiers \[\[0, 1\], \[2\]\] must hold rows 0..3 once"),
             ((np.array([0, 1, 2, 2]),), [key_row], "must hold rows 0..3 once"),
             ((np.array([0, 1, 3]), np.array([2, 3])), [key_row], "must hold rows 0..3 once"),
             ((), [key_row], "must hold rows 0..3 once"),
+            ((np.arange(4), np.array([], dtype=np.intp)), [key_row], "must hold rows 0..3 once"),  # an empty tier
             (whole, [], "at least one mask"),
             (split, [], "at least one mask"),
             (whole, [key_row, np.ones((4, 4, 3), dtype=bool)], r"masks \[\(4, 1, 4\), \(4, 4, 3\)\] vs \(4, 4, 4\)"),
@@ -679,18 +691,20 @@ class TestTieredAttention:
         ]
         for tiers, allowed, message in cases:
             with pytest.raises(ShapeMismatchError, match=message):
-                ad.Plan.build(valid, tiers, allowed)
-        empty, gap = valid.copy(), valid.copy()
-        empty[1] = False
-        gap[2, 1] = False
-        for grid, row in ((empty, r"row 1 must lead with valid tokens, got \[0 0 0 0\]"), (gap, r"row 2 .* \[1 0 1")):
-            for tiers in (whole, split, (np.array([0, 2, 3]), np.array([1]))):
-                with pytest.raises(ShapeMismatchError, match=row):
-                    ad.Plan.build(grid, tiers, [grid[:, None, :]])
+                ad.Plan.build(lengths, tiers, allowed)
+        for bad, shown in (
+            (np.array([4, 0, 3, 2]), r"\[4, 0, 3, 2\]"),
+            (lengths[None], r"\[\[4, 1, 3, 2\]\]"),
+            (np.array([], dtype=np.int64), r"\[\]"),
+            (lengths.astype(float), r"\[4.0, 1.0, 3.0, 2.0\]"),
+            (lengths.astype(np.uint64), r"\[4, 1, 3, 2\]"),  # unsigned lengths would turn the layout's index to float
+        ):
+            for tiers in (whole, split):
+                with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got " + shown):
+                    ad.Plan.build(bad, tiers, [key_row])
 
     def test_a_closed_row_is_named_by_its_batch_row(self):
-        lengths = [1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1]
-        rows, valid, masks = self.batch(lengths, 5)
+        rows, lengths, masks = self.batch([1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1], 5)
         tiers = tier_plan(lengths)
         assert [tier.tolist() for tier in tiers] == [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]
         closed = masks[1].repeat(30, axis=1)
@@ -698,7 +712,7 @@ class TestTieredAttention:
         masks = [masks[0], closed, masks[2]]
         for split in ((np.arange(len(lengths)),), tiers):
             with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(7, 4\) is masked"):
-                ad.attention(*rows, ad.Plan.build(valid, split, masks))
+                ad.attention(*rows, ad.Plan.build(lengths, split, masks))
 
 
 class TestBackward:
@@ -770,7 +784,8 @@ class TestBackward:
         bias = Tensor(np.zeros(4), requires_grad=True)
         ids = np.array([[0, 3, 1], [2, 4, 0]])
         mask = np.where(np.eye(3, dtype=bool), NEG_INF, 0.0)
-        valid = np.array([[True, True, False], [True, True, True]])
+        lengths = np.array([2, 3])
+        valid = np.arange(3) < lengths[:, None]
         proj = Tensor(rng.normal(size=(8, 4)), requires_grad=True)
         allowed = [~np.eye(3, dtype=bool)] * 2
         every_position = square_plan(*[np.broadcast_to(allowed[0], (2, 3, 3))] * 2)
@@ -786,8 +801,8 @@ class TestBackward:
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(valid, (np.arange(2),), allowed), [keep])
-            two_tiers = ad.Plan.build(valid, (np.array([0]), np.array([1])), allowed)
+            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(lengths, (np.arange(2),), allowed), [keep])
+            two_tiers = ad.Plan.build(lengths, (np.array([0]), np.array([1])), allowed)
             tiered, _ = ad.attention(rows, rows, rows, two_tiers, cut_keep(two_tiers, keep))
             pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
             logits = ad.add(masked_mean(h, valid), pooled)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,21 @@ from guided_attention.model import EvalMetrics, evaluate, train
 from test_model import TINY, toy_separable
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Loads each checkpoint named on the command line under a 1.5 GB address-space cap, printing each
+# CheckpointError; any other exception, MemoryError included, ends the process with a traceback.
+CAPPED_LOAD = """
+import resource, sys
+cap = 1536 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from guided_attention.checkpoint import load_checkpoint
+from guided_attention.errors import CheckpointError
+for path in sys.argv[1:]:
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        print(exc)
+"""
 
 
 def resign(path, edit):
@@ -185,6 +203,30 @@ class TestManifest:
         resign(path, edit)
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
+
+    def test_a_forged_layer_count_is_refused_before_its_parameters_are_listed(self, trained, tmp_path):
+        """Re-signed headers claiming 10**6 or 10**9 layers, in the packed format and in GDATTN01, are refused by
+        their count. The loads run in a child process whose address space is capped, so a regression fails here
+        with a MemoryError instead of exhausting the machine."""
+        ckpt, _ = trained
+        packed = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, packed)
+        paths, expected = [], []
+        for source, heads in ((packed, None), (FIXTURES / "gdattn01.ckpt", 6)):  # the fixture has 6 heads
+            for layers in (10**6, 10**9):
+                path = tmp_path / f"{source.stem}-{layers}.ckpt"
+                path.write_bytes(source.read_bytes())
+                resign(path, lambda header: {**header, "config": {**header["config"], "layers": layers}})
+                paths.append(str(path))
+                expected.append(f"header 'config' implies at least {layers * (heads or 1)} parameters")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_LOAD, *paths], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == len(expected) and all(line.startswith(want) for line, want in zip(lines, expected))
 
     def test_eval_on_renamed_entry_is_one_error_line(self, trained, tmp_path, capsys):
         ckpt, _ = trained

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from guided_attention.corpus import Sentence, Token, build_vocab, label_index, make_batches
 from guided_attention import masks as masks_mod
+from guided_attention.autodiff import NEG_INF
 from guided_attention.errors import ShapeMismatchError
 from guided_attention.masks import (
     ALL_ROLES,
     GUIDED_ROLES,
-    NEG_INF,
     RoleMask,
     apply_fallback,
     build_role_mask,

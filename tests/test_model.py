@@ -539,9 +539,11 @@ class TestPackedRows:
         for tier, cuts, second_cuts in zip(plan.tiers, masks, second_masks):
             assert len(cuts) == cfg.heads and all(a is b for a, b in zip(cuts, second_cuts))
             assert cuts[2] is cuts[3]  # the regular heads share one cut of the key row
-            assert all(cut.shape == (tier.count, tier.width, tier.width) for cut in cuts)
+            count = len(tier.rows)
+            blocks_then_rows = [(count, tier.width, tier.width)] * 2 + [(count, 1, tier.width)] * 2
+            assert [cut.shape for cut in cuts] == blocks_then_rows  # each role's block, then the key row as a row
         for weights in (blocks, second_blocks):  # one weight block per tier, no padded (H, B, n, n) grid
-            assert [block.shape for block in weights] == [(cfg.heads, t.count, t.width, t.width) for t in plan.tiers]
+            assert [block.shape for block in weights] == [(cfg.heads, len(t.rows), t.width, t.width) for t in plan.tiers]
         forward_batch(batch, params, cfg)  # the batch keeps its tiers: a second pass plans none
         assert len(tiers) == 1 and plans[-1][0].tiers[1].rows is tiers[0][1]
 
