@@ -189,12 +189,12 @@ def cmd_masks(args) -> int:
     vocab = build_vocab(sentences)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for role in roles:
-        records = [
-            masks_mod.dump_record(s.sent_id or str(i + 1), masks_mod.build_role_mask(role, s, vocab))
-            for i, s in enumerate(sentences)
-        ]
-        (out / f"masks_{role}.txt").write_text("\n".join(records), encoding="utf-8")
+    records = {role: [] for role in roles}
+    for i, s in enumerate(sentences):
+        for role, block in masks_mod.build_batch_masks(roles, [s], vocab).items():
+            records[role].append(masks_mod.dump_record(s.sent_id or str(i + 1), masks_mod.RoleMask(role, block[0])))
+    for role, role_records in records.items():
+        (out / f"masks_{role}.txt").write_text("\n".join(role_records), encoding="utf-8")
     print(f"wrote {len(roles)} mask dump(s) for {len(sentences)} sentence(s) to {out}")
     return 0
 

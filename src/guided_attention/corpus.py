@@ -263,6 +263,9 @@ class Vocabulary:
         self.total_docs = total_docs
         self._forms = RESERVED_FORMS + tuple(sorted(doc_freq))
         self._ids = {form: i for i, form in enumerate(self._forms)}
+        # df of each id: the reserved ids, which stand for unknown forms, read 1.
+        self.df_by_id = np.array([1] * len(RESERVED_FORMS) + [doc_freq[f] for f in self._forms[len(RESERVED_FORMS):]])
+        self.df_by_id.flags.writeable = False
 
     def __len__(self) -> int:
         return len(RESERVED_FORMS) + len(self.doc_freq)
@@ -304,8 +307,8 @@ def build_vocab(sentences: list[Sentence]) -> Vocabulary:
 class Batch:
     """Padded model input with each role's boolean allow-block at the batch's width.
 
-    ``allowed`` maps each requested role, in order, to its ``(B, n, n)``
-    boolean block from ``masks.build_batch_masks``, ``n = lengths.max()``:
+    ``allowed`` maps each requested role, in order, to its ``(B, n, n)`` boolean
+    block, ``n = lengths.max()``, a view of one ``masks.stack_role_masks`` stack:
     True where a query may attend to a key. ``token_ids`` stay padded to
     ``max_len``; ``model.embed`` reads only the valid positions.
     :attr:`tiers` is computed on first use and kept.
@@ -354,7 +357,7 @@ class Batch:
 
 def truncate(sentence: Sentence, max_len: int) -> Sentence:
     """Drop tokens beyond ``max_len``; parse edges crossing the cut are dropped."""
-    if len(sentence) <= max_len:
+    if len(sentence.tokens) <= max_len:
         return sentence
     kept = []
     for t in sentence.tokens[:max_len]:
@@ -382,10 +385,10 @@ def make_batches(
 ) -> list[Batch]:
     """Assemble padded batches, each with every role's boolean allow-block.
 
-    Per batch, the batch's token ids are looked up in one pass and scattered
-    through its ``(B, max_len)`` validity grid, the sentence loop only gathers
-    labels, and all the masks come from one ``masks.build_batch_masks`` call
-    on the whole chunk, at the chunk's longest sentence.
+    Per batch, the lengths, ``(B, max_len)`` validity grid and flat token list
+    are built once; one dict lookup per token fills ``token_ids``, whose ids
+    index ``vocab.df_by_id`` for ``rarew``; and one ``masks.stack_role_masks``
+    call gives every role's block as a view of one stack, with one fallback pass.
     """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
@@ -393,16 +396,18 @@ def make_batches(
     if shuffle:
         order = np.random.default_rng(seed).permutation(len(sentences))
     kept = [truncate(sentences[i], max_len) for i in order]
+    id_of = vocab._ids.get
 
     batches = []
     for start in range(0, len(kept), batch_size):
         chunk = kept[start : start + batch_size]
-        b = len(chunk)
-        lengths = np.array([len(sentence) for sentence in chunk], dtype=np.int64)
-        ids = np.full((b, max_len), PAD_ID, dtype=np.int64)
+        lengths = np.array([len(sentence.tokens) for sentence in chunk], dtype=np.int64)
         valid = np.arange(max_len) < lengths[:, None]
-        ids[valid] = [vocab.id(token.form) for sentence in chunk for token in sentence.tokens]
-        label_arr = np.full(b, -1, dtype=np.int64)
+        tokens = [token for sentence in chunk for token in sentence.tokens]
+        ids = np.full(valid.shape, PAD_ID, dtype=np.int64)
+        ids[valid] = [id_of(token.form, UNK_ID) for token in tokens]
+        n = int(lengths.max())
+        label_arr = np.full(len(chunk), -1, dtype=np.int64)
         sent_ids = []
         for row, sentence in enumerate(chunk):
             if labels is not None and sentence.label is not None:
@@ -412,13 +417,6 @@ def make_batches(
                     )
                 label_arr[row] = labels[sentence.label]
             sent_ids.append(sentence.sent_id or str(start + row))
-        batches.append(
-            Batch(
-                token_ids=ids,
-                lengths=lengths,
-                allowed=masks_mod.build_batch_masks(roles, chunk, vocab),
-                labels=label_arr,
-                sent_ids=sent_ids,
-            )
-        )
+        allowed = masks_mod.stack_role_masks(roles, lengths, valid[:, :n], tokens, vocab.df_by_id[ids[valid]])
+        batches.append(Batch(token_ids=ids, lengths=lengths, allowed=allowed, labels=label_arr, sent_ids=sent_ids))
     return batches

@@ -14,16 +14,17 @@ Each role opens:
 * ``relpos`` - a centered window of size 3 (self and both neighbours),
 * ``padding`` - no restriction (opens everything).
 
-:func:`build_batch_masks` builds every role's masks for a whole batch in
-one pass, as boolean blocks at the batch's longest sentence: only the
-valid key columns open, and a padded query row opens all of them. A valid
-query row left with no open key would make softmax undefined, so
-:func:`apply_fallback` opens its diagonal. :func:`build_role_mask` is the
-same pass on a batch of one sentence.
+:func:`stack_role_masks` writes every role of a batch into one boolean
+``(R, B, n, n)`` stack at the longest sentence; each role's block is its view
+of it. Then, once for the stack, padded query rows open all keys, only valid
+key columns stay open, and :func:`apply_fallback` opens the diagonal of each
+valid query row left with no open key, as softmax over no key is undefined.
+:func:`build_batch_masks` runs it on sentences, :func:`build_role_mask` on one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,25 +90,12 @@ def _any_rows(a: np.ndarray) -> np.ndarray:
 
 
 def build_batch_masks(roles, sentences, vocab) -> dict[str, np.ndarray]:
-    """Each role's boolean ``(B, n, n)`` allow-block for a batch of sentences.
-
-    ``n`` is the longest sentence's length. For row ``b`` with ``n_b``
-    tokens, a valid query row (``i < n_b``) opens the role's keys among the
-    valid columns, or its diagonal if there are none; a padded query row
-    opens every valid column; padded key columns (``j >= n_b``) stay closed.
-    """
-    lengths = np.array([len(s) for s in sentences], dtype=np.int64)
-    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]  # (B, n) valid key columns
-    tokens = [t for s in sentences for t in s.tokens]  # one per True of valid, in row order
-    key_valid, row_padded = valid[:, None, :], ~valid[:, :, None]
-    out = {}
-    for role in roles:
-        if role == ROLE_PADDING:
-            out[role] = np.repeat(key_valid, valid.shape[1], axis=1)
-            continue
-        block = key_valid & (_pattern(role, tokens, vocab, valid) | row_padded)
-        out[role] = apply_fallback(block, lengths)
-    return out
+    """Each role's boolean ``(B, n, n)`` allow-block for a batch of sentences; ``vocab`` serves ``rarew``."""
+    tokens = [t for s in sentences for t in s.tokens]
+    lengths = np.array([len(s.tokens) for s in sentences], dtype=np.int64)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    df = None if vocab is None else [vocab.df(t.form) for t in tokens]
+    return stack_role_masks(roles, lengths, valid, tokens, df)
 
 
 def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
@@ -119,32 +107,40 @@ def build_role_mask(role: str, sentence, vocab=None) -> RoleMask:
     return RoleMask(role, build_batch_masks((role,), [sentence], vocab)[role][0])
 
 
-def _pattern(role: str, tokens, vocab, valid: np.ndarray) -> np.ndarray:
-    """A guided role's open (query, key) pairs, broadcastable to ``(B, n, n)``.
+def stack_role_masks(roles, lengths, valid, tokens, df) -> dict[str, np.ndarray]:
+    """Each distinct role's boolean ``(B, n, n)`` allow-block: its view of one ``(R, B, n, n)`` stack.
 
-    ``tokens`` holds one token per True of ``valid``, the ``(B, n)`` grid of
-    token positions, in row order; pairs outside ``valid`` are cut later.
+    ``valid`` is the ``(B, n)`` grid of token positions and ``lengths`` its row counts; ``tokens`` and
+    their document frequencies ``df`` (None without a vocabulary) hold one entry per True of it, in row
+    order. A valid query row opens the role's valid keys, or its diagonal if there are none; a padded
+    query row opens every valid key; padded key columns stay closed.
     """
-    if role == ROLE_RARE_WORDS:
-        if vocab is None:
-            raise ShapeMismatchError("rare-words mask needs a vocabulary")
-        return rare_columns(tokens, vocab, valid)[:, None, :]
-    if role == ROLE_SEPARATOR:
-        return _scatter(valid, [t.form in SEPARATOR_FORMS for t in tokens], False)[:, None, :]
-    if role == ROLE_DEP_SYNTAX:
-        return _edges(valid, [t.head or 0 for t in tokens])
-    if role == ROLE_MAJOR_RELATIONS:
-        return _edges(valid, [(t.head or 0) if t.deprel in MAJOR_RELATIONS else 0 for t in tokens])
-    if role == ROLE_RELATIVE_POSITION:
-        return _band(valid.shape[1])
-    raise ShapeMismatchError(f"unknown role {role!r}; expected one of {ALL_ROLES}")
-
-
-def _scatter(valid: np.ndarray, values: list, fill) -> np.ndarray:
-    """``values`` at the True positions of ``valid``, in row order; ``fill`` elsewhere."""
-    out = np.full(valid.shape, fill)
-    out[valid] = values
-    return out
+    roles = tuple(dict.fromkeys(roles))
+    stack = np.zeros((len(roles), *valid.shape, valid.shape[1]), dtype=bool)
+    rows, positions = np.nonzero(valid)  # each token's batch row and position
+    if {ROLE_DEP_SYNTAX, ROLE_MAJOR_RELATIONS} & set(roles):
+        edges = _parse_edges(lengths, rows, positions, tokens)
+    for role, block in zip(roles, stack):
+        if role == ROLE_RARE_WORDS:
+            if df is None:
+                raise ShapeMismatchError("rare-words mask needs a vocabulary")
+            block[:] = rare_columns(df, valid)[:, None, :]
+        elif role == ROLE_SEPARATOR:
+            seps = [k for k, t in enumerate(tokens) if t.form in SEPARATOR_FORMS]
+            block[rows[seps], :, positions[seps]] = True
+        elif role in (ROLE_DEP_SYNTAX, ROLE_MAJOR_RELATIONS):
+            row, dependent, head, major = edges
+            kept = major if role == ROLE_MAJOR_RELATIONS else slice(None)
+            block[row[kept], dependent[kept], head[kept]] = block[row[kept], head[kept], dependent[kept]] = True
+        elif role == ROLE_RELATIVE_POSITION:
+            block[:] = _band(valid.shape[1])
+        elif role == ROLE_PADDING:
+            block[:] = True
+        else:
+            raise ShapeMismatchError(f"unknown role {role!r}; expected one of {ALL_ROLES}")
+    stack |= ~valid[:, :, None]
+    stack &= valid[:, None, :]
+    return dict(zip(roles, apply_fallback(stack, lengths)))
 
 
 def rare_token_count(n):
@@ -152,42 +148,48 @@ def rare_token_count(n):
     return np.maximum(1, np.ceil(0.10 * np.asarray(n))).astype(np.int64)
 
 
-def rare_columns(tokens, vocab, valid: np.ndarray) -> np.ndarray:
+def rare_columns(df, valid: np.ndarray) -> np.ndarray:
     """Each row's top-10%-IDF positions; a stable sort sends ties to the earlier position.
 
-    ``tokens`` holds one token per True of ``valid``, the ``(B, n)`` grid of
-    token positions, in row order; the result is a boolean grid shaped like
-    ``valid``. This is the one home of the rare-token rule.
+    ``df`` holds one document frequency per True of ``valid``, the ``(B, n)``
+    grid of token positions, in row order; the result is a boolean grid
+    shaped like ``valid``. This is the one home of the rare-token rule.
 
     IDF = log(total_docs / df) falls strictly as df rises, so ranking by df
     ascending ranks by IDF descending, ties included, with no log per token.
     """
-    df = _scatter(valid, [vocab.df(t.form) for t in tokens], vocab.total_docs + 1)
-    order = np.argsort(df, axis=1, kind="stable")
+    ranked = np.full(valid.shape, np.iinfo(np.int64).max)  # padding ranks last
+    ranked[valid] = df
+    order = np.argsort(ranked, axis=1, kind="stable")
     ranked_in = np.arange(valid.shape[1]) < rare_token_count(valid.sum(axis=1))[:, None]
     picked = np.zeros_like(valid)
     np.put_along_axis(picked, order, ranked_in, axis=1)
     return picked
 
 
-def _edges(valid: np.ndarray, heads: list[int]) -> np.ndarray:
-    """Open each token's parse edge to its 1-based head, in both directions.
+def _parse_edges(lengths: np.ndarray, rows: np.ndarray, positions: np.ndarray, tokens):
+    """Each parse edge's batch row, 0-based dependent and head positions, and whether its relation is major.
 
-    ``heads`` holds one head per True of ``valid``; a head of 0 (the
-    virtual root, an unparsed token or a filtered-out relation) opens nothing.
+    ``rows`` and ``positions`` place each of ``tokens``. A head of 0 (the root) or None makes no edge;
+    one outside its sentence raises ShapeMismatchError naming the batch row and the token.
     """
-    head_of = _scatter(valid, heads, 0)
-    rows, dependents = np.nonzero(head_of)
-    heads = head_of[rows, dependents] - 1
-    allow = np.zeros((*valid.shape, valid.shape[1]), dtype=bool)
-    allow[rows, dependents, heads] = True
-    allow[rows, heads, dependents] = True
-    return allow
+    heads = np.array([t.head or 0 for t in tokens], dtype=np.int64)
+    if (bad := (heads < 0) | (heads > lengths[rows])).any():
+        k = int(np.argmax(bad))
+        raise ShapeMismatchError(
+            f"batch row {rows[k]}, token {positions[k] + 1}: head {heads[k]} outside [0, {lengths[rows[k]]}]"
+        )
+    edge = np.flatnonzero(heads)
+    major = np.array([tokens[k].deprel in MAJOR_RELATIONS for k in edge.tolist()], dtype=bool)
+    return rows[edge], positions[edge], heads[edge] - 1, major
 
 
+@functools.cache
 def _band(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return np.abs(idx[:, None] - idx[None, :]) <= 1
+    """The ``relpos`` window ``|i - j| <= 1`` at width ``n``, computed once per width and shared: read-only."""
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    band.flags.writeable = False
+    return band
 
 
 # ---------------------------------------------------------------------------

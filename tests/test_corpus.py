@@ -184,6 +184,14 @@ class TestVocabulary:
     def test_oov_is_maximally_rare(self, twenty_vocab):
         assert idf(twenty_vocab, "zzz-unseen") == math.log(twenty_vocab.total_docs)
 
+    def test_df_by_id_gives_the_df_of_every_form(self, twenty):
+        """The id -> df table, with the reserved spellings unseen, then seen twice, in the vocabulary."""
+        for extra in ([], [sent(["<unk>", "<pad>"]), sent(["<unk>", "<pad>"])]):
+            vocab = build_vocab(twenty + extra)
+            forms = [*vocab.doc_freq, "zzz-unseen", "<pad>", "<unk>"]
+            assert [int(vocab.df_by_id[vocab.id(form)]) for form in forms] == [vocab.df(form) for form in forms]
+        assert vocab.df("<unk>") == vocab.df("<pad>") == 2
+
     def test_id_round_trip(self, twenty_vocab):
         for form in twenty_vocab.doc_freq:
             assert twenty_vocab.form(twenty_vocab.id(form)) == form
@@ -202,7 +210,7 @@ class TestVocabulary:
 def rare_positions(sentence, vocab) -> set[int]:
     """0-based positions that ``rare_columns`` picks in a batch of this one sentence."""
     valid = np.ones((1, len(sentence)), dtype=bool)
-    return set(np.flatnonzero(rare_columns(sentence.tokens, vocab, valid)[0]).tolist())
+    return set(np.flatnonzero(rare_columns([vocab.df(form) for form in sentence.forms], valid)[0]).tolist())
 
 
 class TestRareTokens:

@@ -161,6 +161,16 @@ class TestDependencyMasks:
         for role in ("depsyn", "majrel"):
             npt.assert_array_equal(build_role_mask(role, s).values, np.eye(3, dtype=bool))
 
+    def test_head_beyond_the_sentence_is_named(self):
+        s = sent(["a", "b", "c"], heads=[2, 0, 9], deprels=["nsubj", "root", "obj"])
+        with pytest.raises(ShapeMismatchError, match=r"^batch row 1, token 3: head 9 outside \[0, 3\]$"):
+            batch_of([sent(["x"] * 12), s], 12, ("depsyn",))
+
+    def test_negative_head_is_named_not_wrapped(self):
+        s = sent(["a", "b", "c"], heads=[2, 0, -1], deprels=["nsubj", "root", "obj"])
+        with pytest.raises(ShapeMismatchError, match=r"^batch row 0, token 3: head -1 outside \[0, 3\]$"):
+            batch_of([s], 4, ("majrel",))
+
     def test_symmetry_and_subset_on_random_trees(self):
         # head != index and edges never touch the diagonal, so removing the
         # diagonal recovers the pre-fallback open set exactly
@@ -349,8 +359,8 @@ class TestDumpFormat:
 
 
 # Forms the vocabulary sees, and forms it never sees (scored as maximally rare).
-KNOWN_FORMS = ["the", "cat", "dog", "runs", "fast", ",", ".", "?", "[SEP]"]
-UNKNOWN_FORMS = ["zebra", "!", ";"]
+KNOWN_FORMS = ["the", "cat", "dog", "runs", "fast", ",", ".", "?", "[SEP]", "<unk>"]
+UNKNOWN_FORMS = ["zebra", "!", ";", "<pad>"]
 
 
 @st.composite
