@@ -170,10 +170,17 @@ def rare_columns(df, valid: np.ndarray) -> np.ndarray:
 def _parse_edges(lengths: np.ndarray, rows: np.ndarray, positions: np.ndarray, tokens):
     """Each parse edge's batch row, 0-based dependent and head positions, and whether its relation is major.
 
-    ``rows`` and ``positions`` place each of ``tokens``. A head of 0 (the root) or None makes no edge;
-    one outside its sentence raises ShapeMismatchError naming the batch row and the token.
+    ``rows`` and ``positions`` place each of ``tokens``. A head of 0 (the root) or None makes no edge; one that is
+    not an int (a bool is not) or lies outside its sentence raises ShapeMismatchError naming the batch row and token.
     """
-    heads = np.array([t.head or 0 for t in tokens], dtype=np.int64)
+    heads = [0 if (head := t.head) is None else head for t in tokens]
+    if set(map(type, heads)) - {int}:
+        k = next(k for k, head in enumerate(heads) if type(head) is not int)
+        raise ShapeMismatchError(f"batch row {rows[k]}, token {positions[k] + 1}: head {heads[k]!r} is not an int")
+    try:
+        heads = np.array(heads, dtype=np.int64)
+    except OverflowError:  # such a head is outside any sentence; compare it as a Python int
+        heads = np.array(heads, dtype=object)
     if (bad := (heads < 0) | (heads > lengths[rows])).any():
         k = int(np.argmax(bad))
         raise ShapeMismatchError(

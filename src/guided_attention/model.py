@@ -269,7 +269,7 @@ def forward_stages(
     additive masks, and every layer's attention reads it. A ``training`` pass under dropout
     multiplies each layer's attention weights and feed-forward units by that
     layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`:
-    one attention block per tier, and the feed-forward units' valid rows.
+    one attention block per tier, and one ``(T, ff_width)`` block of packed rows.
     Any other pass ignores ``keeps``.
     """
     for role in cfg.mask_roles():
@@ -326,29 +326,22 @@ def _draw_keeps(
 ) -> list[tuple[list[np.ndarray], np.ndarray]]:
     """The inverted-dropout multipliers (0 or ``1 / (1 - dropout)``) of a training pass over ``batch``.
 
-    Per layer, in this order, ``rng`` draws the uniforms of an ``(H, B, n, n)``
-    block for the attention weights, head after head, then of a
-    ``(B, n, ff_width)`` block for the feed-forward units, as a pass over
-    padded (B, n, ·) activations would draw them. Only the cells the packed
-    pass reads become multipliers: for attention, one (H, count, width, width)
-    block per tier of ``batch.tiers``, its rows at their ``[:width, :width]``
-    pairs; for the feed-forward units, the valid rows. :func:`train` calls
-    this in each step, before the forward pass, so ``rng`` is read in the
-    order of the steps.
+    ``rng`` draws only the cells the packed pass reads: per layer, one ``(H, count, width, width)``
+    block per tier of ``batch.tiers``, in tier order, at the widths of ``autodiff.Plan.build``, for
+    the attention weights, then one ``(T, ff_width)`` block for the feed-forward units of the T
+    packed rows. A step's stream therefore depends on the tier widths and T, not on the batch's
+    padded width. :func:`train` calls this in each step, before the forward pass, so ``rng`` is
+    read in the order of the steps.
     """
-    n = int(batch.lengths.max())
-    valid = np.arange(n) < batch.lengths[:, None]
-    tiers = [(rows, int(batch.lengths[rows].max())) for rows in batch.tiers]
+    widths = [int(batch.lengths[rows].max()) for rows in batch.tiers]
+    attn = [(cfg.heads, len(rows), width, width) for rows, width in zip(batch.tiers, widths)]
+    ff = (int(batch.lengths.sum()), cfg.ff_width)
 
-    def keep(uniforms):
-        return (uniforms >= cfg.dropout) / (1.0 - cfg.dropout)
+    def keep(shape):
+        uniforms = rng.random(shape)
+        return np.multiply(uniforms >= cfg.dropout, 1.0 / (1.0 - cfg.dropout), out=uniforms)
 
-    keeps = []
-    for _ in range(cfg.layers):
-        attn = rng.random((cfg.heads, *valid.shape, n))
-        cuts = [attn] if len(tiers) == 1 else [attn[:, rows, :width, :width] for rows, width in tiers]
-        keeps.append(([keep(cut) for cut in cuts], keep(rng.random((*valid.shape, cfg.ff_width))[valid])))
-    return keeps
+    return [([keep(shape) for shape in attn], keep(ff)) for _ in range(cfg.layers)]
 
 
 # ---------------------------------------------------------------------------

@@ -337,9 +337,11 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
     embedding through every layer. Attention takes every position as a row
     of an all-valid :func:`square_plan`, but a padded key column is closed
     in every block, and the pooling skips padded positions. Dropout draws
-    from ``rng`` one tensor at a time with :func:`dropout_keep`, per layer
-    the ``(H, B, n, n)`` attention weights, then the ``(B, n, ff_width)``
-    feed-forward units.
+    from ``rng`` one block at a time with :func:`dropout_keep`, per layer one
+    ``(H, count, width, width)`` block per tier of ``batch.tiers``, then one
+    ``(T, ff_width)`` block of the valid tokens' feed-forward units, and
+    scatters them into ``(H, B, n, n)`` and ``(B, n, ff_width)`` grids, with
+    zeros at every cell the packed pass does not compute.
     """
     n = int(batch.lengths.max())
     valid = np.arange(n) < batch.lengths[:, None]
@@ -354,12 +356,20 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
             "attn.wq", "attn.wk", "attn.wv", "attn.wo", "norm1.gain", "norm1.bias",
             "ff.w1", "ff.b1", "ff.w2", "ff.b2", "norm2.gain", "norm2.bias",
         )}
-        keep = cut_keep(plan, dropout_keep((cfg.heads, *valid.shape, n), rate, rng))
+        attn_keep = ff_keep = None
+        if rate > 0.0:
+            attn_keep, ff_keep = np.zeros((cfg.heads, *valid.shape, n)), np.zeros((*valid.shape, cfg.ff_width))
+            for rows in batch.tiers:
+                width = int(batch.lengths[rows].max())
+                attn_keep[:, rows, :width, :width] = dropout_keep((cfg.heads, len(rows), width, width), rate, rng)
+            ff_keep[valid] = dropout_keep((int(valid.sum()), cfg.ff_width), rate, rng)
         projections = (p["attn.wq"], p["attn.wk"], p["attn.wv"], p["attn.wo"])
-        rows, _ = multi_head(reshape(x, (-1, cfg.d_model)), *projections, plan, keep)
+        rows, _ = multi_head(reshape(x, (-1, cfg.d_model)), *projections, plan, cut_keep(plan, attn_keep))
         attn_out = reshape(rows, x.shape)
         x = ad.layer_norm(ad.add(x, attn_out), p["norm1.gain"], p["norm1.bias"])
-        hidden = dropout(ad.relu(ad.add(ad.matmul(x, p["ff.w1"]), p["ff.b1"])), rate, rng)
+        hidden = ad.relu(ad.add(ad.matmul(x, p["ff.w1"]), p["ff.b1"]))
+        if ff_keep is not None:
+            hidden = ad.mul(hidden, ff_keep)
         ff_out = ad.add(ad.matmul(hidden, p["ff.w2"]), p["ff.b2"])
         x = ad.layer_norm(ad.add(x, ff_out), p["norm2.gain"], p["norm2.bias"])
     pooled = masked_mean(x, valid)

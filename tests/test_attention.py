@@ -55,7 +55,7 @@ class TestTierPlan:
         if len(tiers) > 1:  # tier after tier, each in length order, stably
             ordered = np.concatenate(tiers)
             assert ordered.tolist() == np.argsort(lengths, kind="stable").tolist()
-        else:  # the whole batch in batch order, which the plan leaves uncut and model._draw_keeps draws as is
+        else:  # the whole batch in batch order, which the plan leaves uncut
             assert tiers[0].tolist() == list(range(len(lengths)))
         assert self.cost(lengths, tiers) == tier_cost_bruteforce(lengths, TIER_CELLS)
 

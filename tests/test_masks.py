@@ -171,6 +171,22 @@ class TestDependencyMasks:
         with pytest.raises(ShapeMismatchError, match=r"^batch row 0, token 3: head -1 outside \[0, 3\]$"):
             batch_of([s], 4, ("majrel",))
 
+    @pytest.mark.parametrize(
+        "head, message",
+        [
+            ("2", r"head '2' is not an int"),
+            (2.5, r"head 2\.5 is not an int"),
+            (True, r"head True is not an int"),  # a bool is no head, though Python counts it as an int
+            (False, r"head False is not an int"),  # not read as the root either
+            ("x", r"head 'x' is not an int"),
+            (2**70, r"head 1180591620717411303424 outside \[0, 3\]"),  # beyond int64
+        ],
+    )
+    def test_a_head_of_another_type_or_beyond_int64_is_named(self, head, message):
+        s = sent(["a", "b", "c"], heads=[2, 0, head], deprels=["nsubj", "root", "obj"])
+        with pytest.raises(ShapeMismatchError, match=rf"^batch row 1, token 3: {message}$"):
+            batch_of([sent(["x"] * 5), s], 6, ("depsyn",))
+
     def test_symmetry_and_subset_on_random_trees(self):
         # head != index and edges never touch the diagonal, so removing the
         # diagonal recovers the pre-fallback open set exactly

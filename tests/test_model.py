@@ -356,41 +356,68 @@ class TestBatchCrop:
         return batch, cfg
 
     def test_training_forward_draws_dropout_at_the_computed_width(self, twenty, twenty_vocab):
-        """The full (H, B, n, n) and (B, n, ff_width) draws of each layer, at n the longest sentence; the
-        multipliers are one (H, count, width, width) block per tier and the feed-forward units' valid rows."""
+        """Per layer, one (H, count, width, width) draw per tier and one (T, ff_width) draw of the packed rows, and
+        not a uniform more: afterwards the generator is where Σ_t H·B_t·n_t² + T·ff_width uniforms leave it."""
         for sent_ids in (["s03", "s08"], ["s19", "s03", "s05"], None):  # longest 5, 10 and 30 tokens
             batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
             rng = np.random.default_rng(11)
             keeps = _draw_keeps(batch, cfg, rng)
-            b, n = batch.size, int(batch.lengths.max())
-            assert n < cfg.max_len
-            count = cfg.layers * (cfg.heads * b * n**2 + b * n * cfg.ff_width)
+            tiers = [(cfg.heads, len(rows), int(batch.lengths[rows].max()), int(batch.lengths[rows].max()))
+                     for rows in batch.tiers]
+            tokens = int(batch.lengths.sum())
+            count = cfg.layers * (sum(math.prod(shape) for shape in tiers) + tokens * cfg.ff_width)
             reference = np.random.default_rng(11)
             reference.random(count)
             assert rng.bit_generator.state == reference.bit_generator.state, batch.sent_ids
-            tiers = [(cfg.heads, len(rows), int(batch.lengths[rows].max()), int(batch.lengths[rows].max()))
-                     for rows in batch.tiers]
             shapes = [([block.shape for block in attn_keep], ff_keep.shape) for attn_keep, ff_keep in keeps]
-            assert shapes == [(tiers, (int(batch.lengths.sum()), cfg.ff_width))] * cfg.layers
+            assert shapes == [(tiers, (tokens, cfg.ff_width))] * cfg.layers
 
     @pytest.mark.parametrize("sent_ids", [["s03", "s08"], ["s19", "s03", "s05"], ["s15"], None])
     def test_drawn_multipliers_equal_sequential_draws_bitwise(self, twenty, twenty_vocab, sent_ids):
-        """Per layer, the attention block then the feed-forward units, each as one oracle draw: each tier's
-        block is the cut of the attention draw at its rows and ``[:width, :width]`` pairs, bit for bit."""
+        """Per layer, each tier's attention block in tier order, then the packed feed-forward rows, each block
+        one oracle draw at its own shape, bit for bit."""
         batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
-        valid = np.arange(int(batch.lengths.max())) < batch.lengths[:, None]
         rng, reference = np.random.default_rng(17), np.random.default_rng(17)
         keeps = _draw_keeps(batch, cfg, rng)
         assert len(keeps) == cfg.layers
+        widths = [int(batch.lengths[rows].max()) for rows in batch.tiers]
+        shapes = [(cfg.heads, len(rows), width, width) for rows, width in zip(batch.tiers, widths)]
         for attn_keep, ff_keep in keeps:
-            expected_attn = dropout_keep((cfg.heads, *valid.shape, valid.shape[1]), cfg.dropout, reference)
-            expected_ff = dropout_keep((*valid.shape, cfg.ff_width), cfg.dropout, reference)[valid]
             assert len(attn_keep) == len(batch.tiers)
-            for rows, block in zip(batch.tiers, attn_keep):
-                width = int(batch.lengths[rows].max())
-                cut = expected_attn[:, rows, :width, :width]
-                assert (block.dtype, block.shape, block.tobytes()) == (cut.dtype, cut.shape, cut.tobytes())
-            npt.assert_array_equal(ff_keep, expected_ff)
+            for block, shape in zip([*attn_keep, ff_keep], [*shapes, (int(batch.lengths.sum()), cfg.ff_width)]):
+                want = dropout_keep(shape, cfg.dropout, reference)
+                assert (block.dtype, block.shape, block.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=8),
+        heads=st.integers(1, 4),
+        layers=st.integers(0, 2),
+        ff_width=st.integers(0, 8),
+        rate=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @example(lengths=[1, 40, 40, 1, 1, 1, 1, 1], heads=2, layers=2, ff_width=3, rate=0.1)  # two tiers
+    def test_the_draws_fit_the_plan(self, lengths, heads, layers, ff_width, rate):
+        """The attention blocks have the shapes of the plan's tiers, in tier order, and the feed-forward block is
+        the packed rows'; every value is 0 or ``1 / (1 - rate)``, and the draw reads exactly their cells."""
+        cfg = ModelConfig(layers=layers, guided_roles=(), extra_regular_heads=heads, d_model=2 * heads,
+                          ff_width=ff_width, dropout=rate, max_len=40)
+        sentences = [sent([f"w{i}" for i in range(n)], "x") for n in lengths]
+        (batch,) = make_batches(sentences, build_vocab(sentences), len(lengths), cfg.max_len, (), shuffle=False)
+        key_row = (np.arange(max(lengths)) < batch.lengths[:, None])[:, None, :]
+        plan = ad.Plan.build(batch.lengths, batch.tiers, [key_row] * heads)
+        rng = np.random.default_rng(5)
+        keeps = _draw_keeps(batch, cfg, rng)
+        tiers = [(heads, len(tier.rows), tier.width, tier.width) for tier in plan.tiers]
+        ff = (sum(lengths), ff_width)
+        shapes = [([block.shape for block in attn_keep], ff_keep.shape) for attn_keep, ff_keep in keeps]
+        assert shapes == [(tiers, ff)] * layers
+        for attn_keep, ff_keep in keeps:
+            for block in [*attn_keep, ff_keep]:
+                assert np.all((block == 0.0) | (block == 1.0 / (1.0 - rate)))
+        reference = np.random.default_rng(5)
+        reference.random(layers * (sum(math.prod(shape) for shape in tiers) + math.prod(ff)))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_a_training_pass_under_dropout_needs_its_multipliers(self, twenty, twenty_vocab):
@@ -470,7 +497,7 @@ class TestPackedRows:
             npt.assert_allclose(packed, padded, rtol=0, atol=1e-12)
             for name in params:
                 npt.assert_allclose(packed_grads[name], padded_grads[name], rtol=0, atol=1e-12, err_msg=name)
-            assert packed_state == padded_state  # feed-forward dropout keeps its (B, n, ff_width) draw
+            assert packed_state == padded_state  # the padded forward draws the same blocks
 
     @pytest.mark.parametrize("sent_ids, dense", [(["s02", "s09", "s11", "s16"], True), (["s02", "s08"], False)])
     def test_a_batch_without_padding_is_laid_out_without_copies(
@@ -621,6 +648,21 @@ class TestTraining:
             train(replace(TINY, dropout=dropout), data, data)
         with pytest.raises(TrainingDivergedError):
             train(replace(TINY, learning_rate=1e200, epochs=4, dropout=0.1), data, data)
+
+    def test_training_without_dropout_draws_no_multipliers(self, monkeypatch):
+        """At ``dropout = 0``, the path of criterion 6 and ablation-synthetic, ``train`` never calls ``_draw_keeps``."""
+        import guided_attention.model as model_module
+
+        def refuse(*args):
+            raise AssertionError("train drew dropout multipliers at dropout 0")
+
+        data, cfg = toy_separable(20), replace(TINY, dropout=0.0)
+        expected = train(cfg, data, data)
+        monkeypatch.setattr(model_module, "_draw_keeps", refuse)
+        ckpt = train(cfg, data, data)
+        assert ckpt.metadata == expected.metadata
+        for name in ckpt.params:
+            npt.assert_array_equal(ckpt.params[name], expected.params[name])
 
     @staticmethod
     def mixed_lengths(count, seed):
@@ -981,7 +1023,7 @@ class TestGoldenTraining:
     @pytest.mark.parametrize(
         "dropout, expected",
         [
-            (0.1, "a76b5324bf22e65af045ceb82042629a4adcdb7a89354181afa4db0c71d118ef"),
+            (0.1, "db637cb35cc79b14808741013cb89c139edf669bc8c70cfe634091289581f8b3"),
             (0.0, "509b95cb42c9e0835071fba2236de9f1c2bee34d57e7bec3b352530cf9b69736"),
         ],
     )
