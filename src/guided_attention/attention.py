@@ -14,7 +14,7 @@ outputs, so mask support can be checked directly.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable
 
 import numpy as np
 
@@ -37,7 +37,7 @@ def tier_plan(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
     whole batch in batch order, of which ``autodiff.Plan.build`` cuts nothing.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
-    b, top = len(lengths), int(lengths.max()) ** 2
+    b, top = len(lengths), int(lengths.max(initial=0)) ** 2
     # No split computes fewer than Σ l² cells, and any split adds a tier.
     if b * top - int(lengths @ lengths) <= TIER_CELLS:
         return (np.arange(b),)
@@ -52,19 +52,21 @@ def tier_plan(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def multi_head(
-    x, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, plan: Plan, keep: Sequence[np.ndarray] | None = None
+    x, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, plan: Plan,
+    drop: Callable[[tuple[int, ...]], np.ndarray] | None = None,
 ) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Guided multi-head self-attention over the packed (T, d_model) rows ``x`` of a batch.
 
     ``wq``, ``wk`` and ``wv`` are (d_model, H·d_k) with head ``h`` in columns ``h·d_k`` to
-    ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``plan`` and ``keep`` are those of
+    ``(h+1)·d_k``; ``wo`` is (H·d_k, d_model). ``plan`` and ``drop`` are those of
     ``autodiff.attention``: the plan holds each head's mask cut to each tier, a guided head's
     role block or, for a regular head, the (B, 1, n) row of valid keys as a (count, 1, width)
-    row (see ``model.forward_stages``), and the layer draws no dropout of its own. Returns the
-    (T, d_model) layer output and the weights of ``autodiff.attention``, one read-only
-    (H, count, width, width) block per tier. One sentence's (n, d_model) ``x`` under boolean
-    (n, n) head blocks ``allowed`` is the one-row batch of ``Plan.build([n], tier_plan([n]), allowed)``.
+    row (see ``model.forward_stages``), and ``drop``, if given, makes each tier's dropout
+    multipliers. Returns the (T, d_model) layer output and the weights of ``autodiff.attention``,
+    one read-only (H, count, width, width) block per tier. One sentence's (n, d_model) ``x``
+    under boolean (n, n) head blocks ``allowed`` is the one-row batch of
+    ``Plan.build([n], tier_plan([n]), allowed)``.
     """
     q, k, v = ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv)
-    out, weights = ad.attention(q, k, v, plan, keep)
+    out, weights = ad.attention(q, k, v, plan, drop)
     return ad.matmul(out, wo), weights

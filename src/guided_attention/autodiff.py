@@ -183,12 +183,12 @@ class Plan(NamedTuple):
     def build(cls, lengths: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
         """The plan of a batch's packed rows and its heads' additive masks, built once for every layer of a pass.
 
-        ``lengths`` are the batch's (B,) sentence lengths, each at least 1; ``tiers`` its rows per tier from
-        ``attention.tier_plan``, every row in exactly one; and ``allowed`` each head's boolean block, broadcastable
-        to (B, n, n), n = ``lengths.max()``. Each tier is laid out at its longest sentence, and each distinct block
-        becomes one {0, -inf} mask per tier, cut to the tier along the axes it has: a (B, 1, n) key row becomes a
-        (count, 1, width) row, and a shared (n, n) block a (width, width) one. A lone tier of the whole batch in
-        batch order cuts nothing. Any other input raises :class:`ShapeMismatchError`.
+        ``lengths`` are the batch's (B,) sentence lengths, each at least 1; ``tiers`` its integer rows per tier
+        from ``attention.tier_plan``, every row in exactly one; and ``allowed`` each head's boolean block,
+        broadcastable to (B, n, n), n = ``lengths.max()``. Each tier is laid out at its longest sentence, and each
+        distinct block becomes one {0, -inf} mask per tier, cut to the tier along the axes it has: a (B, 1, n) key
+        row becomes a (count, 1, width) row, and a shared (n, n) block a (width, width) one. A lone tier of the
+        whole batch in batch order cuts nothing. Any other input raises :class:`ShapeMismatchError`.
         """
         if not allowed:
             raise ShapeMismatchError("attention needs at least one mask block, one per head")
@@ -207,8 +207,11 @@ class Plan(NamedTuple):
             raise ShapeMismatchError(f"attention masks {[a.shape for a in allowed]} vs {(b, n, n)}")
         order = np.concatenate(tiers) if tiers else np.empty(0, dtype=np.intp)
         in_order = order.shape == (b,) and np.count_nonzero(order == np.arange(b)) == b
-        if not (in_order or np.array_equal(np.sort(order), np.arange(b))) or not all(map(len, tiers)):
-            raise ShapeMismatchError(f"attention tiers {[t.tolist() for t in tiers]} must hold rows 0..{b - 1} once")
+        once = order.dtype.kind in "iu" and (in_order or np.array_equal(np.sort(order), np.arange(b)))
+        if not once or not all(map(len, tiers)):
+            raise ShapeMismatchError(
+                f"attention tiers {[t.tolist() for t in tiers]} must hold rows 0..{b - 1} once, as integers"
+            )
         distinct = {id(a): a for a in allowed}
         first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
         placed, stop = [], 0
@@ -244,18 +247,18 @@ def _cut(shape: tuple[int, ...], rows: np.ndarray, width: int) -> tuple:
     return (batch, slice(width), slice(width))[3 - len(shape) :]
 
 
-def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
+def attention(q, k, v, plan: Plan, drop=None) -> tuple[Tensor, tuple[np.ndarray, ...]]:
     """Masked scaled dot-product attention of H heads over a batch's packed rows, as one tape node.
 
     ``q`` and ``k`` are (T, H·d_k) and ``v`` (T, H·d_v), one row per token of ``plan``'s batch,
     T = ``plan.lengths.sum()``, with the heads packed along the last axis. ``plan``, from
     :meth:`Plan.build`, holds the batch's tiers and one {0, -inf} mask per head and tier.
     Head ``h`` computes ``softmax((Q_h K_hᵀ + M_h) / sqrt(d_k)) V_h`` within each sentence;
-    ``keep``, if given, holds one (H, count, width, width) inverted-dropout multiplier
-    (0 or ``1 / (1 - rate)``) per tier, for the tier's rows and its ``[:width, :width]``
-    pairs, which scales the weights before they meet ``V_h``. A single sentence's (n, ·)
-    operands under boolean (n, n) blocks ``allowed`` are the packed rows of the one-tier plan
-    ``Plan.build([n], attention.tier_plan([n]), allowed)``.
+    ``drop``, if given, is called once per tier, in tier order, as ``drop((H, count, width, width))``,
+    and returns the tier's inverted-dropout multipliers (0 or ``1 / (1 - rate)``) for its rows
+    and its ``[:width, :width]`` pairs, which scale the weights before they meet ``V_h``. A
+    single sentence's (n, ·) operands under boolean (n, n) blocks ``allowed`` are the packed
+    rows of the one-tier plan ``Plan.build([n], attention.tier_plan([n]), allowed)``.
 
     Returns the head outputs concatenated along the last axis, (T, H·d_v), and the
     weights before dropout, one (H, count, width, width) block per tier: off the tape, and
@@ -275,16 +278,12 @@ def attention(q, k, v, plan: Plan, keep=None) -> tuple[Tensor, tuple[np.ndarray,
     if not isinstance(plan, Plan):
         raise ShapeMismatchError(f"attention takes a batch's autodiff.Plan (Plan.build), not a {type(plan).__name__}")
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if keep is None:
-        keep = (None,) * len(plan.tiers)
-    elif len(keep) != len(plan.tiers):  # _heads checks each block's shape
-        raise ShapeMismatchError(f"attention got {len(keep)} keep blocks for {len(plan.tiers)} tiers")
     laid_out = [plan.lay_out(t.data) for t in (q, k, v)]
     out = np.empty(laid_out[2].shape)
-    runs = [
-        _heads(*map(tier.view, laid_out), tier.masks, tier_keep, tier.rows, tier.view(out))
-        for tier, tier_keep in zip(plan.tiers, keep)
-    ]
+    runs = []
+    for tier in plan.tiers:
+        keep = None if drop is None else drop((len(tier.masks), len(tier.rows), tier.width, tier.width))
+        runs.append(_heads(*map(tier.view, laid_out), tier.masks, keep, tier.rows, tier.view(out)))
     _, weights, tier_grads = zip(*runs)
 
     def backward(g):

@@ -122,13 +122,10 @@ def load_checkpoint(path) -> Checkpoint:
     if magic == MAGIC_V1:
         params = _pack_v1_heads(params, config)
     _check_manifest(params, param_shapes(config, len(vocab)))
-    return Checkpoint(
-        config=config,
-        params=params,
-        vocab=vocab,
-        class_names=list(_field(header, "class_names", list)),
-        metadata=metadata,
-    )
+    class_names = _field(header, "class_names", list)
+    if not all(isinstance(name, str) for name in class_names) or len(set(class_names)) != len(class_names):
+        raise CheckpointError(f"header 'class_names' {class_names} is not a list of distinct strings")
+    return Checkpoint(config=config, params=params, vocab=vocab, class_names=class_names, metadata=metadata)
 
 
 def _pack_v1_heads(params: dict[str, np.ndarray], cfg: ModelConfig) -> dict[str, np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -252,7 +252,7 @@ def forward_stages(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
+    rng: np.random.Generator | None = None,
     *,
     training: bool = False,
 ) -> Iterator[tuple[str, Tensor]]:
@@ -266,37 +266,37 @@ def forward_stages(
     every head of the role; padding and regular heads share one ``(B, 1, n)``
     row of valid keys. One ``autodiff.Plan`` of the rows, built once per pass
     from ``batch.lengths``, ``batch.tiers`` and these blocks, holds the heads'
-    additive masks, and every layer's attention reads it. A ``training`` pass under dropout
-    multiplies each layer's attention weights and feed-forward units by that
-    layer's pair of ``keeps``, the batch's multipliers from :func:`_draw_keeps`:
-    one attention block per tier, and one ``(T, ff_width)`` block of packed rows.
-    Any other pass ignores ``keeps``.
+    additive masks, and every layer's attention reads it. A ``training`` pass
+    under dropout draws its inverted-dropout multipliers from ``rng`` as it
+    goes, only for the cells the packed pass reads: per layer, ``autodiff.attention``
+    draws one ``(H, count, width, width)`` block per tier, in tier order, and
+    then the feed-forward stage one ``(T, ff_width)`` block of packed rows.
+    Any other pass draws nothing and ignores ``rng``.
     """
     for role in cfg.mask_roles():
         if role not in batch.allowed:
             raise ConfigError(f"batch carries no mask for guided role {role!r}")
-    if not (training and cfg.dropout > 0.0):
-        keeps = [(None, None)] * cfg.layers
-    elif keeps is None or len(keeps) != cfg.layers:
-        raise ConfigError(
-            f"a training pass under dropout needs a pair of multipliers for each of {cfg.layers} layers"
-        )
+    drop = None
+    if training and cfg.dropout > 0.0:
+        if rng is None:
+            raise ConfigError("a training pass under dropout needs a generator")
+        drop = functools.partial(_dropout_keep, rng, cfg.dropout)
     key_row = (np.arange(int(batch.lengths.max())) < batch.lengths[:, None])[:, None, :]
     allowed = [key_row if role == ROLE_PADDING else batch.allowed[role] for role in cfg.guided_roles]
     plan = ad.Plan.build(batch.lengths, batch.tiers, allowed + [key_row] * cfg.extra_regular_heads)
     x = embed(batch, params, cfg)
     yield "embed.output", x
-    for i, (attn_keep, ff_keep) in enumerate(keeps):
+    for i in range(cfg.layers):
         projections = (params[f"layer{i}.attn.{w}"] for w in ("wq", "wk", "wv", "wo"))
-        attn_out, _ = multi_head(x, *projections, plan, attn_keep)
+        attn_out, _ = multi_head(x, *projections, plan, drop)
         yield f"layer{i}.attention.output", attn_out
         x = ad.layer_norm(
             ad.add(x, attn_out), params[f"layer{i}.norm1.gain"], params[f"layer{i}.norm1.bias"]
         )
         yield f"layer{i}.norm1.output", x
         hidden = ad.relu(ad.add(ad.matmul(x, params[f"layer{i}.ff.w1"]), params[f"layer{i}.ff.b1"]))
-        if ff_keep is not None:
-            hidden = ad.mul(hidden, ff_keep)
+        if drop is not None:
+            hidden = ad.mul(hidden, drop(hidden.shape))
         ff_out = ad.add(ad.matmul(hidden, params[f"layer{i}.ff.w2"]), params[f"layer{i}.ff.b2"])
         yield f"layer{i}.ff.output", ff_out
         x = ad.layer_norm(
@@ -310,38 +310,22 @@ def forward_batch(
     batch: Batch,
     params: dict[str, Tensor],
     cfg: ModelConfig,
-    keeps: Sequence[tuple[Sequence[np.ndarray], np.ndarray]] | None = None,
+    rng: np.random.Generator | None = None,
     *,
     training: bool = False,
 ) -> Tensor:
     """Class scores of a batch: the last output of :func:`forward_stages`. ``training`` is keyword-only:
     ``perfbench/run.py`` reads it by name to take its memory samples outside the training steps it times."""
-    for _, logits in forward_stages(batch, params, cfg, keeps, training=training):
+    for _, logits in forward_stages(batch, params, cfg, rng, training=training):
         pass
     return logits
 
 
-def _draw_keeps(
-    batch: Batch, cfg: ModelConfig, rng: np.random.Generator
-) -> list[tuple[list[np.ndarray], np.ndarray]]:
-    """The inverted-dropout multipliers (0 or ``1 / (1 - dropout)``) of a training pass over ``batch``.
-
-    ``rng`` draws only the cells the packed pass reads: per layer, one ``(H, count, width, width)``
-    block per tier of ``batch.tiers``, in tier order, at the widths of ``autodiff.Plan.build``, for
-    the attention weights, then one ``(T, ff_width)`` block for the feed-forward units of the T
-    packed rows. A step's stream therefore depends on the tier widths and T, not on the batch's
-    padded width. :func:`train` calls this in each step, before the forward pass, so ``rng`` is
-    read in the order of the steps.
-    """
-    widths = [int(batch.lengths[rows].max()) for rows in batch.tiers]
-    attn = [(cfg.heads, len(rows), width, width) for rows, width in zip(batch.tiers, widths)]
-    ff = (int(batch.lengths.sum()), cfg.ff_width)
-
-    def keep(shape):
-        uniforms = rng.random(shape)
-        return np.multiply(uniforms >= cfg.dropout, 1.0 / (1.0 - cfg.dropout), out=uniforms)
-
-    return [([keep(shape) for shape in attn], keep(ff)) for _ in range(cfg.layers)]
+def _dropout_keep(rng: np.random.Generator, rate: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverted-dropout multipliers (0 or ``1 / (1 - rate)``) of ``shape``, made in place from ``prod(shape)``
+    uniforms of ``rng``."""
+    uniforms = rng.random(shape)
+    return np.multiply(uniforms >= rate, 1.0 / (1.0 - rate), out=uniforms)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +452,8 @@ def train(
 
     Fully deterministic under ``cfg.seed``: one RNG stream drives parameter
     initialization and dropout, a second (derived from the same seed) drives
-    the batch shuffle. Under dropout, each step draws its batch's
-    multipliers (see :func:`_draw_keeps`) before its forward pass. The dev
+    the batch shuffle. Under dropout, each step's forward pass draws its
+    multipliers as it goes (see :func:`forward_stages`). The dev
     batches are built once per call, from the dev split in length order (see
     :func:`_forward_only_batches`); they only pick the best epoch, so the
     order leaves the trained parameters unchanged.
@@ -506,10 +490,9 @@ def train(
         total_loss, total_examples = 0.0, 0
         for batch in train_batches:
             ad.zero_grads(params)
-            keeps = _draw_keeps(batch, cfg, rng) if cfg.dropout > 0.0 else None
             try:
                 # training= stays a keyword: perfbench/run.py reads it to keep its samples out of timed steps
-                logits = forward_batch(batch, params, cfg, keeps, training=True)
+                logits = forward_batch(batch, params, cfg, rng, training=True)
                 loss = ad.cross_entropy(logits, batch.labels)
             except DegenerateRowError:
                 # batch masks are feasible by construction, so this is numeric blow-up

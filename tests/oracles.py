@@ -195,9 +195,13 @@ def spread_weights(plan, blocks) -> np.ndarray:
     return weights
 
 
-def cut_keep(plan, keep: np.ndarray | None) -> list[np.ndarray] | None:
-    """The per-tier blocks of an (H, B, n, n) ``keep`` that a planned ``autodiff.attention`` call takes."""
-    return None if keep is None else [keep[:, tier.rows, :tier.width, :tier.width] for tier in plan.tiers]
+def cut_keep(plan, keep: np.ndarray | None):
+    """A ``drop`` for a planned ``autodiff.attention`` call: it hands out the per-tier cuts of an (H, B, n, n)
+    ``keep``, one a call, in tier order. None for a None ``keep``."""
+    if keep is None:
+        return None
+    cuts = iter([keep[:, tier.rows, :tier.width, :tier.width] for tier in plan.tiers])
+    return lambda shape: next(cuts)
 
 
 def square_plan(*blocks: np.ndarray) -> ad.Plan:
@@ -259,7 +263,7 @@ def dropout_keep(shape: tuple[int, ...], rate: float, rng: np.random.Generator |
 
     Returns None, and draws nothing, when rate == 0; otherwise draws exactly
     ``prod(shape)`` uniforms from ``rng``: the draws, one tensor at a time,
-    that ``model._draw_keeps`` must reproduce.
+    that a training pass of ``model.forward_stages`` must reproduce.
     """
     if rate == 0.0:
         return None

@@ -1,5 +1,8 @@
+import inspect
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -304,7 +307,8 @@ class TestMultiHead:
 
         def fused_layer(x, wq, wk, wv, wo, masks, gen):
             """The packed layer on every position's row, given one (H, B, n, n) draw for all its heads."""
-            rows, _ = multi_head(reshape(x, (4 * n, 12)), wq, wk, wv, wo, plan, [dropout_keep((6, 4, n, n), 0.3, gen)])
+            rows, _ = multi_head(reshape(x, (4 * n, 12)), wq, wk, wv, wo, plan,
+                                 lambda shape: dropout_keep(shape, 0.3, gen))
             return reshape(rows, x.shape)
 
         def reference_layer(x, wq, wk, wv, wo, masks, gen):
@@ -357,3 +361,18 @@ def test_attention_weights_are_softmax_rows(b, n, heads, d_k, magnitude, open_sh
         npt.assert_array_equal(weights[h], expected)
     assert np.all(weights[~is_open] == 0.0)
     npt.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("quoted, fn", [
+    ("attention.multi_head", multi_head), ("autodiff.attention", ad.attention), ("autodiff.Plan.build", ad.Plan.build),
+])
+def test_readme_signatures_match_the_code(quoted, fn):
+    """Each signature README quotes as `` `name(params)` `` has the code's parameter names and defaults."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    found = re.findall(r"`" + re.escape(quoted) + r"(\([^`]*\))`", readme)
+    assert found, f"README quotes no signature of {quoted}"
+    signature = inspect.signature(fn)
+    bare = signature.replace(parameters=[p.replace(annotation=p.empty) for p in signature.parameters.values()],
+                             return_annotation=signature.empty)
+    for params in found:
+        assert " ".join(params.split()) == str(bare), quoted

@@ -333,7 +333,7 @@ class TestAttention:
         plan = square_plan(*[mk == 0.0 for mk in masks])
         check_grads(
             lambda q, k, v: random_weighted_sum(
-                ad.attention(q, k, v, plan, [keep])[0], np.random.default_rng(32)
+                ad.attention(q, k, v, plan, lambda shape: keep)[0], np.random.default_rng(32)
             ),
             [a.reshape(6, -1) for a in (q, k, v)],
         )
@@ -349,7 +349,7 @@ class TestAttention:
         runs = []
         for layout, pick in ((every_position, lambda a: a.reshape(12, -1)), (plan, lambda a: a[valid])):
             tensors = [Tensor(pick(a), requires_grad=True) for a in padded]
-            out, weights = ad.attention(*tensors, layout, [keep])
+            out, weights = ad.attention(*tensors, layout, lambda shape: keep)
             ad.backward(tensor_sum(ad.mul(out, pick(upstream))))
             runs.append((out.data, spread_weights(layout, weights), [t.grad for t in tensors]))
         (out, weights, grads), (packed_out, packed_weights, packed_grads) = runs
@@ -360,16 +360,15 @@ class TestAttention:
         with pytest.raises(ShapeMismatchError, match="valid positions"):
             ad.attention(padded[0][valid][1:], padded[1][valid], padded[2][valid], plan)
         packed = [a[valid] for a in padded]
-        with pytest.raises(ShapeMismatchError, match="got 2 keep blocks for 1 tiers"):  # the (H, B, n, n) grid
-            ad.attention(*packed, plan, keep)
         with pytest.raises(ShapeMismatchError, match=r"keep shape \(2, 3, 3, 3\) vs weights \(2, 3, 4, 4\)"):
-            ad.attention(*packed, plan, [keep[..., :3, :3]])
+            ad.attention(*packed, plan, lambda shape: keep[..., :3, :3])
 
     def test_outputs_match_per_head_softmax_and_dropout(self):
         rng = np.random.default_rng(33)
         q, k, v, masks = self.packed_inputs(rng)
         keep = dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(34))
-        out, (weights,) = ad.attention(*self.rows(q, k, v), square_plan(*[mk == 0.0 for mk in masks]), [keep])
+        out, (weights,) = ad.attention(*self.rows(q, k, v), square_plan(*[mk == 0.0 for mk in masks]),
+                                       lambda shape: keep)
         assert out.shape == (6, 4) and weights.shape == (2, 2, 3, 3)
         for h in range(2):
             cols = slice(2 * h, 2 * h + 2)
@@ -450,14 +449,15 @@ class TestAttention:
         assert out.data.tobytes() == want_out.data.tobytes()
 
     def test_shape_errors(self):
-        """Heads that do not split the columns, a ``keep`` block of another shape, or masks not in a plan."""
+        """Heads that do not split the columns, a ``drop`` that returns a block of another shape, or masks not in a
+        plan."""
         rng = np.random.default_rng(37)
         q, k, v, masks = self.packed_inputs(rng)
         allowed = [mk == 0.0 for mk in masks]
         with pytest.raises(ShapeMismatchError, match="into 3 heads"):
             ad.attention(*self.rows(q, k, v), square_plan(*allowed, allowed[0]))
         with pytest.raises(ShapeMismatchError, match="keep shape"):
-            ad.attention(*self.rows(q, k, v), square_plan(*allowed), [np.ones((2, 2, 3, 2))])
+            ad.attention(*self.rows(q, k, v), square_plan(*allowed), lambda shape: np.ones((2, 2, 3, 2)))
         with pytest.raises(ShapeMismatchError, match="autodiff.Plan"):
             ad.attention(*self.rows(q, k, v), masks)
 
@@ -673,7 +673,8 @@ class TestTieredAttention:
 
     def test_plan_rejects_tiers_blocks_and_rows_it_cannot_lay_out(self):
         """Tiers that miss or repeat a row, no blocks, a block of another shape, or lengths that are not a vector of
-        integers >= 1 each raise, in a lone tier as among several; a missing row used to leave its layout unset."""
+        integers >= 1 each raise, in a lone tier as among several; a missing row used to leave its layout unset.
+        An empty batch's ``tier_plan`` reaches the lengths check."""
         lengths = np.array([4, 1, 3, 2])
         key_row = (np.arange(4) < lengths[:, None])[:, None, :]
         whole, split = (np.arange(4),), (np.array([1, 3]), np.array([0, 2]))
@@ -683,6 +684,8 @@ class TestTieredAttention:
             ((np.array([0, 1, 3]), np.array([2, 3])), [key_row], "must hold rows 0..3 once"),
             ((), [key_row], "must hold rows 0..3 once"),
             ((np.arange(4), np.array([], dtype=np.intp)), [key_row], "must hold rows 0..3 once"),  # an empty tier
+            ((np.arange(4.0),), [key_row], r"tiers \[\[0.0, 1.0, 2.0, 3.0\]\] must hold rows 0..3 once, as integers"),
+            ((np.array([1.0, 3.0]), np.array([0.0, 2.0])), [key_row], "as integers"),  # used to index with floats
             (whole, [], "at least one mask"),
             (split, [], "at least one mask"),
             (whole, [key_row, np.ones((4, 4, 3), dtype=bool)], r"masks \[\(4, 1, 4\), \(4, 4, 3\)\] vs \(4, 4, 4\)"),
@@ -702,6 +705,9 @@ class TestTieredAttention:
             for tiers in (whole, split):
                 with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got " + shown):
                     ad.Plan.build(bad, tiers, [key_row])
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got \[\]"):
+            ad.Plan.build(empty, tier_plan(empty), [key_row])
 
     def test_a_closed_row_is_named_by_its_batch_row(self):
         rows, lengths, masks = self.batch([1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1], 5)
@@ -796,12 +802,13 @@ class TestBackward:
             attended = ad.matmul(softmax_rows(ad.mul(scores, 0.5)), x)
             keep = dropout_keep((2, 2, 3, 3), 0.5, np.random.default_rng(1))
             flat = reshape(x, (6, 4))
-            fused, _ = ad.attention(flat, flat, flat, every_position, [keep])
+            fused, _ = ad.attention(flat, flat, flat, every_position, lambda shape: keep)
             joined = ad.matmul(concat_last([attended, ad.relu(reshape(fused, (2, 3, 4)))]), proj)
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(lengths, (np.arange(2),), allowed), [keep])
+            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(lengths, (np.arange(2),), allowed),
+                                     lambda shape: keep)
             two_tiers = ad.Plan.build(lengths, (np.array([0]), np.array([1])), allowed)
             tiered, _ = ad.attention(rows, rows, rows, two_tiers, cut_keep(two_tiers, keep))
             pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))

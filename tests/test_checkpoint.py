@@ -149,6 +149,18 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "class_names", [[["match"], "nomatch"], ["match", "match"]], ids=["list-entry", "duplicate"]
+    )
+    def test_class_names_must_be_distinct_strings(self, trained, tmp_path, class_names):
+        """A list entry used to load and end ``evaluate`` in a ``TypeError``; a duplicate name would shadow its twin."""
+        ckpt, _ = trained
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        resign(path, lambda header: {**header, "class_names": class_names})
+        with pytest.raises(CheckpointError, match="'class_names' .* is not a list of distinct strings"):
+            load_checkpoint(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

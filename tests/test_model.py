@@ -35,7 +35,6 @@ from guided_attention.model import (
     sinusoidal_encoding,
     train,
 )
-from guided_attention.model import _draw_keeps
 from guided_attention.synthetic import generate_local_pattern_task
 from oracles import (
     AdamPerTensor,
@@ -355,13 +354,30 @@ class TestBatchCrop:
         assert len(batch.tiers) == 2
         return batch, cfg
 
+    @staticmethod
+    def training_draws(batch, cfg, rng):
+        """The multiplier blocks a training pass over ``batch`` draws from ``rng``, in draw order."""
+        import guided_attention.model as model_module
+
+        blocks, draw = [], model_module._dropout_keep
+
+        def spy(rng, rate, shape):
+            blocks.append(draw(rng, rate, shape))
+            return blocks[-1]
+
+        params = init_params(cfg, int(batch.token_ids.max()) + 1, np.random.default_rng(cfg.seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model_module, "_dropout_keep", spy)
+            forward_batch(batch, params, cfg, rng, training=True)
+        return blocks
+
     def test_training_forward_draws_dropout_at_the_computed_width(self, twenty, twenty_vocab):
         """Per layer, one (H, count, width, width) draw per tier and one (T, ff_width) draw of the packed rows, and
         not a uniform more: afterwards the generator is where Σ_t H·B_t·n_t² + T·ff_width uniforms leave it."""
         for sent_ids in (["s03", "s08"], ["s19", "s03", "s05"], None):  # longest 5, 10 and 30 tokens
             batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
             rng = np.random.default_rng(11)
-            keeps = _draw_keeps(batch, cfg, rng)
+            blocks = self.training_draws(batch, cfg, rng)
             tiers = [(cfg.heads, len(rows), int(batch.lengths[rows].max()), int(batch.lengths[rows].max()))
                      for rows in batch.tiers]
             tokens = int(batch.lengths.sum())
@@ -369,8 +385,7 @@ class TestBatchCrop:
             reference = np.random.default_rng(11)
             reference.random(count)
             assert rng.bit_generator.state == reference.bit_generator.state, batch.sent_ids
-            shapes = [([block.shape for block in attn_keep], ff_keep.shape) for attn_keep, ff_keep in keeps]
-            assert shapes == [(tiers, (tokens, cfg.ff_width))] * cfg.layers
+            assert [block.shape for block in blocks] == [*tiers, (tokens, cfg.ff_width)] * cfg.layers
 
     @pytest.mark.parametrize("sent_ids", [["s03", "s08"], ["s19", "s03", "s05"], ["s15"], None])
     def test_drawn_multipliers_equal_sequential_draws_bitwise(self, twenty, twenty_vocab, sent_ids):
@@ -378,15 +393,14 @@ class TestBatchCrop:
         one oracle draw at its own shape, bit for bit."""
         batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
         rng, reference = np.random.default_rng(17), np.random.default_rng(17)
-        keeps = _draw_keeps(batch, cfg, rng)
-        assert len(keeps) == cfg.layers
+        blocks = self.training_draws(batch, cfg, rng)
         widths = [int(batch.lengths[rows].max()) for rows in batch.tiers]
         shapes = [(cfg.heads, len(rows), width, width) for rows, width in zip(batch.tiers, widths)]
-        for attn_keep, ff_keep in keeps:
-            assert len(attn_keep) == len(batch.tiers)
-            for block, shape in zip([*attn_keep, ff_keep], [*shapes, (int(batch.lengths.sum()), cfg.ff_width)]):
-                want = dropout_keep(shape, cfg.dropout, reference)
-                assert (block.dtype, block.shape, block.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        shapes = [*shapes, (int(batch.lengths.sum()), cfg.ff_width)] * cfg.layers
+        assert len(blocks) == len(shapes)
+        for block, shape in zip(blocks, shapes):
+            want = dropout_keep(shape, cfg.dropout, reference)
+            assert (block.dtype, block.shape, block.tobytes()) == (want.dtype, want.shape, want.tobytes())
         assert rng.bit_generator.state == reference.bit_generator.state
 
     @settings(max_examples=60, deadline=None)
@@ -400,7 +414,7 @@ class TestBatchCrop:
     @example(lengths=[1, 40, 40, 1, 1, 1, 1, 1], heads=2, layers=2, ff_width=3, rate=0.1)  # two tiers
     def test_the_draws_fit_the_plan(self, lengths, heads, layers, ff_width, rate):
         """The attention blocks have the shapes of the plan's tiers, in tier order, and the feed-forward block is
-        the packed rows'; every value is 0 or ``1 / (1 - rate)``, and the draw reads exactly their cells."""
+        the packed rows'; every value is 0 or ``1 / (1 - rate)``, and the pass reads exactly their cells."""
         cfg = ModelConfig(layers=layers, guided_roles=(), extra_regular_heads=heads, d_model=2 * heads,
                           ff_width=ff_width, dropout=rate, max_len=40)
         sentences = [sent([f"w{i}" for i in range(n)], "x") for n in lengths]
@@ -408,28 +422,31 @@ class TestBatchCrop:
         key_row = (np.arange(max(lengths)) < batch.lengths[:, None])[:, None, :]
         plan = ad.Plan.build(batch.lengths, batch.tiers, [key_row] * heads)
         rng = np.random.default_rng(5)
-        keeps = _draw_keeps(batch, cfg, rng)
+        blocks = self.training_draws(batch, cfg, rng)
         tiers = [(heads, len(tier.rows), tier.width, tier.width) for tier in plan.tiers]
         ff = (sum(lengths), ff_width)
-        shapes = [([block.shape for block in attn_keep], ff_keep.shape) for attn_keep, ff_keep in keeps]
-        assert shapes == [(tiers, ff)] * layers
-        for attn_keep, ff_keep in keeps:
-            for block in [*attn_keep, ff_keep]:
-                assert np.all((block == 0.0) | (block == 1.0 / (1.0 - rate)))
+        assert [block.shape for block in blocks] == [*tiers, ff] * layers
+        for block in blocks:
+            assert np.all((block == 0.0) | (block == 1.0 / (1.0 - rate)))
         reference = np.random.default_rng(5)
         reference.random(layers * (sum(math.prod(shape) for shape in tiers) + math.prod(ff)))
         assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_a_training_pass_under_dropout_needs_its_multipliers(self, twenty, twenty_vocab):
+        """A training pass under dropout needs a generator to draw them from; a pass that is not training, or one
+        at dropout 0, ignores the generator and leaves it untouched."""
         cfg = self.CFG
         batch = self._batch(twenty, twenty_vocab, ["s03", "s08"])
         params = init_params(cfg, len(twenty_vocab), np.random.default_rng(cfg.seed))
-        keeps = _draw_keeps(batch, cfg, np.random.default_rng(0))
-        for wrong in (None, keeps[:1]):
-            with pytest.raises(ConfigError, match="pair of multipliers for each of 2 layers"):
-                forward_batch(batch, params, cfg, wrong, training=True)
-        # A pass that is not training ignores them.
-        npt.assert_array_equal(forward_batch(batch, params, cfg, keeps).data, forward_batch(batch, params, cfg).data)
+        with pytest.raises(ConfigError, match="a training pass under dropout needs a generator"):
+            forward_batch(batch, params, cfg, training=True)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        npt.assert_array_equal(forward_batch(batch, params, cfg, rng).data, forward_batch(batch, params, cfg).data)
+        undropped = replace(cfg, dropout=0.0)
+        npt.assert_array_equal(forward_batch(batch, params, undropped, rng, training=True).data,
+                               forward_batch(batch, params, cfg).data)
+        assert rng.bit_generator.state == state
 
     def test_an_ablated_config_batches_no_padding_block(self, twenty, twenty_vocab):
         """A ``padding`` head reads the row of valid keys, as a regular head does, so no batch carries its block."""
@@ -487,8 +504,7 @@ class TestPackedRows:
                 ad.zero_grads(params)
                 rng = np.random.default_rng(21)
                 if layout == "packed":
-                    keeps = _draw_keeps(batch, cfg, rng) if cfg.dropout > 0.0 else None
-                    logits = forward_batch(batch, params, cfg, keeps, training=True)
+                    logits = forward_batch(batch, params, cfg, rng, training=True)
                 else:
                     logits = forward_padded(batch, params, cfg, rng=rng, training=True)
                 ad.backward(ad.cross_entropy(logits, labels), params)
@@ -514,9 +530,9 @@ class TestPackedRows:
             laid_out.append((rows, lay_out(plan, rows)))
             return laid_out[-1][1]
 
-        def attention_spy(q, k, v, plan, keep=None):
+        def attention_spy(q, k, v, plan, drop=None):
             plans.append(plan)
-            return attention(q, k, v, plan, keep)
+            return attention(q, k, v, plan, drop)
 
         monkeypatch.setattr(ad.Plan, "lay_out", spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
@@ -550,8 +566,8 @@ class TestPackedRows:
             tiers.append(tier_plan(lengths))
             return tiers[-1]
 
-        def attention_spy(q, k, v, plan, keep=None):
-            out, blocks = attention(q, k, v, plan, keep)
+        def attention_spy(q, k, v, plan, drop=None):
+            out, blocks = attention(q, k, v, plan, drop)
             plans.append((plan, [tier.masks for tier in plan.tiers], blocks))
             return out, blocks
 
@@ -650,7 +666,7 @@ class TestTraining:
             train(replace(TINY, learning_rate=1e200, epochs=4, dropout=0.1), data, data)
 
     def test_training_without_dropout_draws_no_multipliers(self, monkeypatch):
-        """At ``dropout = 0``, the path of criterion 6 and ablation-synthetic, ``train`` never calls ``_draw_keeps``."""
+        """At ``dropout = 0``, the path of criterion 6 and ablation-synthetic, ``train`` never draws a multiplier."""
         import guided_attention.model as model_module
 
         def refuse(*args):
@@ -658,7 +674,7 @@ class TestTraining:
 
         data, cfg = toy_separable(20), replace(TINY, dropout=0.0)
         expected = train(cfg, data, data)
-        monkeypatch.setattr(model_module, "_draw_keeps", refuse)
+        monkeypatch.setattr(model_module, "_dropout_keep", refuse)
         ckpt = train(cfg, data, data)
         assert ckpt.metadata == expected.metadata
         for name in ckpt.params:
