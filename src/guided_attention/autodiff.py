@@ -180,15 +180,15 @@ class Plan(NamedTuple):
     at: np.ndarray | None  # each packed row's laid-out position; None if the layout is the packed order
 
     @classmethod
-    def build(cls, lengths: np.ndarray, tiers: tuple[np.ndarray, ...], allowed: list[np.ndarray]) -> Plan:
+    def build(cls, lengths: np.ndarray, allowed: list[np.ndarray]) -> Plan:
         """The plan of a batch's packed rows and its heads' additive masks, built once for every layer of a pass.
 
-        ``lengths`` are the batch's (B,) sentence lengths, each at least 1; ``tiers`` its integer rows per tier
-        from ``attention.tier_plan``, every row in exactly one; and ``allowed`` each head's boolean block,
-        broadcastable to (B, n, n), n = ``lengths.max()``. Each tier is laid out at its longest sentence, and each
-        distinct block becomes one {0, -inf} mask per tier, cut to the tier along the axes it has: a (B, 1, n) key
-        row becomes a (count, 1, width) row, and a shared (n, n) block a (width, width) one. A lone tier of the
-        whole batch in batch order cuts nothing. Any other input raises :class:`ShapeMismatchError`.
+        ``lengths`` are the batch's (B,) sentence lengths, each at least 1, and ``allowed`` each head's boolean
+        block, broadcastable to (B, n, n), n = ``lengths.max()``. The rows are cut into tiers by length (see
+        :func:`_tiers`), each laid out at its longest sentence, and each distinct block becomes one {0, -inf} mask
+        per tier, cut to the tier along the axes it has: a (B, 1, n) key row becomes a (count, 1, width) row, and a
+        shared (n, n) block a (width, width) one. A lone tier is the whole batch in batch order and cuts nothing.
+        Any other input raises :class:`ShapeMismatchError`.
         """
         if not allowed:
             raise ShapeMismatchError("attention needs at least one mask block, one per head")
@@ -205,27 +205,21 @@ class Plan(NamedTuple):
             shape = None
         if shape != (b, n, n):
             raise ShapeMismatchError(f"attention masks {[a.shape for a in allowed]} vs {(b, n, n)}")
-        order = np.concatenate(tiers) if tiers else np.empty(0, dtype=np.intp)
-        in_order = order.shape == (b,) and np.count_nonzero(order == np.arange(b)) == b
-        once = order.dtype.kind in "iu" and (in_order or np.array_equal(np.sort(order), np.arange(b)))
-        if not once or not all(map(len, tiers)):
-            raise ShapeMismatchError(
-                f"attention tiers {[t.tolist() for t in tiers]} must hold rows 0..{b - 1} once, as integers"
-            )
+        tiers = _tiers(lengths)
+        whole = len(tiers) == 1  # a lone tier is the batch as it is: no block is cut
         distinct = {id(a): a for a in allowed}
         first = np.empty(b, dtype=np.intp)  # each batch row's first position in the layout
         placed, stop = [], 0
         for rows in tiers:
             count = len(rows)
-            width = n if count == b else int(lengths[rows].max())
+            width = n if whole else int(lengths[rows].max())
             first[rows] = np.arange(stop, stop + count * width, width)
-            whole = in_order and count == b  # the batch as it is: no block is cut
             cuts = {key: np.where(a if whole else a[_cut(a.shape, rows, width)], 0.0, NEG_INF)
                     for key, a in distinct.items()}
             span = slice(stop, stop + count * width)
             placed.append(Tier(rows, width, span, tuple([cuts[id(a)] for a in allowed])))
             stop = span.stop
-        at = None if in_order and low == n else (first + lengths - lengths.cumsum()).repeat(lengths)
+        at = None if whole and low == n else (first + lengths - lengths.cumsum()).repeat(lengths)
         if at is not None:  # row r's tokens go to first[r] onwards
             at += np.arange(at.size)
         return cls(lengths, tuple(placed), at)
@@ -239,6 +233,39 @@ class Plan(NamedTuple):
         out = np.zeros((self.tiers[-1].span.stop, rows.shape[1]))
         out[self.at] = rows
         return out
+
+
+# What a tier costs :func:`attention` beyond its score cells, in cells. Timing the node's
+# forward and backward passes (H = 6, d_k = 8) gave about 70-100 µs per call and
+# 0.12-0.15 µs per score cell (B·n²): a tier breaks even at 500-800 cells.
+# Tier widths move the rounding of softmax sums: a new value needs a paired-seed study.
+TIER_CELLS = 3000
+
+
+def _tiers(lengths: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The batch rows of each tier of a :class:`Plan` for sentences of ``lengths``, a vector of integers >= 1.
+
+    The rows, sorted by length stably, are cut into at most three tiers that minimise Σ B_t·n_t² +
+    ``TIER_CELLS`` per tier, tier t holding B_t rows of at most n_t tokens, in length order; of equal
+    costs, the first cut pair in row-major order wins. A lone tier is ``np.arange(B)``, the whole batch
+    in batch order. Cuts are sought only where the sorted length changes: a cut inside a run of equal
+    lengths costs more than one at the run's end, so the search is O(B log B + K²) for K distinct lengths.
+    """
+    lengths = lengths.astype(np.int64, copy=False)
+    b, top = len(lengths), int(lengths.max()) ** 2
+    # No split computes fewer than Σ l² cells, and any split adds a tier.
+    if b * top - int(lengths @ lengths) <= TIER_CELLS:
+        return (np.arange(b),)
+    order = np.argsort(lengths, kind="stable")
+    ordered = lengths[order]
+    ends = np.flatnonzero(np.append(ordered[1:] != ordered[:-1], True)) + 1  # each run's end, the last one b
+    square = ordered[ends - 1] ** 2
+    i, j = np.triu_indices(ends.size)  # tiers [0, ends[i]), [ends[i], ends[j]) and [ends[j], b), empty ones dropped
+    cost = (ends[i] * square[i] + (ends[j] - ends[i]) * square[j] + (b - ends[j]) * top
+            + TIER_CELLS * (1 + (j > i) + (ends[j] < b)))
+    best = int(np.argmin(cost))
+    tiers = tuple(part for part in np.split(order, [ends[i[best]], ends[j[best]]]) if part.size)
+    return tiers if len(tiers) > 1 else (np.arange(b),)
 
 
 def _cut(shape: tuple[int, ...], rows: np.ndarray, width: int) -> tuple:
@@ -258,7 +285,7 @@ def attention(q, k, v, plan: Plan, drop=None) -> tuple[Tensor, tuple[np.ndarray,
     and returns the tier's inverted-dropout multipliers (0 or ``1 / (1 - rate)``) for its rows
     and its ``[:width, :width]`` pairs, which scale the weights before they meet ``V_h``. A
     single sentence's (n, ·) operands under boolean (n, n) blocks ``allowed`` are the packed
-    rows of the one-tier plan ``Plan.build([n], attention.tier_plan([n]), allowed)``.
+    rows of the one-tier plan ``Plan.build([n], allowed)``.
 
     Returns the head outputs concatenated along the last axis, (T, H·d_v), and the
     weights before dropout, one (H, count, width, width) block per tier: off the tape, and

@@ -18,12 +18,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import masks as masks_mod
-from .attention import tier_plan
 from .autodiff import NEG_INF
 from .errors import ConlluError, ShapeMismatchError
 
@@ -311,7 +309,6 @@ class Batch:
     block, ``n = lengths.max()``, a view of one ``masks.stack_role_masks`` stack:
     True where a query may attend to a key. ``token_ids`` stay padded to
     ``max_len``; ``model.embed`` reads only the valid positions.
-    :attr:`tiers` is computed on first use and kept.
 
     :attr:`role_masks` and :attr:`pad_mask` give the same masks as additive
     ``{0, -inf}`` float grids padded to the width of ``token_ids``, built
@@ -329,11 +326,6 @@ class Batch:
     @property
     def size(self) -> int:
         return self.token_ids.shape[0]
-
-    @cached_property
-    def tiers(self) -> tuple[np.ndarray, ...]:
-        """The batch rows of each attention tier, ``attention.tier_plan(lengths)``, shared by every pass."""
-        return tier_plan(self.lengths)
 
     @property
     def pad_mask(self) -> np.ndarray:
@@ -392,6 +384,8 @@ def make_batches(
     """
     if batch_size < 1:
         raise ShapeMismatchError(f"batch_size must be >= 1, got {batch_size}")
+    if max_len < 1:  # a negative one would slice tokens from the end, 0 build empty rows
+        raise ShapeMismatchError(f"max_len must be >= 1, got {max_len}")
     order = np.arange(len(sentences))
     if shuffle:
         order = np.random.default_rng(seed).permutation(len(sentences))

@@ -110,8 +110,11 @@ class ModelConfig:
             if f.name in d and kind and (isinstance(value, bool) or not isinstance(value, (int, kind))):
                 raise ConfigError(f"config key {f.name!r} expects {f.type}, got {value!r}")
         kwargs = dict(d)
-        if "guided_roles" in kwargs:
-            kwargs["guided_roles"] = tuple(kwargs["guided_roles"])
+        if "guided_roles" in d:
+            roles = d["guided_roles"]
+            if not isinstance(roles, list) or not all(isinstance(role, str) for role in roles):
+                raise ConfigError(f"config key 'guided_roles' expects a list of strings, got {roles!r}")
+            kwargs["guided_roles"] = tuple(roles)
         return cls(**kwargs)
 
 
@@ -265,8 +268,8 @@ def forward_stages(
     :func:`embed`). A guided head reads its role's boolean block, shared by
     every head of the role; padding and regular heads share one ``(B, 1, n)``
     row of valid keys. One ``autodiff.Plan`` of the rows, built once per pass
-    from ``batch.lengths``, ``batch.tiers`` and these blocks, holds the heads'
-    additive masks, and every layer's attention reads it. A ``training`` pass
+    from ``batch.lengths`` and these blocks, holds the batch's tiers and the
+    heads' additive masks, and every layer's attention reads it. A ``training`` pass
     under dropout draws its inverted-dropout multipliers from ``rng`` as it
     goes, only for the cells the packed pass reads: per layer, ``autodiff.attention``
     draws one ``(H, count, width, width)`` block per tier, in tier order, and
@@ -283,7 +286,7 @@ def forward_stages(
         drop = functools.partial(_dropout_keep, rng, cfg.dropout)
     key_row = (np.arange(int(batch.lengths.max())) < batch.lengths[:, None])[:, None, :]
     allowed = [key_row if role == ROLE_PADDING else batch.allowed[role] for role in cfg.guided_roles]
-    plan = ad.Plan.build(batch.lengths, batch.tiers, allowed + [key_row] * cfg.extra_regular_heads)
+    plan = ad.Plan.build(batch.lengths, allowed + [key_row] * cfg.extra_regular_heads)
     x = embed(batch, params, cfg)
     yield "embed.output", x
     for i in range(cfg.layers):

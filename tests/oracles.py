@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import multi_head, tier_plan
+from guided_attention.attention import multi_head
 from guided_attention.autodiff import Tensor
 from guided_attention.corpus import Sentence, Token, truncate
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
@@ -209,11 +209,12 @@ def square_plan(*blocks: np.ndarray) -> ad.Plan:
 
     Its packed rows are those of (B, n, ·) operands, row after row: one sentence's
     (n, ·) operands as they are, and a (B, n, ·) batch's as its (B·n, ·) reshape.
-    One sentence's plan is README's recipe, ``Plan.build([n], tier_plan([n]), blocks)``.
+    Equal lengths are one tier, so the plan cuts no block. One sentence's plan is
+    README's recipe, ``Plan.build([n], blocks)``.
     """
     shape = np.broadcast_shapes(*(block.shape for block in blocks))
     lengths = [shape[-1]] * (shape[0] if len(shape) == 3 else 1)
-    return ad.Plan.build(lengths, tier_plan(lengths), list(blocks))
+    return ad.Plan.build(lengths, list(blocks))
 
 
 def tensor_sum(x) -> Tensor:
@@ -321,6 +322,29 @@ def multi_head_per_head(x, wq, wk, wv, wo, masks, dropout_rate=0.0, rng=None):
     return ad.matmul(concat_last(outputs), wo)
 
 
+def tier_plan(lengths) -> tuple[np.ndarray, ...]:
+    """The batch rows of each tier ``autodiff.Plan.build`` lays out for ``lengths``, by a search over every cut.
+
+    The rows, sorted by length stably, are cut into at most three tiers ``[0, i)``, ``[i, j)`` and ``[j, B)``,
+    the empty ones dropped, at the first (i, j) in row-major order that minimises Σ B_t·n_t² +
+    ``ad.TIER_CELLS`` per tier. A lone tier is ``np.arange(B)``, the whole batch in batch order. This
+    O(B²) search over every cut is the reference for the plan's, which seeks cuts only where the sorted
+    length changes.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, top = len(lengths), int(lengths.max()) ** 2
+    if b * top - int(lengths @ lengths) <= ad.TIER_CELLS:
+        return (np.arange(b),)
+    order = np.argsort(lengths, kind="stable")
+    square = lengths[order] ** 2
+    i, j = np.triu_indices(b + 1)
+    i, j = i[i > 0], j[i > 0]
+    cost = i * square[i - 1] + (j - i) * square[j - 1] + (b - j) * top + ad.TIER_CELLS * (1 + (j > i) + (j < b))
+    best = int(np.argmin(cost))
+    tiers = tuple(part for part in np.split(order, [i[best], j[best]]) if part.size)
+    return tiers if len(tiers) > 1 else (np.arange(b),)
+
+
 def tier_cost_bruteforce(lengths, tier_cells: int) -> int:
     """Least Σ B_t·n_t² + ``tier_cells`` per tier over every cut of the sorted lengths into 1 to 3 tiers."""
     ordered = sorted(lengths)
@@ -342,7 +366,7 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
     of an all-valid :func:`square_plan`, but a padded key column is closed
     in every block, and the pooling skips padded positions. Dropout draws
     from ``rng`` one block at a time with :func:`dropout_keep`, per layer one
-    ``(H, count, width, width)`` block per tier of ``batch.tiers``, then one
+    ``(H, count, width, width)`` block per tier of :func:`tier_plan`, then one
     ``(T, ff_width)`` block of the valid tokens' feed-forward units, and
     scatters them into ``(H, B, n, n)`` and ``(B, n, ff_width)`` grids, with
     zeros at every cell the packed pass does not compute.
@@ -363,7 +387,7 @@ def forward_padded(batch, params, cfg, rng=None, training=False) -> Tensor:
         attn_keep = ff_keep = None
         if rate > 0.0:
             attn_keep, ff_keep = np.zeros((cfg.heads, *valid.shape, n)), np.zeros((*valid.shape, cfg.ff_width))
-            for rows in batch.tiers:
+            for rows in tier_plan(batch.lengths):
                 width = int(batch.lengths[rows].max())
                 attn_keep[:, rows, :width, :width] = dropout_keep((cfg.heads, len(rows), width, width), rate, rng)
             ff_keep[valid] = dropout_keep((int(valid.sum()), cfg.ff_width), rate, rng)

@@ -11,15 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import TIER_CELLS, multi_head, tier_plan
-from guided_attention.autodiff import Tensor
+from guided_attention.attention import multi_head
+from guided_attention.autodiff import TIER_CELLS, Tensor
 from guided_attention.corpus import Sentence, Token, make_batches
 from guided_attention.errors import ConfigError, DegenerateRowError, ShapeMismatchError
 from guided_attention.masks import GUIDED_ROLES, build_role_mask
 from guided_attention.model import ModelConfig, forward_batch, init_params
 from oracles import (
     attention_naive, dropout_keep, multi_head_per_head, reshape, softmax_rows, square_plan, tensor_sum,
-    tier_cost_bruteforce,
+    tier_cost_bruteforce, tier_plan,
 )
 
 NEG_INF = float("-inf")
@@ -40,8 +40,15 @@ def random_projections(rng, d_model):
     return [Tensor(rng.normal(size=(d_model, d_model))) for _ in range(4)]
 
 
+def planned_tiers(lengths) -> list[np.ndarray]:
+    """The batch rows of each tier ``autodiff.Plan.build`` lays out for sentences of ``lengths``."""
+    lengths = np.asarray(lengths)
+    key_row = (np.arange(int(lengths.max())) < lengths[:, None])[:, None, :]
+    return [tier.rows for tier in ad.Plan.build(lengths, [key_row]).tiers]
+
+
 class TestTierPlan:
-    """``tier_plan``: the tiers of batch rows ``autodiff.attention`` computes at their own widths."""
+    """``Plan.build``'s tiers: the batch rows ``autodiff.attention`` computes at their own widths."""
 
     @staticmethod
     def cost(lengths, tiers):
@@ -52,7 +59,7 @@ class TestTierPlan:
     @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=40))
     @example(lengths=[1, 40, 13])  # B·n² − Σ l² = 3030 exceeds TIER_CELLS, yet no split pays for its tier
     def test_every_row_lands_in_one_tier_of_least_cost(self, lengths):
-        tiers = tier_plan(lengths)
+        tiers = planned_tiers(lengths)
         assert 1 <= len(tiers) <= 3
         assert sorted(np.concatenate(tiers).tolist()) == list(range(len(lengths)))
         if len(tiers) > 1:  # tier after tier, each in length order, stably
@@ -62,9 +69,24 @@ class TestTierPlan:
             assert tiers[0].tolist() == list(range(len(lengths)))
         assert self.cost(lengths, tiers) == tier_cost_bruteforce(lengths, TIER_CELLS)
 
+    @settings(max_examples=200)
+    @given(
+        lengths=st.one_of(
+            st.lists(st.integers(1, 70), min_size=1, max_size=200),
+            st.lists(st.sampled_from([1, 2, 3, 5, 30, 55, 56]), min_size=1, max_size=200),  # long runs of equals
+        )
+    )
+    @example(lengths=[56, 5])
+    @example(lengths=[1, 30, 1, 1, 30] + [1] * 7)
+    def test_tiers_equal_the_search_over_every_cut(self, lengths):
+        """Seeking cuts only where the sorted length changes finds the very tiers of the search over every cut."""
+        tiers = planned_tiers(lengths)
+        reference = tier_plan(lengths)
+        assert [rows.tolist() for rows in tiers] == [rows.tolist() for rows in reference]
+
     @pytest.mark.parametrize("lengths", [[1], [5] * 32, [32] * 32])
     def test_equal_lengths_give_one_tier(self, lengths):
-        (rows,) = tier_plan(lengths)
+        (rows,) = planned_tiers(lengths)
         assert rows.tolist() == list(range(len(lengths)))
 
     def test_no_search_below_one_tiers_cost(self, monkeypatch):
@@ -72,19 +94,19 @@ class TestTierPlan:
         assert 55**2 - 5**2 == TIER_CELLS
 
         def no_search(*args, **kwargs):
-            raise AssertionError("tier_plan searched for a split")
+            raise AssertionError("Plan.build searched for a split")
 
         monkeypatch.setattr(np, "argsort", no_search)
-        assert [rows.tolist() for rows in tier_plan([55, 5])] == [[0, 1]]
+        assert [rows.tolist() for rows in planned_tiers([55, 5])] == [[0, 1]]
         monkeypatch.undo()
-        assert [rows.tolist() for rows in tier_plan([56, 5])] == [[1], [0]]  # saves 111 cells
+        assert [rows.tolist() for rows in planned_tiers([56, 5])] == [[1], [0]]  # saves 111 cells
 
     def test_two_and_three_tiers(self):
-        assert [rows.tolist() for rows in tier_plan([1, 30, 1, 1, 30] + [1] * 7)] == [
+        assert [rows.tolist() for rows in planned_tiers([1, 30, 1, 1, 30] + [1] * 7)] == [
             [0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]
         ]
         lengths = [40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1]
-        assert [sorted({lengths[i] for i in rows}) for rows in tier_plan(lengths)] == [[1], [20], [40]]
+        assert [sorted({lengths[i] for i in rows}) for rows in planned_tiers(lengths)] == [[1], [20], [40]]
 
 
 class TestHeadConfig:

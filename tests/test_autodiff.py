@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import guided_attention.autodiff as ad
-from guided_attention.attention import tier_plan
 from guided_attention.autodiff import Tensor
 from guided_attention.errors import DegenerateRowError, ShapeMismatchError
 from oracles import (
@@ -30,6 +29,7 @@ from oracles import (
     spread_weights,
     square_plan,
     tensor_sum,
+    tier_plan,
     transpose_last,
 )
 
@@ -344,7 +344,7 @@ class TestAttention:
         padded = [np.where(valid[..., None], rng.normal(size=(3, 4, 6)), 0.0) for _ in "qkv"]
         keep = dropout_keep((2, 3, 4, 4), 0.3, np.random.default_rng(36))
         upstream = rng.normal(size=(3, 4, 6)) * valid[..., None]
-        plan = ad.Plan.build(np.array([4, 1, 3]), (np.arange(3),), [valid[:, None, :]] * 2)
+        plan = ad.Plan.build(np.array([4, 1, 3]), [valid[:, None, :]] * 2)
         every_position = square_plan(*[valid[:, None, :]] * 2)  # padded positions as rows, their keys closed
         runs = []
         for layout, pick in ((every_position, lambda a: a.reshape(12, -1)), (plan, lambda a: a[valid])):
@@ -546,11 +546,12 @@ class TestAttention:
     def test_returned_weights_are_read_only(self):
         """The weights are the buffer the backward pass reads: writing to them raises and leaves the gradients be."""
         rng = np.random.default_rng(41)
-        valid = np.arange(4) < np.array([4, 2])[:, None]
-        q, k, v = (rng.normal(size=(6, 4)) for _ in "qkv")
-        upstream = rng.normal(size=(6, 4))
-        two_tiers = ad.Plan.build(np.array([4, 2]), (np.array([1]), np.array([0])), [valid[:, None, :]] * 2)
-        for plan in (square_plan(*[np.ones((6, 6), dtype=bool)] * 2), two_tiers):
+        valid = np.arange(56) < np.array([56, 5])[:, None]
+        q, k, v = (rng.normal(size=(61, 4)) for _ in "qkv")
+        upstream = rng.normal(size=(61, 4))
+        two_tiers = ad.Plan.build(np.array([56, 5]), [valid[:, None, :]] * 2)
+        assert len(two_tiers.tiers) == 2
+        for plan in (square_plan(*[np.ones((61, 61), dtype=bool)] * 2), two_tiers):
             grads = []
             for write in (False, True):
                 tensors = [Tensor(a, requires_grad=True) for a in (q, k, v)]
@@ -587,114 +588,102 @@ class TestTieredAttention:
     @settings(max_examples=60)
     @given(
         lengths=st.lists(st.integers(1, 40), min_size=1, max_size=16),
-        labels=st.lists(st.integers(0, 2), min_size=16, max_size=16),
         rate=st.sampled_from([0.0, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(lengths=[6] * 5, labels=[1] * 16, rate=0.3, seed=1)  # equal lengths: one tier
-    @example(lengths=[3, 1, 2], labels=[0, 1, 0] + [0] * 13, rate=0.3, seed=2)  # a 1-token sentence
-    @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, labels=[0] * 16, rate=0.3, seed=3)  # the plan's two tiers
-    @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], labels=[0] * 16, rate=0.3, seed=4)
-    def test_tiers_equal_the_one_tier_node(self, lengths, labels, rate, seed):
-        """Outputs, q/k/v gradients and weights at valid pairs equal the one-tier node's, for the plan's
-        tiers and for tiers drawn by ``labels``; weights outside a row's tier block are 0."""
+    @example(lengths=[6] * 5, rate=0.3, seed=1)  # equal lengths: one tier
+    @example(lengths=[3, 1, 2], rate=0.3, seed=2)  # a 1-token sentence
+    @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, rate=0.3, seed=3)  # the plan's two tiers
+    @example(lengths=[1] * 10 + [30, 30], rate=0.3, seed=3)  # two tiers whose rows run in batch order
+    @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], rate=0.3, seed=4)  # three tiers
+    def test_tiers_equal_the_one_tier_node(self, lengths, rate, seed):
+        """Outputs, q/k/v gradients and weights at valid pairs equal those of a tier-free reference, the per-head
+        kernel ``oracles.heads_per_head`` on the (B, n, ·) padded layout under the same multipliers; the planned
+        weights at padded keys are 0."""
         rows, lengths, masks = self.batch(lengths, seed)
         b, n, heads = len(lengths), int(lengths.max()), self.HEADS
         valid = masks[1][:, 0]
-        order = np.argsort(lengths, kind="stable")
-        label = np.asarray(labels[:b])[order]
-        drawn = tuple(part for part in (order[label == t] for t in range(3)) if part.size)
         keep = dropout_keep((heads, b, n, n), rate, np.random.default_rng(seed))
         upstream = np.random.default_rng(seed + 1).normal(size=(rows[0].shape[0], heads * self.D_K))
+        tensors = [Tensor(a, requires_grad=True) for a in rows]
+        plan = ad.Plan.build(lengths, masks)
+        out, blocks = ad.attention(*tensors, plan, cut_keep(plan, keep))
+        ad.backward(tensor_sum(ad.mul(out, upstream)))
+        weights = spread_weights(plan, blocks)
+
+        padded = [np.zeros((b, n, a.shape[-1])) for a in (*rows, upstream)]
+        for grid, a in zip(padded, (*rows, upstream)):
+            grid[valid] = a
+        *operands, padded_upstream = padded
+        masks = [np.where(mask, 0.0, NEG_INF) for mask in masks]
+        want_out, want_weights, grads = heads_per_head(*operands, masks, keep, np.arange(b))
         pairs = valid[:, :, None] & valid[:, None, :]
-        runs = []
-        for tiers in ((np.arange(b),), tier_plan(lengths), drawn):
-            tensors = [Tensor(a, requires_grad=True) for a in rows]
-            plan = ad.Plan.build(lengths, tiers, masks)
-            out, blocks = ad.attention(*tensors, plan, cut_keep(plan, keep))
-            ad.backward(tensor_sum(ad.mul(out, upstream)))
-            weights = spread_weights(plan, blocks)
-            runs.append((out.data, weights, [t.grad for t in tensors]))
-            if len(tiers) > 1:
-                block = np.zeros((b, n, n), dtype=bool)
-                for tier in tiers:
-                    width = int(lengths[tier].max())
-                    block[tier, :width, :width] = True
-                assert np.all(weights[:, ~block] == 0.0)
-        (out, weights, grads), *tiered = runs
-        for tier_out, tier_weights, tier_grads in tiered:
-            npt.assert_allclose(tier_out, out, rtol=0, atol=1e-12)
-            npt.assert_allclose(tier_weights[:, pairs], weights[:, pairs], rtol=0, atol=1e-12)
-            for tier_grad, grad in zip(tier_grads, grads):
-                npt.assert_allclose(tier_grad, grad, rtol=0, atol=1e-12)
+        npt.assert_allclose(out.data, want_out[valid], rtol=0, atol=1e-12)
+        npt.assert_allclose(weights[:, pairs], want_weights[:, pairs], rtol=0, atol=1e-12)
+        assert np.all(weights[:, valid[:, :, None] & ~valid[:, None, :]] == 0.0)
+        for tensor, want in zip(tensors, grads(padded_upstream), strict=True):  # padded rows pass on no gradient
+            npt.assert_allclose(tensor.grad, want[valid], rtol=0, atol=1e-12)
 
     @settings(max_examples=40)
     @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=16), seed=st.integers(0, 2**32 - 1))
     @example(lengths=[6] * 5, seed=1)  # equal lengths: one tier
     @example(lengths=[1, 30, 1, 1, 30] + [1] * 7, seed=3)  # the plan's two tiers
+    @example(lengths=[1] * 10 + [30, 30], seed=3)  # two tiers whose rows run in batch order
     @example(lengths=[40, 1, 20, 1, 20, 1, 20, 1, 20, 40, 1, 20, 1, 1, 1, 1], seed=4)
     def test_plan_masks_are_the_cut_boolean_blocks_bit_for_bit(self, lengths, seed):
         """In every tier, each head's mask is the {0, -inf} form of its block cut along the block's own axes: a
         role's (B, n, n) block to (count, width, width), the (B, 1, n) key row to (count, 1, width), and a shared
-        (n, n) block to (width, width). A block that two heads share stays one mask. So it goes for the whole batch
-        in batch order or not, for the plan's tiers, and for tiers whose rows run in batch order."""
+        (n, n) block to (width, width). A block that two heads share stays one mask. So it goes for a lone tier,
+        which cuts nothing, and among several, also when their rows run in batch order."""
         _, lengths, allowed = self.batch(lengths, seed)
         b, n = len(lengths), int(lengths.max())
         shared = np.random.default_rng(seed).random((n, n)) < 0.5
         allowed = [*allowed, shared]
-        in_order = tuple(part for part in np.array_split(np.arange(b), 2) if part.size)
-        for tiers in ((np.arange(b),), (np.arange(b)[::-1],), tier_plan(lengths), in_order):
-            plan = ad.Plan.build(lengths, tiers, allowed)
-            for tier, rows in zip(plan.tiers, tiers, strict=True):
-                width = int(lengths[rows].max())
-                assert (tier.rows, tier.width) == (rows, width)
-                block, key_row, same, square = tier.masks
-                assert key_row.shape == (len(rows), 1, width)
-                assert same is block  # a block shared by two heads is converted once
-                for mask, cut in (
-                    (block, allowed[0][rows, :width, :width]),
-                    (key_row, allowed[1][rows, :, :width]),
-                    (square, shared[:width, :width]),
-                ):
-                    want = np.where(cut, 0.0, NEG_INF)
-                    assert (mask.dtype, mask.shape, mask.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        if b > 1:
-            with pytest.raises(ShapeMismatchError, match="attention masks"):
-                ad.Plan.build(lengths, (np.arange(1), np.arange(1, b)), [allowed[0], np.ones((b + 1, n, n), bool)])
+        plan = ad.Plan.build(lengths, allowed)
+        for tier, rows in zip(plan.tiers, tier_plan(lengths), strict=True):
+            width = int(lengths[rows].max())
+            assert (tier.rows.tolist(), tier.width) == (rows.tolist(), width)
+            block, key_row, same, square = tier.masks
+            assert key_row.shape == (len(rows), 1, width)
+            assert same is block  # a block shared by two heads is converted once
+            for mask, cut in (
+                (block, allowed[0][rows, :width, :width]),
+                (key_row, allowed[1][rows, :, :width]),
+                (square, shared[:width, :width]),
+            ):
+                want = np.where(cut, 0.0, NEG_INF)
+                assert (mask.dtype, mask.shape, mask.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        with pytest.raises(ShapeMismatchError, match="attention masks"):
+            ad.Plan.build(lengths, [allowed[0], np.ones((b + 1, n, n), bool)])
 
     def test_plan_rejects_additive_masks(self):
         """A {0, -inf} mask in place of a boolean block would come out inverted, so it is refused by its dtype."""
-        lengths = np.array([3, 2])
-        valid = np.arange(3) < lengths[:, None]
-        additive = np.where(np.eye(3, dtype=bool), 0.0, NEG_INF)[None]
-        for tiers in ((np.arange(2),), (np.array([1]), np.array([0]))):
+        for lengths in (np.array([3, 2]), np.array([56, 5])):  # one tier, and two
+            n = int(lengths.max())
+            valid = np.arange(n) < lengths[:, None]
+            additive = np.where(np.eye(n, dtype=bool), 0.0, NEG_INF)[None]
             with pytest.raises(ShapeMismatchError, match=r"boolean, got \['bool', 'float64'\]"):
-                ad.Plan.build(lengths, tiers, [valid[:, None, :], additive])
+                ad.Plan.build(lengths, [valid[:, None, :], additive])
 
     def test_plan_rejects_tiers_blocks_and_rows_it_cannot_lay_out(self):
-        """Tiers that miss or repeat a row, no blocks, a block of another shape, or lengths that are not a vector of
-        integers >= 1 each raise, in a lone tier as among several; a missing row used to leave its layout unset.
-        An empty batch's ``tier_plan`` reaches the lengths check."""
+        """No blocks, a block of another shape, or lengths that are not a vector of integers >= 1 each raise, in a
+        lone tier as among several."""
+        for lengths, count in ((np.array([4, 1, 3, 2]), 1), (np.array([56, 1, 30, 2]), 2)):
+            b, n = len(lengths), int(lengths.max())
+            key_row = (np.arange(n) < lengths[:, None])[:, None, :]
+            assert len(ad.Plan.build(lengths, [key_row]).tiers) == count
+            cases = [
+                ([], "at least one mask"),
+                ([key_row, np.ones((b, n, 3), dtype=bool)],
+                 rf"masks \[\({b}, 1, {n}\), \({b}, {n}, 3\)\] vs \({b}, {n}, {n}\)"),
+                ([np.ones((b - 1, n, n), dtype=bool)], rf"vs \({b}, {n}, {n}\)"),
+                ([np.ones((2, 1, n, n), dtype=bool)], rf"vs \({b}, {n}, {n}\)"),
+            ]
+            for allowed, message in cases:
+                with pytest.raises(ShapeMismatchError, match=message):
+                    ad.Plan.build(lengths, allowed)
         lengths = np.array([4, 1, 3, 2])
         key_row = (np.arange(4) < lengths[:, None])[:, None, :]
-        whole, split = (np.arange(4),), (np.array([1, 3]), np.array([0, 2]))
-        cases = [
-            ((np.array([0, 1]), np.array([2])), [key_row], r"tiers \[\[0, 1\], \[2\]\] must hold rows 0..3 once"),
-            ((np.array([0, 1, 2, 2]),), [key_row], "must hold rows 0..3 once"),
-            ((np.array([0, 1, 3]), np.array([2, 3])), [key_row], "must hold rows 0..3 once"),
-            ((), [key_row], "must hold rows 0..3 once"),
-            ((np.arange(4), np.array([], dtype=np.intp)), [key_row], "must hold rows 0..3 once"),  # an empty tier
-            ((np.arange(4.0),), [key_row], r"tiers \[\[0.0, 1.0, 2.0, 3.0\]\] must hold rows 0..3 once, as integers"),
-            ((np.array([1.0, 3.0]), np.array([0.0, 2.0])), [key_row], "as integers"),  # used to index with floats
-            (whole, [], "at least one mask"),
-            (split, [], "at least one mask"),
-            (whole, [key_row, np.ones((4, 4, 3), dtype=bool)], r"masks \[\(4, 1, 4\), \(4, 4, 3\)\] vs \(4, 4, 4\)"),
-            (whole, [np.ones((3, 4, 4), dtype=bool)], r"vs \(4, 4, 4\)"),
-            (split, [np.ones((2, 1, 4, 4), dtype=bool)], r"vs \(4, 4, 4\)"),
-        ]
-        for tiers, allowed, message in cases:
-            with pytest.raises(ShapeMismatchError, match=message):
-                ad.Plan.build(lengths, tiers, allowed)
         for bad, shown in (
             (np.array([4, 0, 3, 2]), r"\[4, 0, 3, 2\]"),
             (lengths[None], r"\[\[4, 1, 3, 2\]\]"),
@@ -702,23 +691,22 @@ class TestTieredAttention:
             (lengths.astype(float), r"\[4.0, 1.0, 3.0, 2.0\]"),
             (lengths.astype(np.uint64), r"\[4, 1, 3, 2\]"),  # unsigned lengths would turn the layout's index to float
         ):
-            for tiers in (whole, split):
-                with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got " + shown):
-                    ad.Plan.build(bad, tiers, [key_row])
-        empty = np.array([], dtype=np.int64)
-        with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got \[\]"):
-            ad.Plan.build(empty, tier_plan(empty), [key_row])
+            with pytest.raises(ShapeMismatchError, match=r"must be a vector of signed integers >= 1, got " + shown):
+                ad.Plan.build(bad, [key_row])
 
     def test_a_closed_row_is_named_by_its_batch_row(self):
-        rows, lengths, masks = self.batch([1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1], 5)
-        tiers = tier_plan(lengths)
-        assert [tier.tolist() for tier in tiers] == [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]
-        closed = masks[1].repeat(30, axis=1)
-        closed[7, 4] = False  # row 4 of batch row 7, which is row 1 of the second tier
-        masks = [masks[0], closed, masks[2]]
-        for split in ((np.arange(len(lengths)),), tiers):
+        """In a lone tier as among several, where row 4 of batch row 7 is row 1 of the second tier."""
+        for lengths, tiers in (
+            ([1, 1, 1, 30, 1, 1, 1, 30, 1, 1, 1, 1], [[0, 1, 2, 4, 5, 6, 8, 9, 10, 11], [3, 7]]),
+            ([29, 28, 30, 27, 30, 30, 29, 30], [list(range(8))]),
+        ):
+            rows, lengths, masks = self.batch(lengths, 5)
+            closed = masks[1].repeat(30, axis=1)
+            closed[7, 4] = False
+            plan = ad.Plan.build(lengths, [masks[0], closed, masks[2]])
+            assert [tier.rows.tolist() for tier in plan.tiers] == tiers
             with pytest.raises(DegenerateRowError, match=r"head 1: every key of row \(7, 4\) is masked"):
-                ad.attention(*rows, ad.Plan.build(lengths, split, masks))
+                ad.attention(*rows, plan)
 
 
 class TestBackward:
@@ -807,12 +795,13 @@ class TestBackward:
             h = ad.layer_norm(joined, gain, bias)
             h = ad.mul(h, dropout_keep(h.shape, 0.25, np.random.default_rng(0)))
             rows = ad.embedding(table, ids[valid])
-            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(lengths, (np.arange(2),), allowed),
-                                     lambda shape: keep)
-            two_tiers = ad.Plan.build(lengths, (np.array([0]), np.array([1])), allowed)
-            tiered, _ = ad.attention(rows, rows, rows, two_tiers, cut_keep(two_tiers, keep))
-            pooled = ad.packed_mean(ad.add(packed, tiered), valid.sum(axis=1))
-            logits = ad.add(masked_mean(h, valid), pooled)
+            packed, _ = ad.attention(rows, rows, rows, ad.Plan.build(lengths, allowed), lambda shape: keep)
+            pooled = ad.packed_mean(packed, lengths)
+            long_rows = ad.embedding(table, np.arange(61) % 5)
+            two_tiers = ad.Plan.build(np.array([56, 5]), [(np.arange(56) < np.array([[56], [5]]))[:, None, :]] * 2)
+            long_keep = dropout_keep((2, 2, 56, 56), 0.5, np.random.default_rng(2))
+            tiered, _ = ad.attention(long_rows, long_rows, long_rows, two_tiers, cut_keep(two_tiers, long_keep))
+            logits = ad.add(ad.add(masked_mean(h, valid), pooled), ad.packed_mean(tiered, np.array([56, 5])))
             loss = ad.add(ad.cross_entropy(logits, np.array([1, 2])), tensor_sum(x))
             ad.backward(loss)
 

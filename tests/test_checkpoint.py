@@ -205,8 +205,12 @@ class TestManifest:
              "header 'config' is invalid: d_model 9 not divisible by 2 heads"),
             (lambda header: {**header, "config": {**header["config"], "d_model": 8.0}},
              "header 'config' is invalid: config key 'd_model' expects int, got 8.0"),
+            (lambda header: {**header, "config": {**header["config"], "guided_roles": "relpos"}},
+             "header 'config' is invalid: config key 'guided_roles' expects a list of strings, got 'relpos'"),
+            (lambda header: {**header, "config": {**header["config"], "guided_roles": [["x"]]}},
+             r"header 'config' is invalid: config key 'guided_roles' expects a list of strings, got \[\['x'\]\]"),
         ],
-        ids=["renamed", "misshaped", "extra", "indivisible-heads", "float-d-model"],
+        ids=["renamed", "misshaped", "extra", "indivisible-heads", "float-d-model", "roles-string", "roles-nested"],
     )
     def test_bad_manifest_rejected(self, trained, tmp_path, edit, message):
         ckpt, _ = trained

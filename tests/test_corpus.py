@@ -295,6 +295,15 @@ class TestBatches:
         for role in GUIDED_ROLES:
             assert np.all((batch.role_masks[role][0] == 0.0).any(axis=1))
 
+    @pytest.mark.parametrize("batch_size, max_len, message", [
+        (2, 0, "max_len must be >= 1, got 0"),  # used to build batches of empty rows
+        (2, -1, "max_len must be >= 1, got -1"),  # used to end in numpy's ValueError: truncate kept tokens[:-1]
+        (0, 12, "batch_size must be >= 1, got 0"),
+    ])
+    def test_sizes_below_one_are_refused(self, twenty, twenty_vocab, batch_size, max_len, message):
+        with pytest.raises(ShapeMismatchError, match=message):
+            make_batches(twenty[:5], twenty_vocab, batch_size, max_len, GUIDED_ROLES, shuffle=False)
+
     def test_labels_mapped(self, twenty, twenty_vocab):
         classes = label_index(twenty)
         assert classes == {"neg": 0, "pos": 1}

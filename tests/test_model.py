@@ -44,6 +44,7 @@ from oracles import (
     forward_padded,
     relative_error,
     tensor_sum,
+    tier_plan,
 )
 
 
@@ -119,6 +120,15 @@ class TestConfig:
     def test_negative_ff_width_rejected(self):
         with pytest.raises(ConfigError, match="ff_width must be >= 0, got -1"):
             ModelConfig(ff_width=-1).validate()
+
+    @pytest.mark.parametrize("roles", ["relpos", [["relpos"]]], ids=["string", "nested"])
+    def test_from_dict_needs_guided_roles_as_a_list_of_strings(self, roles):
+        """A string used to become one role per letter, and a nested list to end ``validate`` in a ``TypeError``."""
+        config = {**ModelConfig(guided_roles=("relpos",), extra_regular_heads=1, d_model=8).to_dict(),
+                  "guided_roles": roles}
+        with pytest.raises(ConfigError, match="config key 'guided_roles' expects a list of strings, got "):
+            ModelConfig.from_dict(config)
+        assert ModelConfig.from_dict({**config, "guided_roles": ["relpos"]}).guided_roles == ("relpos",)
 
     def test_key_value_round_trip(self):
         cfg = ModelConfig(layers=4, extra_regular_heads=3, d_model=64, dropout=0.2, seed=7)
@@ -345,13 +355,13 @@ class TestBatchCrop:
 
     def _keep_batch(self, twenty, vocab, sent_ids):
         """The batch of ``sent_ids`` under :attr:`CFG`, one tier; for None, a batch of 1- and 30-token
-        sentences under ``max_len`` 32, which ``tier_plan`` cuts into two tiers."""
+        sentences under ``max_len`` 32, which the plan cuts into two tiers."""
         if sent_ids is not None:
             return self._batch(twenty, vocab, sent_ids), self.CFG
         cfg = replace(self.CFG, max_len=32)
         sentences = [sent([f"w{i}" for i in range(n)], "x") for n in [1, 30, 1, 1, 30] + [1] * 7]
         batch = make_batches(sentences, build_vocab(sentences), 12, cfg.max_len, cfg.mask_roles(), shuffle=False)[0]
-        assert len(batch.tiers) == 2
+        assert len(tier_plan(batch.lengths)) == 2
         return batch, cfg
 
     @staticmethod
@@ -379,7 +389,7 @@ class TestBatchCrop:
             rng = np.random.default_rng(11)
             blocks = self.training_draws(batch, cfg, rng)
             tiers = [(cfg.heads, len(rows), int(batch.lengths[rows].max()), int(batch.lengths[rows].max()))
-                     for rows in batch.tiers]
+                     for rows in tier_plan(batch.lengths)]
             tokens = int(batch.lengths.sum())
             count = cfg.layers * (sum(math.prod(shape) for shape in tiers) + tokens * cfg.ff_width)
             reference = np.random.default_rng(11)
@@ -394,8 +404,9 @@ class TestBatchCrop:
         batch, cfg = self._keep_batch(twenty, twenty_vocab, sent_ids)
         rng, reference = np.random.default_rng(17), np.random.default_rng(17)
         blocks = self.training_draws(batch, cfg, rng)
-        widths = [int(batch.lengths[rows].max()) for rows in batch.tiers]
-        shapes = [(cfg.heads, len(rows), width, width) for rows, width in zip(batch.tiers, widths)]
+        tiers = tier_plan(batch.lengths)
+        widths = [int(batch.lengths[rows].max()) for rows in tiers]
+        shapes = [(cfg.heads, len(rows), width, width) for rows, width in zip(tiers, widths)]
         shapes = [*shapes, (int(batch.lengths.sum()), cfg.ff_width)] * cfg.layers
         assert len(blocks) == len(shapes)
         for block, shape in zip(blocks, shapes):
@@ -420,7 +431,7 @@ class TestBatchCrop:
         sentences = [sent([f"w{i}" for i in range(n)], "x") for n in lengths]
         (batch,) = make_batches(sentences, build_vocab(sentences), len(lengths), cfg.max_len, (), shuffle=False)
         key_row = (np.arange(max(lengths)) < batch.lengths[:, None])[:, None, :]
-        plan = ad.Plan.build(batch.lengths, batch.tiers, [key_row] * heads)
+        plan = ad.Plan.build(batch.lengths, [key_row] * heads)
         rng = np.random.default_rng(5)
         blocks = self.training_draws(batch, cfg, rng)
         tiers = [(heads, len(tier.rows), tier.width, tier.width) for tier in plan.tiers]
@@ -552,33 +563,24 @@ class TestPackedRows:
             assert np.shares_memory(out, rows) == dense
 
     def test_the_layout_is_planned_once_per_pass(self, monkeypatch):
-        """Two layers over a two-tier batch: one ``tier_plan`` call, both nodes read one plan and its mask cuts, and
-        each returns one (H, count, width, width) weight block per tier."""
-        import guided_attention.corpus as corpus_module
-
+        """Two layers over a two-tier batch: both nodes read one plan and its mask cuts, and each returns one
+        (H, count, width, width) weight block per tier."""
         cfg = replace(self.CFG, layers=2, guided_roles=("relpos", "seprat"), extra_regular_heads=2, max_len=30)
         sentences = [sent([f"w{i}" for i in range(n)], "x") for n in [1, 30, 1, 1, 30] + [1] * 7]
         vocab = build_vocab(sentences)
         batch = make_batches(sentences, vocab, len(sentences), cfg.max_len, cfg.mask_roles(), shuffle=False)[0]
-        tiers, plans, tier_plan, attention = [], [], corpus_module.tier_plan, ad.attention
-
-        def tier_spy(lengths):
-            tiers.append(tier_plan(lengths))
-            return tiers[-1]
+        plans, attention = [], ad.attention
 
         def attention_spy(q, k, v, plan, drop=None):
             out, blocks = attention(q, k, v, plan, drop)
             plans.append((plan, [tier.masks for tier in plan.tiers], blocks))
             return out, blocks
 
-        monkeypatch.setattr(corpus_module, "tier_plan", tier_spy)
         monkeypatch.setattr(ad, "attention", attention_spy)
-        params = init_params(cfg, len(vocab), np.random.default_rng(0))
-        forward_batch(batch, params, cfg)
-        assert [[rows.tolist() for rows in plan] for plan in tiers] == [[[0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]]]
-        assert batch.tiers is tiers[0]
+        forward_batch(batch, init_params(cfg, len(vocab), np.random.default_rng(0)), cfg)
         (plan, masks, blocks), (second_plan, second_masks, second_blocks) = plans
         assert second_plan is plan
+        assert [tier.rows.tolist() for tier in plan.tiers] == [[0, 2, 3, 5, 6, 7, 8, 9, 10, 11], [1, 4]]
         for tier, cuts, second_cuts in zip(plan.tiers, masks, second_masks):
             assert len(cuts) == cfg.heads and all(a is b for a, b in zip(cuts, second_cuts))
             assert cuts[2] is cuts[3]  # the regular heads share one cut of the key row
@@ -587,8 +589,6 @@ class TestPackedRows:
             assert [cut.shape for cut in cuts] == blocks_then_rows  # each role's block, then the key row as a row
         for weights in (blocks, second_blocks):  # one weight block per tier, no padded (H, B, n, n) grid
             assert [block.shape for block in weights] == [(cfg.heads, len(t.rows), t.width, t.width) for t in plan.tiers]
-        forward_batch(batch, params, cfg)  # the batch keeps its tiers: a second pass plans none
-        assert len(tiers) == 1 and plans[-1][0].tiers[1].rows is tiers[0][1]
 
 
 class TestEndToEndGradients:
@@ -679,29 +679,6 @@ class TestTraining:
         assert ckpt.metadata == expected.metadata
         for name in ckpt.params:
             npt.assert_array_equal(ckpt.params[name], expected.params[name])
-
-    @staticmethod
-    def mixed_lengths(count, seed):
-        """Labelled sentences of 1 to 30 tokens, so most batches of 8 are cut into two or three tiers."""
-        rng = np.random.default_rng(seed)
-        return [sent([f"w{j}" for j in rng.integers(0, 9, size=n)], "ab"[i % 2])
-                for i, n in enumerate(rng.choice([1, 2, 3, 30], size=count))]
-
-    def test_tiers_are_planned_once_per_batch_per_train_call(self, monkeypatch):
-        """Over every epoch and dev pass of ``train``, each training and dev batch is planned exactly once."""
-        import guided_attention.corpus as corpus_module
-
-        planned, tier_plan = [], corpus_module.tier_plan
-
-        def spy(lengths):
-            planned.append(id(lengths))
-            return tier_plan(lengths)
-
-        train_data, dev_data = self.mixed_lengths(40, 1), self.mixed_lengths(20, 2)
-        cfg = replace(TINY, max_len=30, epochs=3, dropout=0.1)
-        monkeypatch.setattr(corpus_module, "tier_plan", spy)
-        train(cfg, train_data, dev_data)
-        assert len(planned) == len(set(planned)) == math.ceil(40 / cfg.batch_size) + math.ceil(20 / cfg.batch_size)
 
     def test_best_dev_epoch_retained(self):
         data = toy_separable(40)
